@@ -44,7 +44,6 @@ for nu in (3, 4):
 
 print("The same weights apply to both nu = 3 and nu = 4 at levels 2 and 3,")
 print("but the two families are genuinely different operators:")
-w3 = wsld_scheme(3, ALPHA, shifts=(1, -1, 1, 2)).weight_table()
-w4 = wsld_scheme(4, ALPHA, shifts=(1, -1, 1, 2)).weight_table()
-print(f"  nu=3 weights: {w3}")
-print(f"  nu=4 weights: {w4}")
+for nu in (3, 4):
+    weights = wsld_scheme(nu, ALPHA, shifts=(1, -1, 1, 2)).shift_weights()
+    print(f"  nu={nu} (weight, shift): {weights}")

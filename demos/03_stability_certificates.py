@@ -20,12 +20,12 @@ from wsld import (
     assemble_left,
     definiteness_scan,
     eigen_probe,
-    gen_fn_combined,
     stability_probe,
     symbol_order_slope,
     table2_problem,
     wsld_scheme,
 )
+from wsld.spectral import scheme_symmetric_genfn
 
 print("1. Symbol orders (log-log slope of |W(-it) - 1|)")
 print("------------------------------------------------")
@@ -50,7 +50,7 @@ for nu in (3, 4):
           f"-> {'certified' if scan.passed else 'NOT negative definite'}")
 x = np.linspace(0.0, np.pi, 9)
 print("  sample of the generating function (nu=4, alpha=1.5):")
-print("   ", np.round(gen_fn_combined(4, 1.5, None, x), 4))
+print("   ", np.round(scheme_symmetric_genfn(wsld_scheme(4, 1.5), x), 4))
 print()
 
 print("  dense eigenvalue probes agree with the certificate:")
@@ -70,4 +70,5 @@ for ratio in (10.0, 100.0):
 result = stability_probe(problem, wsld_scheme(4, 1.5, shifts=0),
                          tau_over_h=10.0, n_steps=400)
 print(f"  unshifted rule, tau=   10h: "
-      f"{'bounded' if result.bounded else 'blow-up detected'}")
+      f"{'bounded' if result.bounded else 'blow-up detected'} "
+      f"after {result.steps_completed} steps")

@@ -24,12 +24,10 @@ from .coefficients import (
 )
 from .operators import (
     DEFAULT_SHIFTS,
-    OperatorMatrix,
     ShiftTuple,
     WsldScheme,
     apply_operator,
     assemble_left,
-    assemble_right,
     weights2,
     weights3,
     weights4,
@@ -40,8 +38,6 @@ from .spectral import (
     ScanReport,
     definiteness_scan,
     eigen_probe,
-    gen_fn_combined,
-    gen_fn_pair,
     symbol,
     symbol_deviation,
     symbol_order_slope,
@@ -88,16 +84,12 @@ __all__ = [
     "weights4",
     "WsldScheme",
     "wsld_scheme",
-    "OperatorMatrix",
     "assemble_left",
-    "assemble_right",
     "apply_operator",
     # spectral
     "symbol",
     "symbol_deviation",
     "symbol_order_slope",
-    "gen_fn_pair",
-    "gen_fn_combined",
     "ScanReport",
     "definiteness_scan",
     "EigenProbe",

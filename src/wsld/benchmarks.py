@@ -13,10 +13,14 @@ Two reference tables are frozen here for regression checks:
 * ``TABLE2_REFERENCE`` -- max errors at ``t = 1`` of the fourth-order
   Crank-Nicolson diffusion runs with ``tau = h**2``.
 
-The alpha = -0.5 column of the first table and every coarse cell reproduce to
-better than 0.1%; the finest rows of the alpha = 0.5 and alpha = 1.8 columns
-sit on the reference data's own noise floor (see the comparison helpers'
-tolerances).
+The alpha = -0.5 column of the first table and its two coarsest rows
+reproduce to 0.3% or better.  One checked cell does not: alpha = 0.5,
+h = 1/60 gives 1.1368e-06 against 9.3316e-07.  The alpha = 1.8, h = 1/40 cell
+is also off (9.7187e-05 against 1.2005e-04), but that column is checked only
+by its order.  Precision is ruled out (50-digit mpmath agrees with double
+precision in every cell); the cause is unexplained and the tolerance stays at
+2%.  The tolerances of every suite live in :data:`TOLERANCES`, checked by
+:func:`check_reports`.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ __all__ = [
     "TABLE1_REFERENCE",
     "TABLE2_REFERENCE",
     "compare_to_reference",
+    "check_reports",
 ]
 
 # Reference max errors, indexed by alpha -> one value per resolution in
@@ -244,4 +249,52 @@ def compare_to_reference(
                     f"h={h:.4e}: rate {got:.4f} vs reference {want:.4f} "
                     f"(dev {abs(got - want):.3f} > {rate_tol})"
                 )
+    return failures
+
+
+#: Acceptance tolerances of each suite, shared by ``wsld convergence`` and the
+#: acceptance tests.  table1: the alpha = -0.5 and 0.5 columns are compared
+#: with TABLE1_REFERENCE (``rtol``, ``rate_tol``); alpha = 1.8 is checked by
+#: its regression order only (``min_order``).  consistency: the finest
+#: observed rate of each level lies within ``level_tol`` of the level.
+TOLERANCES: dict[str, dict[str, float]] = {
+    "table1": {"rtol": 0.02, "rate_tol": 0.15, "min_order": 4.0},
+    "table2": {"rtol": 0.05, "rate_tol": 0.2},
+    "consistency": {"level_tol": 0.3},
+}
+
+
+def check_reports(suite: str, reports: Sequence[ConvergenceReport]) -> list[str]:
+    """Check a suite's reports against :data:`TOLERANCES`; return failure strings.
+
+    Reports without a frozen reference of matching length are skipped.
+    """
+    tol = TOLERANCES[suite]
+    failures = []
+    for report in reports:
+        meta = report.metadata
+        if suite == "consistency":
+            level, rate = meta["level"], report.rates()[-1]
+            if abs(rate - level) > tol["level_tol"]:
+                failures.append(
+                    f"nu={meta['nu']} level={level}: finest observed order "
+                    f"{rate:.3f} outside {level}±{tol['level_tol']}"
+                )
+            continue
+        if suite == "table1":
+            label = f"alpha={meta['alpha']}"
+            reference = TABLE1_REFERENCE.get(meta["alpha"])
+        else:
+            label = f"nu={meta['nu']} alpha={meta['alpha']}"
+            reference = TABLE2_REFERENCE.get((meta["nu"], meta["alpha"]))
+        if reference is None or len(reference) != len(report.errors):
+            continue
+        if suite == "table1" and meta["alpha"] not in (-0.5, 0.5):
+            order = report.regression_order()
+            if order < tol["min_order"]:
+                failures.append(
+                    f"{label}: observed order {order:.3f} < {tol['min_order']}")
+            continue
+        failures += [f"{label}: {msg}" for msg in compare_to_reference(
+            report, reference, rtol=tol["rtol"], rate_tol=tol["rate_tol"])]
     return failures

@@ -17,19 +17,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 
 from . import benchmarks, solver, spectral
 from .coefficients import lubich_coeffs, lubich_coeffs_oracle
-from .operators import (
-    DEFAULT_SHIFTS,
-    ShiftTuple,
-    assemble_left,
-    assemble_right,
-    wsld_scheme,
-)
+from .operators import DEFAULT_SHIFTS, assemble_left, wsld_scheme
 
 CONFIG_ERROR = 2
 NUMERIC_FAILURE = 1
@@ -68,8 +64,9 @@ def _cmd_operator(args: argparse.Namespace) -> int:
         lines = ["k,phi_k"] + [f"{k},{v:.16e}" for k, v in enumerate(phi)]
         _write("\n".join(lines) + "\n", args.out)
         return 0
-    build = assemble_right if args.side == "right" else assemble_left
-    matrix = build(scheme, args.n).values
+    matrix = assemble_left(scheme, args.n)
+    if args.side == "right":
+        matrix = matrix.T
     lines = [",".join(f"{v:.16e}" for v in row) for row in matrix]
     _write("\n".join(lines) + "\n", args.out)
     return 0
@@ -110,17 +107,15 @@ def _cmd_spectra(args: argparse.Namespace) -> int:
     # scan mode: (alpha, x, f) triples over the default grids
     alphas = spectral.default_alpha_grid() if args.alpha is None else [args.alpha]
     x = spectral.default_x_grid()
-    scan_shifts = shifts[0] if len(shifts) == 1 else ShiftTuple(*shifts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # definiteness_scan below warns once
+        scheme = wsld_scheme(args.nu, alphas[0], shifts=shifts)
     lines = ["alpha,x,f"]
     for a in alphas:
-        if isinstance(scan_shifts, int):
-            values = spectral.scheme_symmetric_genfn(
-                wsld_scheme(args.nu, a, shifts=scan_shifts), x)
-        else:
-            values = spectral.gen_fn_combined(args.nu, a, scan_shifts, x)
+        values = spectral.scheme_symmetric_genfn(replace(scheme, alpha=float(a)), x)
         lines += [f"{a:.4f},{xi:.9e},{vi:.9e}" for xi, vi in zip(x, values)]
     _write("\n".join(lines) + "\n", args.out)
-    report = spectral.definiteness_scan(args.nu, scan_shifts,
+    report = spectral.definiteness_scan(args.nu, shifts,
                                         alpha_grid=np.asarray(alphas))
     print(
         f"max f = {report.max_value:.3e} at alpha={report.argmax_alpha:.4f}, "
@@ -213,60 +208,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_table1(reports) -> list[str]:
-    failures = []
-    for report in reports:
-        alpha = report.metadata["alpha"]
-        reference = benchmarks.TABLE1_REFERENCE.get(alpha)
-        if reference is None or len(reference) != len(report.errors):
-            continue
-        if alpha in (-0.5, 0.5):
-            failures += [f"alpha={alpha}: {msg}" for msg in
-                         benchmarks.compare_to_reference(report, reference,
-                                                         rtol=0.02, rate_tol=0.15)]
-        else:
-            order = report.regression_order()
-            if order < 4.0:
-                failures.append(f"alpha={alpha}: observed order {order:.3f} < 4.0")
-    return failures
-
-
-def _check_table2(reports) -> list[str]:
-    failures = []
-    for report in reports:
-        key = (report.metadata["nu"], report.metadata["alpha"])
-        reference = benchmarks.TABLE2_REFERENCE.get(key)
-        if reference is None or len(reference) != len(report.errors):
-            continue
-        failures += [f"nu={key[0]} alpha={key[1]}: {msg}" for msg in
-                     benchmarks.compare_to_reference(report, reference,
-                                                     rtol=0.05, rate_tol=0.2)]
-    return failures
-
-
-def _check_consistency(reports) -> list[str]:
-    failures = []
-    for report in reports:
-        level = report.metadata["level"]
-        rate = report.rates()[-1]
-        if abs(rate - level) > 0.3:
-            failures.append(
-                f"nu={report.metadata['nu']} level={level}: finest observed "
-                f"order {rate:.3f} outside {level}±0.3"
-            )
-    return failures
-
-
 def _cmd_convergence(args: argparse.Namespace) -> int:
-    if args.suite == "table1":
-        reports = benchmarks.run_table1()
-        failures = _check_table1(reports)
-    elif args.suite == "table2":
-        reports = benchmarks.run_table2()
-        failures = _check_table2(reports)
-    else:
-        reports = benchmarks.run_consistency()
-        failures = _check_consistency(reports)
+    run = {"table1": benchmarks.run_table1, "table2": benchmarks.run_table2,
+           "consistency": benchmarks.run_consistency}[args.suite]
+    reports = run()
+    failures = benchmarks.check_reports(args.suite, reports)
     if args.json:
         payload = {
             "suite": args.suite,

@@ -5,8 +5,9 @@ to first order only (any nonzero shift), but weighted combinations of shifted
 operators cancel the low-order error terms: two shifts restore second order,
 two shift pairs third order, and two pair-of-pairs fourth order.  This module
 builds the combined convolution coefficients ``phi_k``, their dense Toeplitz
-matrix realizations on ``[x_L, x_R]`` (functions are zero-extended outside the
-domain), and direct convolution application.
+matrix on ``[x_L, x_R]`` (functions are zero-extended outside the domain), and
+direct convolution application.  The right-derivative matrix is the transpose
+of the left one.
 
 Matrices are returned unscaled: the ``h**-alpha`` factor is deferred to the
 caller so one matrix serves any grid spacing (the diffusion solver applies
@@ -34,9 +35,7 @@ __all__ = [
     "weights4",
     "WsldScheme",
     "wsld_scheme",
-    "OperatorMatrix",
     "assemble_left",
-    "assemble_right",
     "apply_operator",
 ]
 
@@ -57,18 +56,6 @@ class ShiftTuple:
     def as_tuple(self) -> tuple[int, ...]:
         return (self.p, self.q, self.r, self.s,
                 self.p_bar, self.q_bar, self.r_bar, self.s_bar)
-
-    @property
-    def m(self) -> int:
-        """Stencil half-width: the largest absolute shift."""
-        return max(abs(v) for v in self.as_tuple())
-
-    @classmethod
-    def parse(cls, text: str) -> "ShiftTuple":
-        parts = [int(v) for v in text.replace(" ", "").split(",")]
-        if len(parts) != 8:
-            raise ValueError(f"expected 8 comma-separated shifts, got {len(parts)}")
-        return cls(*parts)
 
 
 #: The proven-stable shift tuple; every eigenvalue of the resulting operator
@@ -147,48 +134,24 @@ class WsldScheme:
     def shift_weights(self) -> list[tuple[float, int]]:
         """Flatten the weight hierarchy into ``(product weight, shift)`` pairs.
 
-        The products telescope: weights at each level sum to one, so the
-        returned weights also sum to one.
+        One walk over halves: the 8 shifts split into two quadruples weighted
+        by :func:`weights4`, each quadruple into two pairs weighted by
+        :func:`weights3`, each pair into two shifts weighted by
+        :func:`weights2`.  The outer weight is multiplied first, so a product
+        is formed as ``(w4 * w3) * w2``.  The products telescope: weights at
+        each level sum to one, so the returned weights also sum to one.
         """
-        t = self.shifts
-        if self.order == 1:
-            return [(1.0, t[0])]
-        if self.order == 2:
-            wp, wq = weights2(*t)
-            return [(wp, t[0]), (wq, t[1])]
-        if self.order == 3:
-            w_a, w_b = weights3(*t)
-            out = []
-            for w_pair, pair in ((w_a, t[:2]), (w_b, t[2:])):
-                wp, wq = weights2(*pair)
-                out += [(w_pair * wp, pair[0]), (w_pair * wq, pair[1])]
-            return out
-        st = ShiftTuple(*t)
-        w4_a, w4_b = weights4(self.nu, self.alpha, st)
-        out = []
-        for w_quad, quad in ((w4_a, t[:4]), (w4_b, t[4:])):
-            w_a, w_b = weights3(*quad)
-            for w_pair, pair in ((w_a, quad[:2]), (w_b, quad[2:])):
-                wp, wq = weights2(*pair)
-                out += [(w_quad * w_pair * wp, pair[0]),
-                        (w_quad * w_pair * wq, pair[1])]
-        return out
+        def walk(t: tuple[int, ...], outer: float) -> list[tuple[float, int]]:
+            if len(t) == 1:
+                return [(outer, t[0])]
+            if len(t) == 8:
+                w_a, w_b = weights4(self.nu, self.alpha, ShiftTuple(*t))
+            else:
+                w_a, w_b = (weights2 if len(t) == 2 else weights3)(*t)
+            half = len(t) // 2
+            return walk(t[:half], outer * w_a) + walk(t[half:], outer * w_b)
 
-    def weight_table(self) -> dict[str, float]:
-        """Named weights of every level that participates at this order."""
-        t = self.shifts
-        table: dict[str, float] = {}
-        if self.order >= 2:
-            table["w_p"], table["w_q"] = weights2(t[0], t[1])
-        if self.order >= 3:
-            table["w_r"], table["w_s"] = weights2(t[2], t[3])
-            table["w_pq"], table["w_rs"] = weights3(*t[:4])
-        if self.order == 4:
-            table["w_pbar"], table["w_qbar"] = weights2(t[4], t[5])
-            table["w_rbar"], table["w_sbar"] = weights2(t[6], t[7])
-            table["w_pbar_qbar"], table["w_rbar_sbar"] = weights3(*t[4:])
-            table["w_pqrs"], table["w_bar"] = weights4(self.nu, self.alpha, ShiftTuple(*t))
-        return table
+        return walk(self.shifts, 1.0)
 
     def phi(self, kmax: int) -> np.ndarray:
         """Combined convolution coefficients ``phi_0..phi_kmax``.
@@ -250,49 +213,21 @@ def wsld_scheme(
     return scheme
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense realization of a WSLD operator on ``N_x + 1`` grid nodes.
-
-    ``scaled`` records whether ``h**-alpha`` has been applied; assembly leaves
-    it deferred (False) so the matrix is reusable across grids of any spacing.
-    """
-
-    values: np.ndarray
-    side: str  # "left" | "right"
-    scaled: bool = False
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0] - 1
-
-
-def _toeplitz_from_phi(phi: np.ndarray, m: int, n: int) -> np.ndarray:
-    # entry (i, j) = phi[i - j + m], zero when the index is negative
-    col = phi[m : m + n + 1]
-    row = np.zeros(n + 1)
-    row[: m + 1] = phi[m::-1]
-    return sla.toeplitz(col, row)
-
-
-def assemble_left(scheme: WsldScheme, n: int) -> OperatorMatrix:
+def assemble_left(scheme: WsldScheme, n: int) -> np.ndarray:
     """Dense left-derivative matrix on ``n + 1`` nodes (``h**-alpha`` deferred).
 
-    Row ``i``, column ``j`` holds ``phi_{i-j+m}``; depends on ``i - j`` only,
-    so the matrix is Toeplitz.  Raises when the grid cannot contain the
-    stencil (``n < max(2, m)``).
+    Row ``i``, column ``j`` holds ``phi_{i-j+m}`` (zero for a negative index);
+    it depends on ``i - j`` only, so the matrix is Toeplitz.  The
+    right-derivative matrix is its transpose.  Raises when the grid cannot
+    contain the stencil (``n < max(2, m)``).
     """
     m = scheme.m
     if n < max(2, m):
         raise ValueError(f"grid too small: need n >= {max(2, m)}, got {n}")
     phi = scheme.phi(n + m)
-    return OperatorMatrix(values=_toeplitz_from_phi(phi, m, n), side="left")
-
-
-def assemble_right(scheme: WsldScheme, n: int) -> OperatorMatrix:
-    """Dense right-derivative matrix: the transpose of :func:`assemble_left`."""
-    left = assemble_left(scheme, n)
-    return OperatorMatrix(values=left.values.T.copy(), side="right")
+    row = np.zeros(n + 1)
+    row[: m + 1] = phi[m::-1]
+    return sla.toeplitz(phi[m : m + n + 1], row)
 
 
 def apply_operator(
@@ -302,8 +237,8 @@ def apply_operator(
 
     Implements ``h**-alpha * sum_{k} phi_k u_{i-k+m}`` (left; mirrored for
     right) with indices outside ``0..n`` contributing nothing -- the zero
-    extension.  Matches the matrix product of :func:`assemble_left` /
-    :func:`assemble_right` to round-off.
+    extension.  Matches the product with :func:`assemble_left` (or its
+    transpose, for the right side) to round-off.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or u.size < 2:

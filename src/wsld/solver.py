@@ -22,7 +22,7 @@ unshifted operator it visibly blows up (see :func:`stability_probe`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -37,6 +37,7 @@ __all__ = [
     "CnSystem",
     "assemble_cn_system",
     "SolveResult",
+    "InstabilityError",
     "cn_solve",
     "ProbeResult",
     "stability_probe",
@@ -82,9 +83,10 @@ def _zero_bc(_t: float) -> float:
 class DiffusionProblem:
     """Data of one diffusion run: coefficients, forcing, initial/boundary data.
 
-    ``kappa`` optionally records the constant ratio ``d_minus = kappa*d_plus``
-    assumed by the unconditional-stability result; when given, the sampled
-    coefficients are checked against it exactly.
+    The coefficients sampled at the grid nodes must be finite and
+    nonnegative.  ``kappa`` optionally records the constant ratio
+    ``d_minus = kappa*d_plus`` assumed by the unconditional-stability result;
+    when given, the sampled coefficients are checked against it exactly.
     """
 
     alpha: float
@@ -109,6 +111,8 @@ class DiffusionProblem:
         x = self.grid.nodes()
         dp = np.asarray(self.d_plus(x), dtype=float)
         dm = np.asarray(self.d_minus(x), dtype=float)
+        if not (np.all(np.isfinite(dp)) and np.all(np.isfinite(dm))):
+            raise ValueError("diffusion coefficients must be finite at every grid node")
         if np.any(dp < 0) or np.any(dm < 0):
             raise ValueError("diffusion coefficients must be nonnegative")
         if self.kappa is not None and not np.array_equal(dm, self.kappa * dp):
@@ -141,7 +145,7 @@ def solve_steady(
     ``f(x_left) = 0``.
     """
     scheme = wsld_scheme(nu, alpha, shifts=p)
-    matrix = assemble_left(scheme, grid.nx).values
+    matrix = assemble_left(scheme, grid.nx)
     x = grid.nodes()
     rhs = np.asarray(f(x) if callable(f) else f, dtype=float)
     if rhs.shape != x.shape:
@@ -176,10 +180,6 @@ class CnSystem:
     scheme: WsldScheme
     problem: DiffusionProblem
 
-    def refactor(self) -> None:
-        """Recompute the factorization (identical bitwise; matrix is frozen)."""
-        self.lu = sla.lu_factor(self.m_lhs)
-
 
 def assemble_cn_system(problem: DiffusionProblem, scheme: WsldScheme) -> CnSystem:
     """Build both stepping matrices and factor the implicit one.
@@ -191,7 +191,7 @@ def assemble_cn_system(problem: DiffusionProblem, scheme: WsldScheme) -> CnSyste
     """
     grid = problem.grid
     x = grid.nodes()
-    a = assemble_left(scheme, grid.nx).values
+    a = assemble_left(scheme, grid.nx)
     dp = np.asarray(problem.d_plus(x), dtype=float)
     dm = np.asarray(problem.d_minus(x), dtype=float)
     spatial = dp[:, None] * a + dm[:, None] * a.T
@@ -222,18 +222,29 @@ class SolveResult:
     max_error: float | None = None
 
 
+class InstabilityError(RuntimeError):
+    """A time step whose sup norm is beyond ``BLOWUP_THRESHOLD`` or not finite."""
+
+    def __init__(self, step: int, t: float, sup_norm: float) -> None:
+        super().__init__(
+            f"instability detected at step {step} (t={t:.6g}): "
+            f"sup norm {sup_norm:.3e}"
+        )
+        self.step = step
+        self.t = t
+        self.sup_norm = sup_norm
+
+
 def cn_solve(
     problem: DiffusionProblem,
     scheme: WsldScheme | None = None,
     exact: Callable[[np.ndarray, float], np.ndarray] | None = None,
-    refactor_each_step: bool = False,
 ) -> SolveResult:
     """Advance the Crank-Nicolson scheme to ``t = horizon``.
 
-    The forcing is sampled at the half step ``t_{n+1/2}``.  A sup norm beyond
-    ``BLOWUP_THRESHOLD`` aborts with ``RuntimeError("instability detected")``.
-    ``refactor_each_step`` exists only to demonstrate that refactoring is
-    pointless: the matrix never changes, so results are identical bitwise.
+    The forcing is sampled at the half step ``t_{n+1/2}``.  A step whose sup
+    norm exceeds ``BLOWUP_THRESHOLD`` or is not finite aborts with
+    :class:`InstabilityError`, which carries the step, its time and the norm.
     """
     if scheme is None:
         scheme = wsld_scheme(4, problem.alpha)
@@ -244,19 +255,16 @@ def cn_solve(
     u = np.asarray(problem.initial(x), dtype=float)
     sup = float(np.abs(u).max())
     for n in range(problem.nt):
-        if refactor_each_step:
-            system.refactor()
         t_half = (n + 0.5) * tau
         rhs = system.m_rhs @ u + tau * problem.source(x, t_half)
         t_next = (n + 1) * tau
         rhs[0] = problem.bc_left(t_next)
         rhs[-1] = problem.bc_right(t_next)
         u = sla.lu_solve(system.lu, rhs)
-        if not np.all(np.isfinite(u)):
-            raise RuntimeError("instability detected")
-        sup = max(sup, float(np.abs(u).max()))
-        if sup > BLOWUP_THRESHOLD:
-            raise RuntimeError("instability detected")
+        step_sup = float(np.abs(u).max())
+        if not step_sup <= BLOWUP_THRESHOLD:  # also catches NaN
+            raise InstabilityError(n + 1, t_next, step_sup)
+        sup = max(sup, step_sup)
     err = None
     if exact is not None:
         err = float(np.abs(u - exact(x, problem.horizon)).max())
@@ -282,25 +290,18 @@ def stability_probe(
     """Run ``n_steps`` with the aggressive step ``tau = tau_over_h * h``.
 
     Reports the running sup norm; crossing ``BLOWUP_THRESHOLD`` stops the run
-    and marks it unbounded.  With the negative-definite default tuple the sup
+    and marks it unbounded, with the step at which it blew up in
+    ``steps_completed``.  With the negative-definite default tuple the sup
     norm stays of the order of the solution scale for any ratio; the
     unshifted operator diverges within tens of steps.
     """
-    grid = problem.grid
-    tau = tau_over_h * grid.h
-    horizon = tau * n_steps
-    probe_problem = DiffusionProblem(
-        alpha=problem.alpha, grid=grid, d_plus=problem.d_plus,
-        d_minus=problem.d_minus, source=problem.source,
-        initial=problem.initial, horizon=horizon, nt=n_steps,
-        bc_left=problem.bc_left, bc_right=problem.bc_right,
-        kappa=problem.kappa,
-    )
+    tau = tau_over_h * problem.grid.h
+    probe_problem = replace(problem, horizon=tau * n_steps, nt=n_steps)
     try:
         result = cn_solve(probe_problem, scheme)
-    except RuntimeError:
-        return ProbeResult(bounded=False, sup_norm=float("inf"),
-                           steps_completed=0)
+    except InstabilityError as exc:
+        return ProbeResult(bounded=False, sup_norm=exc.sup_norm,
+                           steps_completed=exc.step)
     return ProbeResult(bounded=result.sup_norm <= BLOWUP_THRESHOLD,
                        sup_norm=result.sup_norm, steps_completed=result.steps)
 

@@ -4,8 +4,8 @@ Three independent diagnostics of operator quality:
 
 * the shifted-operator symbol ``W(z)``, whose Taylor deviation from 1 reveals
   the consistency order (slope nu at zero shift, slope 1 otherwise);
-* the closed-form generating function of the symmetric part of a weighted
-  shift-pair matrix, evaluated over ``x in [0, pi]``; by the Grenander-Szego
+* the closed-form generating function of the symmetric part of any WSLD
+  operator matrix, evaluated over ``x in [0, pi]``; by the Grenander-Szego
   theorem its range bounds the spectrum of ``H = (A + A^T)/2``, so a
   nonpositive generating function certifies that every eigenvalue of ``A``
   has negative real part (unconditional Crank-Nicolson stability);
@@ -14,27 +14,17 @@ Three independent diagnostics of operator quality:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .coefficients import residual_polynomial
-from .operators import (
-    DEFAULT_SHIFTS,
-    OperatorMatrix,
-    ShiftTuple,
-    WsldScheme,
-    weights2,
-    weights3,
-    weights4,
-)
+from .operators import ShiftsLike, WsldScheme, wsld_scheme
 
 __all__ = [
     "symbol_deviation",
     "symbol",
     "symbol_order_slope",
-    "gen_fn_pair",
-    "gen_fn_combined",
     "scheme_symmetric_genfn",
     "ScanReport",
     "definiteness_scan",
@@ -92,75 +82,27 @@ def symbol_order_slope(
     return float(np.polyfit(np.log(t), np.log(np.abs(dev)), 1)[0])
 
 
-def _symbol_parts(nu: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # real/imaginary split a - b*i of the residual polynomial at e^{ix}
-    if nu == 3:
-        a = (11.0 - 7.0 * np.cos(x) + 2.0 * np.cos(2 * x)) / 6.0
-        b = (7.0 * np.sin(x) - 2.0 * np.sin(2 * x)) / 6.0
-    elif nu == 4:
-        a = (25.0 - 23.0 * np.cos(x) + 13.0 * np.cos(2 * x) - 3.0 * np.cos(3 * x)) / 12.0
-        b = (23.0 * np.sin(x) - 13.0 * np.sin(2 * x) + 3.0 * np.sin(3 * x)) / 12.0
-    else:
-        raise ValueError("generating-function analysis covers nu in {3, 4}")
-    return a, b
+def scheme_symmetric_genfn(scheme: WsldScheme, x) -> np.ndarray:
+    """Generating function of ``H = (A + A^T)/2`` for any supported scheme.
 
+    With ``R`` the residual polynomial (:func:`wsld.coefficients.residual_polynomial`)
+    evaluated at ``e^{ix}`` and ``(w_j, s_j)`` the flattened shift weights,
 
-def _gen_fn_single(nu: int, alpha: float, shift: int, x: np.ndarray) -> np.ndarray:
-    # generating function of (A_shift + A_shift^T)/2: the symmetric part of a
-    # single shifted operator matrix; even in x, and the closed form needs a
-    # nonnegative power base, so evaluate at |x|
-    x = np.abs(x)
-    a, b = _symbol_parts(nu, x)
-    theta = -np.arctan2(b, a)
-    magnitude = (2.0 * np.sin(x / 2.0)) ** alpha * (a * a + b * b) ** (alpha / 2.0)
-    return magnitude * np.cos(alpha * (x / 2.0 - np.pi / 2.0 + theta) - shift * x)
+        f(x) = (2 sin(x/2))^alpha |R|^alpha
+               * sum_j w_j cos(alpha (x/2 - pi/2 + arg R) - s_j x).
 
-
-def gen_fn_pair(nu: int, alpha: float, q: int, x) -> np.ndarray:
-    """Generating function of ``H = (A_{1,q} + A_{1,q}^T)/2`` for the pair ``(1, q)``.
-
-    Closed form: with ``a - b i`` the residual polynomial at ``e^{ix}`` and
-    ``theta = -arctan(b/a)``,
-
-        f(alpha, x) = (2 sin(x/2))^alpha (a^2+b^2)^(alpha/2)
-                      * [w_1 cos(alpha(x/2 - pi/2 + theta) - x)
-                         + w_q cos(alpha(x/2 - pi/2 + theta) - q x)].
-
-    Even in ``x`` and zero at ``x = 0``; the first pair shift is fixed at 1
-    (the hypothesis under which the closed form is established).
+    ``f`` is even and the closed form needs a nonnegative power base, so it
+    is evaluated at ``|x|``; it vanishes at ``x = 0``.
     """
-    if q == 1:
-        raise ValueError("pair is (1, q) with q != 1")
-    x = np.asarray(x, dtype=float)
-    wp, wq = weights2(1, q)
-    return wp * _gen_fn_single(nu, alpha, 1, x) + wq * _gen_fn_single(nu, alpha, q, x)
-
-
-def gen_fn_combined(nu: int, alpha: float, shifts: ShiftTuple | None, x) -> np.ndarray:
-    """Generating function of the symmetric part of the fourth-order operator.
-
-    Linear combination of the four pair generating functions with the level-3
-    and level-4 weights.  Every pair must have leading shift 1 (true for the
-    default tuple); nonpositivity of this function over ``[0, pi]`` is the
-    negative-definiteness certificate.
-    """
-    if shifts is None:
-        shifts = DEFAULT_SHIFTS
-    t = shifts.as_tuple() if isinstance(shifts, ShiftTuple) else tuple(shifts)
-    if len(t) != 8:
-        raise ValueError("expected a full fourth-order shift tuple")
-    if any(t[i] != 1 for i in (0, 2, 4, 6)):
-        raise ValueError("closed form requires each pair to lead with shift 1")
-    x = np.asarray(x, dtype=float)
-    w4a, w4b = weights4(nu, alpha, ShiftTuple(*t))
-    w3a, w3b = weights3(*t[:4])
-    w3ab, w3bb = weights3(*t[4:])
-    return (
-        w4a * w3a * gen_fn_pair(nu, alpha, t[1], x)
-        + w4a * w3b * gen_fn_pair(nu, alpha, t[3], x)
-        + w4b * w3ab * gen_fn_pair(nu, alpha, t[5], x)
-        + w4b * w3bb * gen_fn_pair(nu, alpha, t[7], x)
-    )
+    x = np.abs(np.asarray(x, dtype=float))
+    r = np.polyval([float(c) for c in residual_polynomial(scheme.nu)][::-1],
+                   np.exp(1j * x))
+    alpha = scheme.alpha
+    phase = alpha * (x / 2.0 - np.pi / 2.0 + np.angle(r))
+    total = np.zeros_like(x)
+    for w, shift in scheme.shift_weights():
+        total += w * np.cos(phase - shift * x)
+    return (2.0 * np.sin(x / 2.0)) ** alpha * np.abs(r) ** alpha * total
 
 
 @dataclass(frozen=True)
@@ -189,17 +131,18 @@ def default_x_grid(count: int = 2048) -> np.ndarray:
 
 def definiteness_scan(
     nu: int,
-    shifts: ShiftTuple | int | None = None,
+    shifts: ShiftsLike | None = None,
     alpha_grid: np.ndarray | None = None,
     x_grid: np.ndarray | None = None,
     tol: float = 1e-12,
 ) -> ScanReport:
     """Scan the generating function over an (alpha, x) grid; PASS iff sup <= tol.
 
-    ``shifts`` may be a fourth-order tuple (default: the proven-stable one) or
-    a single integer shift, in which case the symmetric part of the plain
-    shifted operator is scanned -- useful to exhibit the instability of the
-    unshifted scheme, whose generating function takes large positive values.
+    ``shifts`` takes 1, 2, 4 or 8 shifts as :func:`wsld.operators.wsld_scheme`
+    does (default: the proven-stable tuple).  A single shift scans the plain
+    shifted operator -- useful to exhibit the instability of the unshifted
+    scheme, whose generating function takes large positive values.  The tuple
+    is validated once, so a non-default fourth-order tuple warns once.
     """
     if alpha_grid is None:
         alpha_grid = default_alpha_grid()
@@ -209,12 +152,10 @@ def definiteness_scan(
     x_grid = np.asarray(x_grid, dtype=float)
     if alpha_grid.size == 0 or x_grid.size == 0:
         raise ValueError("scan grids must be non-empty")
+    scheme = wsld_scheme(nu, float(alpha_grid[0]), shifts=shifts)
     best = (-np.inf, np.nan, np.nan)
     for a in alpha_grid:
-        if isinstance(shifts, int):
-            values = _gen_fn_single(nu, a, shifts, x_grid)
-        else:
-            values = gen_fn_combined(nu, a, shifts, x_grid)
+        values = scheme_symmetric_genfn(replace(scheme, alpha=float(a)), x_grid)
         j = int(np.argmax(values))
         if values[j] > best[0]:
             best = (float(values[j]), float(a), float(x_grid[j]))
@@ -233,17 +174,13 @@ class EigenProbe:
     lambda_min: float
     lambda_max: float
 
-    @property
-    def max_real_part_estimate(self) -> float:
-        return self.lambda_max
 
-
-def eigen_probe(matrix: OperatorMatrix | np.ndarray) -> EigenProbe:
+def eigen_probe(matrix: np.ndarray) -> EigenProbe:
     """Dense symmetric eigensolve of ``(A + A^T)/2`` at desk scale (n <= 512).
 
     Eigensolver non-convergence surfaces as ``numpy.linalg.LinAlgError``.
     """
-    values = matrix.values if isinstance(matrix, OperatorMatrix) else np.asarray(matrix)
+    values = np.asarray(matrix)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ValueError("expected a square matrix")
     if values.shape[0] > EIGEN_MAX_DIM:
@@ -251,19 +188,3 @@ def eigen_probe(matrix: OperatorMatrix | np.ndarray) -> EigenProbe:
     h = 0.5 * (values + values.T)
     ev = np.linalg.eigvalsh(h)
     return EigenProbe(lambda_min=float(ev[0]), lambda_max=float(ev[-1]))
-
-
-def scheme_symmetric_genfn(scheme: WsldScheme, x) -> np.ndarray:
-    """Generating function of the symmetric part for any supported scheme.
-
-    Dispatches between the single-shift and fourth-order closed forms; orders
-    2 and 3 with leading shift 1 are linear combinations of pair functions.
-    """
-    x = np.asarray(x, dtype=float)
-    t = scheme.shifts
-    if scheme.order == 1:
-        return _gen_fn_single(scheme.nu, scheme.alpha, t[0], x)
-    total = np.zeros_like(x)
-    for w, sh in scheme.shift_weights():
-        total += w * _gen_fn_single(scheme.nu, scheme.alpha, sh, x)
-    return total

@@ -2,13 +2,12 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see every line.
 
-Criterion 1 is known to fail partially: the two finest alpha=0.5 cells of the
-frozen steady reference cannot be reproduced by a clean double-precision
-computation (the integral column and every coarse cell match to <=0.1%, which
-pins the protocol; the remaining deviation tracks the reference data's own
-noise floor -- its rate column is non-monotone and exceeds the theoretical
-order there).  The assertion is kept at the stated tolerance rather than
-loosened to make it green.
+Criterion 1 is known to fail in one cell: alpha=0.5, h=1/60, where the run
+gives 1.1368e-06 against the frozen 9.3316e-07.  The alpha=1.8, h=1/40 cell
+is also off (9.7187e-05 against 1.2005e-04), but that column is checked only
+by its order.  Precision is ruled out: 50-digit mpmath agrees with double
+precision in every cell.  The cause is unexplained, and the assertion stays at
+the stated 2% rather than being loosened to make it green.
 """
 
 import time
@@ -17,9 +16,8 @@ import numpy as np
 import pytest
 
 from wsld.benchmarks import (
-    TABLE1_REFERENCE,
-    TABLE2_REFERENCE,
-    compare_to_reference,
+    TOLERANCES,
+    check_reports,
     run_consistency,
     run_table1,
     run_table2,
@@ -45,17 +43,14 @@ def report(number: int, passed: bool, detail: str) -> None:
 
 def test_criterion_01_steady_reference_table():
     t0 = time.perf_counter()
-    reports = {r.metadata["alpha"]: r for r in run_table1()}
-    failures = []
-    for alpha in (-0.5, 0.5):
-        failures += [f"alpha={alpha}: {m}" for m in compare_to_reference(
-            reports[alpha], TABLE1_REFERENCE[alpha], rtol=0.02, rate_tol=0.15)]
-    order_18 = reports[1.8].regression_order()
-    if order_18 < 4.0:
-        failures.append(f"alpha=1.8: observed order {order_18:.3f} < 4.0")
+    reports = run_table1()
+    failures = check_reports("table1", reports)
+    order_18 = {r.metadata["alpha"]: r for r in reports}[1.8].regression_order()
     elapsed = time.perf_counter() - t0
-    detail = (f"alpha=-0.5/0.5 columns vs reference (2% / ±0.15), "
-              f"alpha=1.8 order {order_18:.2f} >= 4.0, {elapsed:.2f}s")
+    tol = TOLERANCES["table1"]
+    detail = (f"alpha=-0.5/0.5 columns vs reference "
+              f"({tol['rtol']:.0%} / ±{tol['rate_tol']}), "
+              f"alpha=1.8 order {order_18:.2f} >= {tol['min_order']}, {elapsed:.2f}s")
     passed = not failures and elapsed < 1.0
     report(1, passed, detail if passed else detail + "; " + "; ".join(failures))
     assert elapsed < 1.0
@@ -64,18 +59,15 @@ def test_criterion_01_steady_reference_table():
 
 def test_criterion_02_diffusion_reference_table():
     t0 = time.perf_counter()
-    failures = []
-    checked = 0
-    for rep in run_table2():
-        key = (rep.metadata["nu"], rep.metadata["alpha"])
-        failures += [f"nu={key[0]} alpha={key[1]}: {m}" for m in
-                     compare_to_reference(rep, TABLE2_REFERENCE[key],
-                                          rtol=0.05, rate_tol=0.2)]
-        checked += len(rep.errors)
+    reports = run_table2()
+    failures = check_reports("table2", reports)
+    checked = sum(len(rep.errors) for rep in reports)
     elapsed = time.perf_counter() - t0
     passed = not failures and elapsed < 120.0
+    tol = TOLERANCES["table2"]
     report(2, passed,
-           f"{checked} max errors within 5%, rates within ±0.2, {elapsed:.1f}s")
+           f"{checked} max errors within {tol['rtol']:.0%}, "
+           f"rates within ±{tol['rate_tol']}, {elapsed:.1f}s")
     assert elapsed < 120.0
     assert not failures, "\n".join(failures)
 
@@ -135,7 +127,7 @@ def test_criterion_07_eigenvalue_probes():
     # unshifted operator: triangular with diagonal p0^alpha > 1
     for nu in (3, 4):
         for alpha in (1.1, 1.5, 1.8):
-            matrix = assemble_left(wsld_scheme(nu, alpha, shifts=0), 32).values
+            matrix = assemble_left(wsld_scheme(nu, alpha, shifts=0), 32)
             diag = float(generating_polynomial(nu)[0]) ** alpha
             if not np.allclose(np.diag(matrix), diag, rtol=1e-14) or diag <= 1.0:
                 failures.append(f"nu={nu} alpha={alpha}: unshifted diagonal")
@@ -145,14 +137,10 @@ def test_criterion_07_eigenvalue_probes():
 
 
 def test_criterion_08_consistency_orders():
-    failures = []
-    details = []
-    for rep in run_consistency():  # nu in {3,4}, levels 1..4, alpha=1.5
-        level = rep.metadata["level"]
-        observed = rep.rates()[-1]
-        details.append(f"nu={rep.metadata['nu']} L{level}: {observed:.2f}")
-        if abs(observed - level) > 0.3:
-            failures.append(details[-1])
+    reports = run_consistency()  # nu in {3,4}, levels 1..4, alpha=1.5
+    failures = check_reports("consistency", reports)
+    details = [f"nu={rep.metadata['nu']} L{rep.metadata['level']}: {rep.rates()[-1]:.2f}"
+               for rep in reports]
     report(8, not failures, "observed orders " + ", ".join(details))
     assert not failures, "; ".join(failures)
 
@@ -182,13 +170,13 @@ def test_criterion_10_structural_equivalences():
     worst_phi = 0.0
     for nu in (3, 4):
         scheme = wsld_scheme(nu, 1.5)
-        matrix = assemble_left(scheme, 50).values
+        matrix = assemble_left(scheme, 50)
         direct = apply_operator(u, scheme, h)
         worst_apply = max(worst_apply, float(
             np.abs(direct - h ** -1.5 * (matrix @ u)).max() / (h ** -1.5)))
         summed = np.zeros_like(matrix)
         for w, shift in scheme.shift_weights():
-            summed += w * assemble_left(wsld_scheme(nu, 1.5, shifts=shift), 50).values
+            summed += w * assemble_left(wsld_scheme(nu, 1.5, shifts=shift), 50)
         worst_phi = max(worst_phi, float(np.abs(matrix - summed).max()))
     passed = worst_apply <= 1e-13 and worst_phi <= 1e-12
     report(10, passed,

@@ -1,0 +1,32 @@
+"""Public surface: every exported name resolves, and the demos run."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import wsld
+
+MODULES = ("wsld", "wsld.coefficients", "wsld.operators", "wsld.spectral",
+           "wsld.solver", "wsld.benchmarks")
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("0[1-3]_*.py"))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_all_names_resolve(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing, f"{module}.__all__ lists undefined names: {missing}"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    src = str(Path(wsld.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

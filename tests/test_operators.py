@@ -9,7 +9,6 @@ from wsld.operators import (
     ShiftTuple,
     apply_operator,
     assemble_left,
-    assemble_right,
     weights2,
     weights3,
     weights4,
@@ -69,12 +68,14 @@ class TestWeights:
                 warnings.simplefilter("ignore")  # non-default tuples warn
                 scheme = wsld_scheme(nu, 1.5, shifts=shifts)
             # each level partitions unity exactly
-            table = scheme.weight_table()
-            for a, b in (("w_p", "w_q"), ("w_r", "w_s"), ("w_pq", "w_rs"),
-                         ("w_pbar", "w_qbar"), ("w_rbar", "w_sbar"),
-                         ("w_pbar_qbar", "w_rbar_sbar"), ("w_pqrs", "w_bar")):
-                if a in table:
-                    assert table[a] + table[b] == pytest.approx(1.0, abs=1e-15)
+            t = scheme.shifts
+            levels = [weights2(*t[i:i + 2]) for i in range(0, len(t), 2)]
+            if len(t) >= 4:
+                levels += [weights3(*t[i:i + 4]) for i in range(0, len(t), 4)]
+            if len(t) == 8:
+                levels.append(weights4(nu, 1.5, ShiftTuple(*t)))
+            for a, b in levels:
+                assert a + b == pytest.approx(1.0, abs=1e-15)
             # the flattened level products telescope to one up to round-off
             total = sum(w for w, _ in scheme.shift_weights())
             assert total == pytest.approx(1.0, abs=1e-13)
@@ -87,8 +88,8 @@ class TestWeights:
         w3 = [w for w, _ in s3.shift_weights()]
         w4 = [w for w, _ in s4.shift_weights()]
         assert w3 == pytest.approx(w4, abs=0)
-        a3 = assemble_left(s3, 12).values
-        a4 = assemble_left(s4, 12).values
+        a3 = assemble_left(s3, 12)
+        a4 = assemble_left(s4, 12)
         assert np.abs(a3 - a4).max() > 1e-3
 
 
@@ -99,11 +100,17 @@ class TestScheme:
         assert wsld_scheme(3, 1.5, shifts=-2).m == 2
 
     def test_shift_tuple_parse(self):
-        st = ShiftTuple.parse("1,-1,1,2,1,-1,1,3")
-        assert st == DEFAULT_SHIFTS
-        assert st.m == 3
-        with pytest.raises(ValueError):
-            ShiftTuple.parse("1,2,3")
+        # the CLI parser is the one shift parser; it takes 1, 2, 4 or 8 shifts
+        import argparse
+
+        from wsld.cli import _parse_shifts
+
+        parsed = _parse_shifts("1,-1,1,2,1,-1,1,3")
+        assert ShiftTuple(*parsed) == DEFAULT_SHIFTS
+        assert wsld_scheme(4, 1.5, shifts=parsed).m == 3
+        assert _parse_shifts(" 1, -1 ") == (1, -1)
+        with pytest.raises(argparse.ArgumentTypeError):
+            _parse_shifts("1,2,3")
 
     def test_order_inference_and_mismatch(self):
         assert wsld_scheme(3, 1.5, shifts=(1, -1)).order == 2
@@ -130,10 +137,16 @@ class TestScheme:
             wsld_scheme(4, 1.5)
 
     def test_weight_table_partitions(self):
-        table = wsld_scheme(4, 1.5).weight_table()
-        assert table["w_p"] + table["w_q"] == pytest.approx(1.0, abs=1e-15)
-        assert table["w_pq"] + table["w_rs"] == pytest.approx(1.0, abs=1e-15)
-        assert table["w_pqrs"] + table["w_bar"] == pytest.approx(1.0, abs=1e-15)
+        # the level weights of the default tuple, and their flattened products
+        t = DEFAULT_SHIFTS.as_tuple()
+        for a, b in (weights2(*t[:2]), weights3(*t[:4]),
+                     weights4(4, 1.5, DEFAULT_SHIFTS)):
+            assert a + b == pytest.approx(1.0, abs=1e-15)
+        w4a, w4b = weights4(4, 1.5, DEFAULT_SHIFTS)
+        w3a, _ = weights3(*t[:4])
+        wp, wq = weights2(*t[:2])
+        flat = wsld_scheme(4, 1.5).shift_weights()
+        assert flat[:2] == [((w4a * w3a) * wp, t[0]), ((w4a * w3a) * wq, t[1])]
 
 
 class TestPhi:
@@ -154,42 +167,36 @@ class TestPhi:
         n = 24
         for nu in (3, 4):
             scheme = wsld_scheme(nu, 1.5)
-            direct = assemble_left(scheme, n).values
+            direct = assemble_left(scheme, n)
             summed = np.zeros_like(direct)
             for w, shift in scheme.shift_weights():
                 single = wsld_scheme(nu, 1.5, shifts=shift)
-                summed += w * assemble_left(single, n).values
+                summed += w * assemble_left(single, n)
             assert np.abs(direct - summed).max() <= 1e-12
 
 
 class TestAssembly:
     def test_unshifted_matrix_is_lower_triangular(self):
         scheme = wsld_scheme(3, 1.5, shifts=0)
-        a = assemble_left(scheme, 8).values
+        a = assemble_left(scheme, 8)
         assert np.abs(np.triu(a, 1)).max() == 0.0
         np.testing.assert_allclose(np.diag(a), (11 / 6) ** 1.5, rtol=1e-15)
 
     def test_first_row_single_shift(self):
         scheme = wsld_scheme(3, 1.5, shifts=1)
-        a = assemble_left(scheme, 4).values
+        a = assemble_left(scheme, 4)
         l = lubich_coeffs(3, 1.5, 5)
         np.testing.assert_allclose(a[0], [l[1], l[0], 0, 0, 0], atol=0)
 
     def test_toeplitz_property(self):
-        a = assemble_left(wsld_scheme(4, 1.3), 16).values
+        a = assemble_left(wsld_scheme(4, 1.3), 16)
         assert np.array_equal(a[1:, 1:], a[:-1, :-1])
 
     def test_right_is_transpose(self):
-        scheme = wsld_scheme(4, 1.5)
-        left = assemble_left(scheme, 14).values
-        right = assemble_right(scheme, 14).values
-        np.testing.assert_array_equal(right, left.T)
-
-    def test_scale_deferred_flag(self):
-        mat = assemble_left(wsld_scheme(4, 1.5), 10)
-        assert mat.side == "left"
-        assert not mat.scaled
-        assert mat.n == 10
+        # the right operator is the left matrix transposed, which is the
+        # left matrix mirrored through its anti-diagonal
+        left = assemble_left(wsld_scheme(4, 1.5), 14)
+        np.testing.assert_array_equal(left.T, left[::-1, ::-1])
 
     def test_grid_too_small(self):
         with pytest.raises(ValueError, match="grid too small"):
@@ -209,8 +216,9 @@ class TestApplication:
         h = 1.0 / 50
         for nu in (3, 4):
             scheme = wsld_scheme(nu, 1.5)
-            build = assemble_left if side == "left" else assemble_right
-            a = build(scheme, 50).values
+            a = assemble_left(scheme, 50)
+            if side == "right":
+                a = a.T
             direct = apply_operator(u, scheme, h, side=side)
             via_matrix = h ** (-1.5) * (a @ u)
             scale = np.abs(u).max()

@@ -5,8 +5,10 @@ import pytest
 
 from wsld.operators import assemble_left, wsld_scheme
 from wsld.solver import (
+    BLOWUP_THRESHOLD,
     DiffusionProblem,
     Grid1D,
+    InstabilityError,
     assemble_cn_system,
     cn_solve,
     expression,
@@ -44,7 +46,7 @@ class TestSteadySolve:
         for nx in (10, 20, 40, 60):
             grid = Grid1D(0.0, 1.0, nx)
             u = solve_steady(5, 0, alpha, table1_source(alpha), grid)
-            a = assemble_left(wsld_scheme(5, alpha, shifts=0), nx).values
+            a = assemble_left(wsld_scheme(5, alpha, shifts=0), nx)
             residual = grid.h ** (-alpha) * (a @ u) - table1_source(alpha)(grid.nodes())
             assert np.abs(residual).max() <= 1e-12
 
@@ -54,7 +56,7 @@ class TestSteadySolve:
         grid = Grid1D(0.0, 1.0, nx)
         u = solve_steady(5, 0, alpha, table1_source(alpha), grid, bc=(0.0, 1.0))
         assert u[-1] == 1.0
-        a = assemble_left(wsld_scheme(5, alpha, shifts=0), nx).values
+        a = assemble_left(wsld_scheme(5, alpha, shifts=0), nx)
         residual = grid.h ** (-alpha) * (a @ u) - table1_source(alpha)(grid.nodes())
         assert np.abs(residual[:-1]).max() <= 1e-12
 
@@ -81,7 +83,7 @@ class TestSteadySolve:
         alpha, nx = 0.5, 20
         grid = Grid1D(0.0, 1.0, nx)
         u = solve_steady(3, 1, alpha, table1_source(alpha), grid)
-        a = assemble_left(wsld_scheme(3, alpha, shifts=1), nx).values
+        a = assemble_left(wsld_scheme(3, alpha, shifts=1), nx)
         residual = grid.h ** (-alpha) * (a @ u) - table1_source(alpha)(grid.nodes())
         assert np.abs(residual).max() <= 1e-11
 
@@ -106,6 +108,16 @@ class TestProblemValidation:
                 alpha=1.5, grid=Grid1D(0.0, 1.0, 8),
                 d_plus=lambda x: np.ones_like(x),
                 d_minus=lambda x: np.ones_like(x),
+                source=lambda x, t: np.zeros_like(x),
+                initial=np.zeros_like, horizon=1.0, nt=4, kappa=2.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_coefficient_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            DiffusionProblem(
+                alpha=1.5, grid=Grid1D(0.0, 1.0, 8),
+                d_plus=lambda x: np.full_like(x, value),
+                d_minus=lambda x: 2.0 * np.full_like(x, value),
                 source=lambda x, t: np.zeros_like(x),
                 initial=np.zeros_like, horizon=1.0, nt=4, kappa=2.0)
 
@@ -153,13 +165,6 @@ class TestCrankNicolson:
         problem = table2_problem(alpha, nx=2 * res)
         result = cn_solve(problem, wsld_scheme(nu, alpha), exact=table2_exact)
         assert result.max_error == pytest.approx(reference, rel=0.05)
-
-    def test_factorization_reuse_is_bitwise(self):
-        problem = table2_problem(1.5, nx=20, nt=25)
-        scheme = wsld_scheme(4, 1.5)
-        once = cn_solve(problem, scheme)
-        per_step = cn_solve(problem, scheme, refactor_each_step=True)
-        np.testing.assert_array_equal(once.u, per_step.u)
 
     def test_taylor_consistency_as_tau_vanishes(self):
         # one step approaches the explicit Euler update superlinearly
@@ -215,6 +220,20 @@ class TestStabilityProbe:
         scheme = wsld_scheme(4, 1.5, shifts=0)
         probe = stability_probe(problem, scheme, tau_over_h=10.0, n_steps=400)
         assert not probe.bounded
+        # the probe reports the step at which the run blew up
+        assert 0 < probe.steps_completed < 400
+        assert probe.sup_norm > BLOWUP_THRESHOLD
+
+    def test_blowup_error_carries_step_time_and_norm(self):
+        problem = table2_problem(1.5, nx=80, nt=400)
+        problem.horizon = 400 * 10.0 * problem.grid.h
+        with pytest.raises(InstabilityError, match="instability detected") as info:
+            cn_solve(problem, wsld_scheme(4, 1.5, shifts=0))
+        err = info.value
+        assert isinstance(err, RuntimeError)
+        assert 0 < err.step < 400
+        assert err.t == pytest.approx(err.step * problem.tau)
+        assert err.sup_norm > BLOWUP_THRESHOLD
 
     def test_zero_data_trivially_bounded(self):
         problem = DiffusionProblem(

@@ -10,8 +10,7 @@ from wsld.spectral import (
     definiteness_scan,
     default_x_grid,
     eigen_probe,
-    gen_fn_combined,
-    gen_fn_pair,
+    scheme_symmetric_genfn,
     symbol,
     symbol_deviation,
     symbol_order_slope,
@@ -61,22 +60,22 @@ class TestSymbol:
 class TestGeneratingFunctions:
     def test_zero_at_origin(self):
         for nu in (3, 4):
-            assert gen_fn_pair(nu, 1.5, -1, 0.0) == pytest.approx(0.0, abs=1e-14)
-            assert gen_fn_combined(nu, 1.5, None, 0.0) == pytest.approx(0.0, abs=1e-13)
+            pair = wsld_scheme(nu, 1.5, shifts=(1, -1))
+            assert scheme_symmetric_genfn(pair, 0.0) == pytest.approx(0.0, abs=1e-14)
+            combined = wsld_scheme(nu, 1.5)
+            assert scheme_symmetric_genfn(combined, 0.0) == pytest.approx(0.0, abs=1e-13)
 
     def test_even_in_x(self):
         x = np.linspace(0.1, np.pi, 40)
         for nu in (3, 4):
-            np.testing.assert_allclose(gen_fn_pair(nu, 1.7, 2, x),
-                                       gen_fn_pair(nu, 1.7, 2, -x), rtol=1e-13)
-
-    def test_pair_rejects_q_equal_one(self):
-        with pytest.raises(ValueError):
-            gen_fn_pair(3, 1.5, 1, 0.5)
+            pair = wsld_scheme(nu, 1.7, shifts=(1, 2))
+            np.testing.assert_allclose(scheme_symmetric_genfn(pair, x),
+                                       scheme_symmetric_genfn(pair, -x), rtol=1e-13)
 
     def test_only_nu_3_and_4(self):
+        # weighted schemes, and so their generating functions, need nu in {3, 4}
         with pytest.raises(ValueError):
-            gen_fn_pair(5, 1.5, -1, 0.5)
+            definiteness_scan(5, shifts=(1, -1), alpha_grid=np.array([1.5]))
 
     @pytest.mark.parametrize("nu,alpha,q,x", [
         (4, 1.5, -1, np.pi / 2),
@@ -97,19 +96,26 @@ class TestGeneratingFunctions:
             valid = idx >= 0
             phi[valid] += w * l[idx[valid]]
         series = float(np.sum(phi * np.cos((k - m) * x)))
-        assert gen_fn_pair(nu, alpha, q, x) == pytest.approx(series, abs=1e-6)
+        scheme = wsld_scheme(nu, alpha, shifts=(1, q))
+        assert scheme_symmetric_genfn(scheme, x) == pytest.approx(series, abs=1e-6)
 
-    def test_combined_rejects_bad_tuples(self):
-        with pytest.raises(ValueError):
-            gen_fn_combined(3, 1.5, (1, -1, 1, 2), 0.5)
-        with pytest.raises(ValueError):
-            gen_fn_combined(3, 1.5, (0, -1, 1, 2, 1, -1, 1, 3), 0.5)
+    @pytest.mark.parametrize("shifts", [(2, -3), (1, -2, 2, 3),
+                                        (1, -1, 1, 2, 1, -1, 1, 3)])
+    def test_series_sum_for_any_tuple(self, shifts):
+        # the same oracle on the scheme's own phi, for tuples whose pairs
+        # need not lead with shift 1
+        kmax, x = 10_000, 1.2
+        for nu, alpha in ((3, 1.4), (4, 1.7)):
+            scheme = wsld_scheme(nu, alpha, shifts=shifts)
+            k = np.arange(kmax + 1)
+            series = float(np.sum(scheme.phi(kmax) * np.cos((k - scheme.m) * x)))
+            assert scheme_symmetric_genfn(scheme, x) == pytest.approx(series, abs=1e-6)
 
     @pytest.mark.parametrize("nu", [3, 4])
     def test_combined_nonpositive_on_default_tuple(self, nu):
         x = default_x_grid()
         for alpha in (1.05, 1.5, 1.95):
-            assert gen_fn_combined(nu, alpha, None, x).max() <= 1e-12
+            assert scheme_symmetric_genfn(wsld_scheme(nu, alpha), x).max() <= 1e-12
 
 
 class TestDefinitenessScan:
@@ -126,6 +132,13 @@ class TestDefinitenessScan:
         assert not report.passed
         assert report.max_value > 1.0
 
+    def test_nondefault_tuple_warns_once(self):
+        alphas = np.array([1.2, 1.5, 1.8])
+        with pytest.warns(UserWarning, match="unverified") as record:
+            definiteness_scan(4, shifts=(1, -1, 1, 3, 1, -1, 1, 2),
+                              alpha_grid=alphas, x_grid=default_x_grid(64))
+        assert len(record) == 1
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             definiteness_scan(3, alpha_grid=np.array([]))
@@ -135,12 +148,11 @@ class TestEigenProbe:
     def test_negative_definite_default_tuple(self):
         probe = eigen_probe(assemble_left(wsld_scheme(4, 1.5), 128))
         assert probe.lambda_max < 0
-        assert probe.max_real_part_estimate == probe.lambda_max
 
     def test_unshifted_triangular_spectrum(self):
         # lower triangular: all eigenvalues sit at the diagonal value p0^alpha
         scheme = wsld_scheme(3, 1.5, shifts=0)
-        matrix = assemble_left(scheme, 64).values
+        matrix = assemble_left(scheme, 64)
         diag = (11 / 6) ** 1.5
         np.testing.assert_allclose(np.diag(matrix), diag, rtol=1e-15)
         assert diag > 1.0
@@ -157,7 +169,7 @@ class TestEigenProbe:
         # generating function (small slack for the sampled extremes)
         alpha = 1.5
         probe = eigen_probe(assemble_left(wsld_scheme(nu, alpha), n))
-        values = gen_fn_combined(nu, alpha, None, default_x_grid())
+        values = scheme_symmetric_genfn(wsld_scheme(nu, alpha), default_x_grid())
         eps = 1e-8
         assert probe.lambda_min >= values.min() - eps
         assert probe.lambda_max <= values.max() + eps
