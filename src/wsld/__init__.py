@@ -24,12 +24,10 @@ from .coefficients import (
 )
 from .operators import (
     DEFAULT_SHIFTS,
-    ShiftTuple,
     WsldScheme,
     apply_operator,
     assemble_left,
     weights2,
-    weights3,
     weights4,
     wsld_scheme,
 )
@@ -77,10 +75,8 @@ __all__ = [
     "RootFactorization",
     "root_factorization",
     # operators
-    "ShiftTuple",
     "DEFAULT_SHIFTS",
     "weights2",
-    "weights3",
     "weights4",
     "WsldScheme",
     "wsld_scheme",

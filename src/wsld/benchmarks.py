@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .operators import DEFAULT_SHIFTS, apply_operator, wsld_scheme
+from .operators import DEFAULT_SHIFTS, WsldScheme, apply_operator, wsld_scheme
 from .solver import table1_source, table2_exact, table2_problem, cn_solve
 
 __all__ = [
@@ -122,15 +122,12 @@ class ConvergenceReport:
         return "\n".join(lines) + "\n"
 
 
-def _steady_truncation_error(alpha: float, nx: int) -> float:
-    # Interior max residual of the unshifted nu=5 operator applied to exact
-    # samples of x**8; boundary nodes hold known data and are excluded.
-    scheme = wsld_scheme(5, alpha, shifts=0)
-    h = 1.0 / nx
+def _x8_error(scheme: WsldScheme, nx: int, nodes: slice) -> float:
+    # Max error over ``nodes`` of the operator applied to exact samples of
+    # x**8 on [0, 1], against the closed-form derivative.
     x = np.linspace(0.0, 1.0, nx + 1)
-    approx = apply_operator(x ** 8, scheme, h)
-    residual = np.abs(approx - table1_source(alpha)(x))
-    return float(residual[1:-1].max())
+    approx = apply_operator(x ** 8, scheme, 1.0 / nx)
+    return float(np.abs(approx - table1_source(scheme.alpha)(x))[nodes].max())
 
 
 def run_table1(
@@ -143,7 +140,9 @@ def run_table1(
     """
     reports = []
     for alpha in alphas:
-        errors = [_steady_truncation_error(alpha, nx) for nx in resolutions]
+        # boundary nodes hold known data and are excluded
+        scheme = wsld_scheme(5, alpha, shifts=0)
+        errors = [_x8_error(scheme, nx, slice(1, -1)) for nx in resolutions]
         reports.append(ConvergenceReport(
             hs=[1.0 / nx for nx in resolutions],
             errors=errors,
@@ -162,7 +161,7 @@ def run_table2(
     ``resolutions`` counts nodes per unit length (the domain has length 2, so
     ``nx = 2 * resolution``); one report per (nu, alpha).
     """
-    shifts_txt = ",".join(str(v) for v in DEFAULT_SHIFTS.as_tuple())
+    shifts_txt = ",".join(str(v) for v in DEFAULT_SHIFTS)
     reports = []
     for nu in nus:
         for alpha in alphas:
@@ -181,19 +180,7 @@ def run_table2(
     return reports
 
 
-def _consistency_error(nu: int, alpha: float, level: int, nx: int) -> float:
-    # max error of the level-k operator on x**8 over nodes whose stencil
-    # stays inside [0, 1]; the trailing m nodes read past the right edge
-    # where the zero extension no longer matches the smooth test function.
-    level_shifts = {1: (1,), 2: (1, -1), 3: (1, -1, 1, 2),
-                    4: DEFAULT_SHIFTS.as_tuple()}[level]
-    scheme = wsld_scheme(nu, alpha, shifts=level_shifts)
-    h = 1.0 / nx
-    x = np.linspace(0.0, 1.0, nx + 1)
-    approx = apply_operator(x ** 8, scheme, h)
-    exact = table1_source(alpha)(x)
-    m = scheme.m
-    return float(np.abs(approx - exact)[: nx - m + 1].max())
+_LEVEL_SHIFTS = {1: (1,), 2: (1, -1), 3: (1, -1, 1, 2), 4: DEFAULT_SHIFTS}
 
 
 def run_consistency(
@@ -210,7 +197,10 @@ def run_consistency(
     reports = []
     for nu in nus:
         for level in levels:
-            errors = [_consistency_error(nu, alpha, level, nx)
+            # the trailing m nodes read past the right edge, where the zero
+            # extension no longer matches the smooth test function
+            scheme = wsld_scheme(nu, alpha, shifts=_LEVEL_SHIFTS[level])
+            errors = [_x8_error(scheme, nx, slice(nx - scheme.m + 1))
                       for nx in resolutions]
             reports.append(ConvergenceReport(
                 hs=[1.0 / nx for nx in resolutions],

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import benchmarks, solver, spectral
 from .coefficients import lubich_coeffs, lubich_coeffs_oracle
-from .operators import DEFAULT_SHIFTS, assemble_left, wsld_scheme
+from .operators import assemble_left, wsld_scheme
 
 CONFIG_ERROR = 2
 NUMERIC_FAILURE = 1
@@ -91,12 +91,11 @@ def _cmd_symbol(args: argparse.Namespace) -> int:
 
 
 def _cmd_spectra(args: argparse.Namespace) -> int:
-    shifts = args.shifts if args.shifts is not None else DEFAULT_SHIFTS.as_tuple()
     if args.eigen:
         if args.alpha is None:
             print("--eigen needs --alpha", file=sys.stderr)
             return CONFIG_ERROR
-        scheme = wsld_scheme(args.nu, args.alpha, shifts=shifts)
+        scheme = wsld_scheme(args.nu, args.alpha, shifts=args.shifts)
         probe = spectral.eigen_probe(assemble_left(scheme, args.n))
         _write(
             "lambda_min,lambda_max\n"
@@ -109,13 +108,13 @@ def _cmd_spectra(args: argparse.Namespace) -> int:
     x = spectral.default_x_grid()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # definiteness_scan below warns once
-        scheme = wsld_scheme(args.nu, alphas[0], shifts=shifts)
+        scheme = wsld_scheme(args.nu, alphas[0], shifts=args.shifts)
     lines = ["alpha,x,f"]
     for a in alphas:
         values = spectral.scheme_symmetric_genfn(replace(scheme, alpha=float(a)), x)
         lines += [f"{a:.4f},{xi:.9e},{vi:.9e}" for xi, vi in zip(x, values)]
     _write("\n".join(lines) + "\n", args.out)
-    report = spectral.definiteness_scan(args.nu, shifts,
+    report = spectral.definiteness_scan(args.nu, args.shifts,
                                         alpha_grid=np.asarray(alphas))
     print(
         f"max f = {report.max_value:.3e} at alpha={report.argmax_alpha:.4f}, "
@@ -185,8 +184,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return CONFIG_ERROR
-    shifts = args.shifts if args.shifts is not None else DEFAULT_SHIFTS.as_tuple()
-    scheme = wsld_scheme(args.nu, alpha, shifts=shifts)
+    scheme = wsld_scheme(args.nu, alpha, shifts=args.shifts)
     try:
         result = solver.cn_solve(problem, scheme, exact=exact)
     except RuntimeError as exc:
@@ -278,9 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectra", help="definiteness scan or eigenvalue probe")
     p.add_argument("--nu", type=int, required=True, choices=(3, 4))
     p.add_argument("--shifts", type=_parse_shifts, default=None)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--scan", action="store_true", default=True)
-    mode.add_argument("--eigen", action="store_true")
+    p.add_argument("--eigen", action="store_true",
+                   help="dense eigenvalue probe instead of the scan")
     p.add_argument("--n", type=int, default=128, help="matrix size for --eigen")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--out", default=None)

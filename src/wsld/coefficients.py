@@ -47,6 +47,9 @@ NU_RANGE = (1, 2, 3, 4, 5)
 #: Oracle cost grows like K^nu when written as nested sums; keep it desk-scale.
 ORACLE_MAX_TERMS = 128
 
+#: Largest imaginary residue the oracle's complex intermediates may leave.
+ORACLE_IMAG_TOL = 1e-12
+
 
 def _check_nu(nu: int, minimum: int = 1) -> None:
     if nu not in NU_RANGE or nu < minimum:
@@ -233,16 +236,14 @@ def root_factorization(nu: int) -> RootFactorization:
     return RootFactorization(nu=nu, leading=p0, roots=roots)
 
 
-def lubich_coeffs_oracle(
-    nu: int, alpha: float, kmax: int, *, imag_tol: float = 1e-12
-) -> np.ndarray:
+def lubich_coeffs_oracle(nu: int, alpha: float, kmax: int) -> np.ndarray:
     """Coefficients of ``delta^alpha`` via nested convolution of binomial series.
 
     Writes ``delta^alpha = p_0^alpha (1-z)^alpha prod_j (1 - r_j z)^alpha``
     with the closed-form roots of :func:`root_factorization` and convolves the
     binomial series ``(r_j)^m l_m^{1,alpha}`` factor by factor.  The complex
     intermediates must collapse to real values; a residual imaginary part
-    above ``imag_tol`` indicates a root-factorization bug and raises.
+    above :data:`ORACLE_IMAG_TOL` indicates a root-factorization bug and raises.
 
     Only meant as an independent oracle for :func:`lubich_coeffs`; refuses
     ``kmax`` beyond desk scale.
@@ -266,9 +267,9 @@ def lubich_coeffs_oracle(
         acc = np.convolve(acc, series)[: kmax + 1]
     acc *= leading ** alpha
     worst = float(np.abs(acc.imag).max())
-    if worst > imag_tol:
+    if worst > ORACLE_IMAG_TOL:
         raise ArithmeticError(
-            f"imaginary residue {worst:.3e} exceeds {imag_tol:.1e}; "
+            f"imaginary residue {worst:.3e} exceeds {ORACLE_IMAG_TOL:.1e}; "
             "root factorization is inconsistent"
         )
     return acc.real.copy()

@@ -16,10 +16,11 @@ caller so one matrix serves any grid spacing (the diffusion solver applies
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg as sla
@@ -27,10 +28,8 @@ import scipy.linalg as sla
 from .coefficients import lubich_coeffs
 
 __all__ = [
-    "ShiftTuple",
     "DEFAULT_SHIFTS",
     "weights2",
-    "weights3",
     "order3_error_constant",
     "weights4",
     "WsldScheme",
@@ -40,45 +39,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ShiftTuple:
-    """The eight shifts of a fourth-order combination, ``(p,q,r,s,p̄,q̄,r̄,s̄)``."""
-
-    p: int
-    q: int
-    r: int
-    s: int
-    p_bar: int
-    q_bar: int
-    r_bar: int
-    s_bar: int
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return (self.p, self.q, self.r, self.s,
-                self.p_bar, self.q_bar, self.r_bar, self.s_bar)
+#: The eight shifts ``(p, q, r, s, p̄, q̄, r̄, s̄)`` of the proven-stable
+#: fourth-order combination; every eigenvalue of the resulting operator matrix
+#: has negative real part for alpha in (1, 2) (see wsld.spectral).
+DEFAULT_SHIFTS = (1, -1, 1, 2, 1, -1, 1, 3)
 
 
-#: The proven-stable shift tuple; every eigenvalue of the resulting operator
-#: matrix has negative real part for alpha in (1, 2) (see wsld.spectral).
-DEFAULT_SHIFTS = ShiftTuple(1, -1, 1, 2, 1, -1, 1, 3)
+def weights2(a: int, b: int) -> tuple[float, float]:
+    """Two-term weights ``(b/(b-a), a/(a-b))`` for the values ``(a, b)``.
 
-
-def weights2(p: int, q: int) -> tuple[float, float]:
-    """Second-order weights ``(q/(q-p), p/(p-q))`` for the shift pair ``(p, q)``.
-
-    They sum to one and cancel the O(h) error term of the shifted operators.
+    They sum to one and cancel one error term.  The second-order level applies
+    them to a shift pair ``(p, q)``; the third-order level to the products
+    ``(pq, rs)`` of two shift pairs.
     """
-    if p == q:
-        raise ValueError("second-order weighting needs p != q")
-    wp = Fraction(q, q - p)
-    return float(wp), float(1 - wp)
-
-
-def weights3(p: int, q: int, r: int, s: int) -> tuple[float, float]:
-    """Third-order weights ``(rs/(rs-pq), pq/(pq-rs))`` for two shift pairs."""
-    if p * q == r * s:
-        raise ValueError("third-order weighting needs pq != rs")
-    w = Fraction(r * s, r * s - p * q)
+    if a == b:
+        raise ValueError("weighting needs distinct shifts or shift products")
+    w = Fraction(b, b - a)
     return float(w), float(1 - w)
 
 
@@ -88,6 +64,8 @@ def order3_error_constant(nu: int, alpha: float, p: int, q: int, r: int, s: int)
     For nu=4 the constant is independent of alpha; for nu=3 it carries an
     alpha-proportional contribution from the generating polynomial itself.
     """
+    if p * q == r * s:
+        raise ValueError("weighting needs distinct shifts or shift products")
     if nu == 3:
         num = 2 * p * q * r * s * (r + s - p - q) + 3 * alpha * (p * q - r * s)
         return num / (12 * (r * s - p * q))
@@ -96,25 +74,25 @@ def order3_error_constant(nu: int, alpha: float, p: int, q: int, r: int, s: int)
     raise ValueError("weighted combinations are defined for nu in {3, 4}")
 
 
-def weights4(nu: int, alpha: float, shifts: ShiftTuple) -> tuple[float, float]:
-    """Fourth-order weights that cancel the two third-order error constants."""
-    t = shifts.as_tuple()
-    c = order3_error_constant(nu, alpha, *t[:4])
-    c_bar = order3_error_constant(nu, alpha, *t[4:])
-    if c == c_bar:
+def weights4(nu: int, alpha: float, shifts: Sequence[int]) -> tuple[float, float]:
+    """Fourth-order weights that cancel the error constants of the two quadruples."""
+    quads = (shifts[:4], shifts[4:])
+    # the nu = 3 constants are the nu = 4 ones minus alpha/4, so c - c_bar does
+    # not depend on nu; equal nu = 4 constants round to equal floats
+    c4, c4_bar = (order3_error_constant(4, alpha, *t) for t in quads)
+    if c4 == c4_bar:
         raise ValueError("fourth-order weighting needs distinct error constants")
+    c, c_bar = (order3_error_constant(nu, alpha, *t) for t in quads)
     w = c_bar / (c_bar - c)
     return w, 1.0 - w
 
 
-ShiftsLike = Union[int, Sequence[int], ShiftTuple]
-
-_ORDER_FOR_LEN = {1: 1, 2: 2, 4: 3, 8: 4}
+ShiftsLike = int | Sequence[int]
 
 
 @dataclass(frozen=True)
 class WsldScheme:
-    """A WSLD operator: order 1..4 with its active shifts.
+    """A WSLD operator: base rule ``nu``, derivative order ``alpha``, shifts.
 
     ``shifts`` holds 1, 2, 4 or 8 integers for orders 1..4 respectively.
     Construct through :func:`wsld_scheme`, which validates and warns on
@@ -124,7 +102,11 @@ class WsldScheme:
     nu: int
     alpha: float
     shifts: tuple[int, ...]
-    order: int
+
+    @property
+    def order(self) -> int:
+        """Consistency order 1..4, fixed by the shift count 1, 2, 4 or 8."""
+        return len(self.shifts).bit_length()
 
     @property
     def m(self) -> int:
@@ -135,20 +117,20 @@ class WsldScheme:
         """Flatten the weight hierarchy into ``(product weight, shift)`` pairs.
 
         One walk over halves: the 8 shifts split into two quadruples weighted
-        by :func:`weights4`, each quadruple into two pairs weighted by
-        :func:`weights3`, each pair into two shifts weighted by
-        :func:`weights2`.  The outer weight is multiplied first, so a product
-        is formed as ``(w4 * w3) * w2``.  The products telescope: weights at
-        each level sum to one, so the returned weights also sum to one.
+        by :func:`weights4`, each quadruple into two pairs and each pair into
+        two shifts, both weighted by :func:`weights2` (of the pair products,
+        then of the shifts).  The outer weight is multiplied first, so a
+        product is formed as ``(w4 * w3) * w2``.  The products telescope:
+        weights at each level sum to one, so the returned weights also do.
         """
         def walk(t: tuple[int, ...], outer: float) -> list[tuple[float, int]]:
             if len(t) == 1:
                 return [(outer, t[0])]
-            if len(t) == 8:
-                w_a, w_b = weights4(self.nu, self.alpha, ShiftTuple(*t))
-            else:
-                w_a, w_b = (weights2 if len(t) == 2 else weights3)(*t)
             half = len(t) // 2
+            if len(t) == 8:
+                w_a, w_b = weights4(self.nu, self.alpha, t)
+            else:
+                w_a, w_b = weights2(math.prod(t[:half]), math.prod(t[half:]))
             return walk(t[:half], outer * w_a) + walk(t[half:], outer * w_b)
 
         return walk(self.shifts, 1.0)
@@ -174,9 +156,8 @@ def wsld_scheme(
     nu: int,
     alpha: float,
     shifts: ShiftsLike | None = None,
-    order: int | None = None,
 ) -> WsldScheme:
-    """Build a :class:`WsldScheme`, inferring the order from the shift count.
+    """Build a :class:`WsldScheme`; the shift count fixes the order.
 
     With no ``shifts`` the proven-stable default tuple is used at order 4.
     Any other fourth-order tuple is accepted but triggers an "unverified
@@ -185,26 +166,16 @@ def wsld_scheme(
     """
     if shifts is None:
         shifts = DEFAULT_SHIFTS
-    if isinstance(shifts, ShiftTuple):
-        flat = shifts.as_tuple()
-    elif isinstance(shifts, int):
-        flat = (shifts,)
-    else:
-        flat = tuple(int(v) for v in shifts)
-    if len(flat) not in _ORDER_FOR_LEN:
+    flat = (shifts,) if isinstance(shifts, int) else tuple(int(v) for v in shifts)
+    if len(flat) not in (1, 2, 4, 8):
         raise ValueError("shifts must contain 1, 2, 4 or 8 integers")
-    inferred = _ORDER_FOR_LEN[len(flat)]
-    if order is None:
-        order = inferred
-    elif order != inferred:
-        raise ValueError(f"{len(flat)} shifts imply order {inferred}, not {order}")
-    if order >= 2 and nu not in (3, 4):
+    scheme = WsldScheme(nu=nu, alpha=alpha, shifts=flat)
+    if scheme.order >= 2 and nu not in (3, 4):
         raise ValueError("weighted combinations are defined for nu in {3, 4}")
-    if order == 1 and nu not in (1, 2, 3, 4, 5):
+    if scheme.order == 1 and nu not in (1, 2, 3, 4, 5):
         raise ValueError("nu must be in 1..5")
-    scheme = WsldScheme(nu=nu, alpha=alpha, shifts=flat, order=order)
     scheme.shift_weights()  # validates pairwise shift constraints
-    if order == 4 and flat != DEFAULT_SHIFTS.as_tuple():
+    if scheme.order == 4 and flat != DEFAULT_SHIFTS:
         warnings.warn(
             "shift tuple differs from the proven-stable default; "
             "stability is unverified",

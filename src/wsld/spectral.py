@@ -35,6 +35,9 @@ __all__ = [
 #: Dense symmetric eigensolves are kept at desk scale.
 EIGEN_MAX_DIM = 512
 
+#: A definiteness scan passes when the generating function stays below this.
+SCAN_TOL = 1e-12
+
 
 def symbol_deviation(nu: int, alpha: float, shift: int, z) -> np.ndarray:
     """``W(z) - 1`` for the shifted operator symbol, cancellation-safe.
@@ -112,11 +115,10 @@ class ScanReport:
     max_value: float
     argmax_alpha: float
     argmax_x: float
-    tol: float
 
     @property
     def passed(self) -> bool:
-        return self.max_value <= self.tol
+        return self.max_value <= SCAN_TOL
 
 
 def default_alpha_grid() -> np.ndarray:
@@ -124,9 +126,9 @@ def default_alpha_grid() -> np.ndarray:
     return 1.01 + 0.01 * np.arange(99)
 
 
-def default_x_grid(count: int = 2048) -> np.ndarray:
-    """Uniform points on [0, pi]; dense enough to resolve the layer near 0."""
-    return np.linspace(0.0, np.pi, count)
+def default_x_grid() -> np.ndarray:
+    """2048 uniform points on [0, pi]; dense enough to resolve the layer near 0."""
+    return np.linspace(0.0, np.pi, 2048)
 
 
 def definiteness_scan(
@@ -134,9 +136,8 @@ def definiteness_scan(
     shifts: ShiftsLike | None = None,
     alpha_grid: np.ndarray | None = None,
     x_grid: np.ndarray | None = None,
-    tol: float = 1e-12,
 ) -> ScanReport:
-    """Scan the generating function over an (alpha, x) grid; PASS iff sup <= tol.
+    """Scan the generating function over an (alpha, x) grid; PASS iff sup <= SCAN_TOL.
 
     ``shifts`` takes 1, 2, 4 or 8 shifts as :func:`wsld.operators.wsld_scheme`
     does (default: the proven-stable tuple).  A single shift scans the plain
@@ -159,8 +160,7 @@ def definiteness_scan(
         j = int(np.argmax(values))
         if values[j] > best[0]:
             best = (float(values[j]), float(a), float(x_grid[j]))
-    return ScanReport(max_value=best[0], argmax_alpha=best[1],
-                      argmax_x=best[2], tol=tol)
+    return ScanReport(max_value=best[0], argmax_alpha=best[1], argmax_x=best[2])
 
 
 @dataclass(frozen=True)

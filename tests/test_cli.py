@@ -168,6 +168,24 @@ class TestSolve:
         assert code == 2
         assert "finite" in err
 
+    @pytest.mark.parametrize("key,value,name", [
+        ("initial", "x^alpha", "initial data"),
+        ("source", "table2_forcing", "source at t = tau/2"),
+    ])
+    def test_nonfinite_initial_or_source_is_config_error(self, capsys, tmp_path,
+                                                         key, value, name):
+        # finite coefficients, but x^alpha is NaN on the negative half of
+        # (-1, 1); the config fails at construction, before any factorization
+        config = tmp_path / "problem.json"
+        config.write_text(json.dumps({
+            "problem": "custom", "alpha": 1.5, "xL": -1.0, "xR": 1.0, "Nx": 16,
+            "T": 0.1, "Nt": 10, "d_plus": "one", "d_minus": 1.0, key: value}))
+        with np.errstate(invalid="ignore"):
+            code, _, err = run_cli(capsys, "solve", "--config", str(config))
+        assert code == 2
+        assert f"{name} must be finite" in err
+        assert "infs or NaNs" not in err
+
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--config", "/nonexistent.json")
         assert code == 2

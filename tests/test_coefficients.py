@@ -186,3 +186,28 @@ class TestOraclePath:
     def test_invalid_nu(self):
         with pytest.raises(ValueError):
             lubich_coeffs_oracle(1, 1.5, 8)
+
+
+def _miller_mpmath(nu: int, alpha: float, kmax: int) -> np.ndarray:
+    # the Miller recurrence of lubich_coeffs, carried out in 40-digit arithmetic
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        p = [mpmath.mpf(c.numerator) / c.denominator for c in generating_polynomial(nu)]
+        a = mpmath.mpf(alpha)
+        g = [p[0] ** a]
+        for k in range(1, kmax + 1):
+            acc = sum(((a + 1) * j - k) * p[j] * g[k - j]
+                      for j in range(1, min(k, nu) + 1))
+            g.append(acc / (k * p[0]))
+        return np.array([float(v) for v in g])
+
+
+class TestHighPrecisionOracle:
+    @pytest.mark.parametrize("nu", [4, 5])
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.8])
+    def test_recurrence_matches_40_digit_recurrence(self, nu, alpha):
+        # double-precision round-off stays at the 1e-12 level relative to
+        # each coefficient across a thousand terms
+        want = _miller_mpmath(nu, alpha, 1000)
+        got = lubich_coeffs(nu, alpha, 1000)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-11

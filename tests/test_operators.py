@@ -6,11 +6,9 @@ import pytest
 from wsld.coefficients import lubich_coeffs
 from wsld.operators import (
     DEFAULT_SHIFTS,
-    ShiftTuple,
     apply_operator,
     assemble_left,
     weights2,
-    weights3,
     weights4,
     wsld_scheme,
 )
@@ -27,16 +25,19 @@ class TestWeights:
         with pytest.raises(ValueError):
             weights2(2, 2)
 
-    def test_weights3_examples(self):
-        wa, wb = weights3(1, -1, 1, 2)
+    def test_weights2_on_pair_products(self):
+        # the third-order level weights two pairs by their products pq, rs
+        wa, wb = weights2(1 * -1, 1 * 2)
         assert (wa, wb) == pytest.approx((2 / 3, 1 / 3))
-        assert weights3(1, -1, 1, 3) == pytest.approx((3 / 4, 1 / 4))
+        assert weights2(1 * -1, 1 * 3) == pytest.approx((3 / 4, 1 / 4))
         # degenerate pq = 0 collapses onto the first pair
-        assert weights3(1, 0, 1, 2) == (1.0, 0.0)
+        assert weights2(1 * 0, 1 * 2) == (1.0, 0.0)
 
-    def test_weights3_rejects_equal_products(self):
-        with pytest.raises(ValueError):
-            weights3(1, 2, 2, 1)
+    def test_weights2_rejects_equal_products(self):
+        with pytest.raises(ValueError, match="shift products"):
+            weights2(1 * 2, 2 * 1)
+        with pytest.raises(ValueError, match="shift products"):
+            wsld_scheme(3, 1.5, shifts=(1, 2, 2, 1))
 
     def test_weights4_nu4_alpha_independent(self):
         for alpha in (1.1, 1.5, 1.9):
@@ -51,14 +52,18 @@ class TestWeights:
         assert weights4(3, 1.5, DEFAULT_SHIFTS) == pytest.approx((5.25, -4.25))
 
     def test_weights4_rejects_equal_constants(self):
-        mirrored = ShiftTuple(1, -1, 1, 2, 1, -1, 1, 2)
+        mirrored = (1, -1, 1, 2, 1, -1, 1, 2)
         with pytest.raises(ValueError):
             weights4(4, 1.5, mirrored)
+        # both quadruples hold a zero shift, so c = c_bar = -alpha/4 for nu=3;
+        # the two roundings of -alpha/4 differ at alpha = 1.07
+        with pytest.raises(ValueError, match="distinct error constants"):
+            weights4(3, 1.07, (1, 0, -2, 2, 0, 2, 3, 1))
 
     @pytest.mark.parametrize("shifts", [
         (1, -1), (2, -3), (1, 0),
         (1, -1, 1, 2), (1, -2, 2, 3),
-        DEFAULT_SHIFTS.as_tuple(), (1, -1, 1, 3, 1, -1, 1, 2),
+        DEFAULT_SHIFTS, (1, -1, 1, 3, 1, -1, 1, 2),
     ])
     def test_partition_of_unity_everywhere(self, shifts):
         import warnings
@@ -71,9 +76,10 @@ class TestWeights:
             t = scheme.shifts
             levels = [weights2(*t[i:i + 2]) for i in range(0, len(t), 2)]
             if len(t) >= 4:
-                levels += [weights3(*t[i:i + 4]) for i in range(0, len(t), 4)]
+                levels += [weights2(t[i] * t[i + 1], t[i + 2] * t[i + 3])
+                           for i in range(0, len(t), 4)]
             if len(t) == 8:
-                levels.append(weights4(nu, 1.5, ShiftTuple(*t)))
+                levels.append(weights4(nu, 1.5, t))
             for a, b in levels:
                 assert a + b == pytest.approx(1.0, abs=1e-15)
             # the flattened level products telescope to one up to round-off
@@ -106,7 +112,7 @@ class TestScheme:
         from wsld.cli import _parse_shifts
 
         parsed = _parse_shifts("1,-1,1,2,1,-1,1,3")
-        assert ShiftTuple(*parsed) == DEFAULT_SHIFTS
+        assert parsed == DEFAULT_SHIFTS
         assert wsld_scheme(4, 1.5, shifts=parsed).m == 3
         assert _parse_shifts(" 1, -1 ") == (1, -1)
         with pytest.raises(argparse.ArgumentTypeError):
@@ -114,8 +120,6 @@ class TestScheme:
 
     def test_order_inference_and_mismatch(self):
         assert wsld_scheme(3, 1.5, shifts=(1, -1)).order == 2
-        with pytest.raises(ValueError):
-            wsld_scheme(3, 1.5, shifts=(1, -1), order=3)
         with pytest.raises(ValueError):
             wsld_scheme(3, 1.5, shifts=(1, -1, 1))
 
@@ -138,12 +142,12 @@ class TestScheme:
 
     def test_weight_table_partitions(self):
         # the level weights of the default tuple, and their flattened products
-        t = DEFAULT_SHIFTS.as_tuple()
-        for a, b in (weights2(*t[:2]), weights3(*t[:4]),
-                     weights4(4, 1.5, DEFAULT_SHIFTS)):
+        t = DEFAULT_SHIFTS
+        for a, b in (weights2(*t[:2]), weights2(t[0] * t[1], t[2] * t[3]),
+                     weights4(4, 1.5, t)):
             assert a + b == pytest.approx(1.0, abs=1e-15)
-        w4a, w4b = weights4(4, 1.5, DEFAULT_SHIFTS)
-        w3a, _ = weights3(*t[:4])
+        w4a, w4b = weights4(4, 1.5, t)
+        w3a, _ = weights2(t[0] * t[1], t[2] * t[3])
         wp, wq = weights2(*t[:2])
         flat = wsld_scheme(4, 1.5).shift_weights()
         assert flat[:2] == [((w4a * w3a) * wp, t[0]), ((w4a * w3a) * wq, t[1])]

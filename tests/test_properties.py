@@ -1,0 +1,76 @@
+"""Property tests of shift weights, assembly and application over drawn schemes."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+
+from wsld.operators import apply_operator, assemble_left, wsld_scheme  # noqa: E402
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=30)
+
+shift_tuples = st.sampled_from([1, 2, 4, 8]).flatmap(
+    lambda n: st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(tuple))
+
+
+@st.composite
+def schemes(draw):
+    nu = draw(st.sampled_from([3, 4]))
+    alpha = draw(st.floats(1.0, 2.0, exclude_min=True, exclude_max=True))
+    shifts = draw(shift_tuples)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # non-default 8-shift tuples warn
+        try:
+            return wsld_scheme(nu, alpha, shifts=shifts)
+        except ValueError:
+            assume(False)
+
+
+@PROPERTY
+@given(schemes())
+def test_weights_sum_to_one_and_order_follows_shift_count(scheme):
+    assert sum(w for w, _ in scheme.shift_weights()) == pytest.approx(1.0, abs=1e-13)
+    assert scheme.order == {1: 1, 2: 2, 4: 3, 8: 4}[len(scheme.shifts)]
+
+
+@PROPERTY
+@given(schemes())
+def test_matrix_is_weighted_sum_of_single_shift_matrices(scheme):
+    n = 12
+    summed = np.zeros((n + 1, n + 1))
+    for w, shift in scheme.shift_weights():
+        summed += w * assemble_left(wsld_scheme(scheme.nu, scheme.alpha, shifts=shift), n)
+    assert np.abs(assemble_left(scheme, n) - summed).max() <= 1e-12
+
+
+@PROPERTY
+@given(schemes(), st.sampled_from(["left", "right"]),
+       st.integers(0, 2**32 - 1))
+def test_application_matches_matrix_product(scheme, side, seed):
+    u = np.random.default_rng(seed).standard_normal(31)
+    h = 1.0 / 30
+    a = assemble_left(scheme, 30)
+    if side == "right":
+        a = a.T
+    direct = apply_operator(u, scheme, h, side=side)
+    via_matrix = h ** (-scheme.alpha) * (a @ u)
+    scale = np.abs(u).max()
+    tol = 1e-13 * max(1.0, scale) * h ** -scheme.alpha
+    assert np.abs(direct - via_matrix).max() <= tol
+
+
+@PROPERTY
+@given(st.sampled_from([3, 4]), st.integers(-3, 3), st.integers(-3, 3))
+def test_clashing_pair_products_are_refused(nu, p, q):
+    assume(p != q and p * q != 0)
+    # (p, q, q, p) passes the pair checks, but both pairs multiply to pq
+    with pytest.raises(ValueError, match="distinct shifts or shift products"):
+        wsld_scheme(nu, 1.5, shifts=(p, q, q, p))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ValueError, match="distinct shifts or shift products"):
+            wsld_scheme(nu, 1.5, shifts=(p, q, q, p, 1, -1, 1, 3))

@@ -121,6 +121,21 @@ class TestProblemValidation:
                 source=lambda x, t: np.zeros_like(x),
                 initial=np.zeros_like, horizon=1.0, nt=4, kappa=2.0)
 
+    @pytest.mark.parametrize("field,bad,match", [
+        ("initial", lambda x: np.full_like(x, np.nan), "initial data must be finite"),
+        ("source", lambda x, t: np.full_like(x, np.inf), "source .* must be finite"),
+        ("initial", lambda x: np.zeros(3), "one value per grid node"),
+        ("source", lambda x, t: np.zeros(x.size + 1), "one value per grid node"),
+    ])
+    def test_initial_and_source_samples_checked(self, field, bad, match):
+        data = dict(alpha=1.5, grid=Grid1D(0.0, 1.0, 8),
+                    d_plus=np.ones_like, d_minus=np.ones_like,
+                    source=lambda x, t: np.zeros_like(x),
+                    initial=np.zeros_like, horizon=1.0, nt=4)
+        data[field] = bad
+        with pytest.raises(ValueError, match=match):
+            DiffusionProblem(**data)
+
     def test_alpha_range(self):
         with pytest.raises(ValueError):
             DiffusionProblem(

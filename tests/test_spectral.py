@@ -136,7 +136,7 @@ class TestDefinitenessScan:
         alphas = np.array([1.2, 1.5, 1.8])
         with pytest.warns(UserWarning, match="unverified") as record:
             definiteness_scan(4, shifts=(1, -1, 1, 3, 1, -1, 1, 2),
-                              alpha_grid=alphas, x_grid=default_x_grid(64))
+                              alpha_grid=alphas, x_grid=np.linspace(0.0, np.pi, 64))
         assert len(record) == 1
 
     def test_empty_grid_rejected(self):
