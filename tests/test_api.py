@@ -12,7 +12,7 @@ import wsld
 
 MODULES = ("wsld", "wsld.coefficients", "wsld.operators", "wsld.spectral",
            "wsld.solver", "wsld.benchmarks")
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("0[1-3]_*.py"))
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("0[1-4]_*.py"))
 
 
 @pytest.mark.parametrize("module", MODULES)

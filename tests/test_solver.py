@@ -1,7 +1,10 @@
 """Steady solves, Crank-Nicolson stepping, and the stability probe."""
 
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from wsld.operators import assemble_left, wsld_scheme
 from wsld.solver import (
@@ -197,8 +200,6 @@ class TestCrankNicolson:
             rhs = system.m_rhs @ u0 + tau * forcing
             rhs[0] = 0.0
             rhs[-1] = 0.0
-            import scipy.linalg as sla
-
             u1 = sla.lu_solve(system.lu, rhs)
             # (m_rhs - I)/(tau/2) recovers the scaled spatial operator h^-a B
             spatial = (system.m_rhs - np.eye(x.size)) / (0.5 * tau)
@@ -219,6 +220,95 @@ class TestCrankNicolson:
             errors.append(result.max_error)
         slope = np.polyfit(np.log(taus), np.log(errors), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.3)
+
+
+def _cn_reference(problem, scheme):
+    """The step loop through ``scipy.linalg.lu_solve`` that ``cn_solve`` replaced."""
+    system = assemble_cn_system(problem, scheme)
+    x = problem.grid.nodes()
+    tau = problem.tau
+    u = np.asarray(problem.initial(x), dtype=float)
+    for n in range(problem.nt):
+        rhs = system.m_rhs @ u + tau * problem.source(x, (n + 0.5) * tau)
+        rhs[0] = rhs[-1] = 0.0
+        u = sla.lu_solve(system.lu, rhs)
+    return u
+
+
+def _unfactored_problem():
+    # a forcing that does not split into a factor in x times one in t
+    return DiffusionProblem(
+        alpha=1.3, grid=Grid1D(0.0, 2.0, 40),
+        d_plus=lambda x: x ** 1.3, d_minus=lambda x: 0.5 * x ** 1.3,
+        source=lambda x, t: np.sin(3 * x * (t + 1)),
+        initial=lambda x: x * (2.0 - x), horizon=0.5, nt=200, kappa=0.5)
+
+
+def _table2_forcing_unfactored(alpha, x, t):
+    """The Table 2 forcing evaluated in full, as before the spatial cache."""
+    g = math.gamma
+    c = [g(9) / g(9 - alpha), 8 * g(8) / g(8 - alpha), 24 * g(7) / g(7 - alpha),
+         32 * g(6) / g(6 - alpha), 16 * g(5) / g(5 - alpha)]
+    y = 2.0 - x
+    bracket = (
+        c[0] * (x ** (8 - alpha) + 2 * y ** (8 - alpha))
+        - c[1] * (x ** (7 - alpha) + 2 * y ** (7 - alpha))
+        + c[2] * (x ** (6 - alpha) + 2 * y ** (6 - alpha))
+        - c[3] * (x ** (5 - alpha) + 2 * y ** (5 - alpha))
+        + c[4] * (x ** (4 - alpha) + 2 * y ** (4 - alpha))
+    )
+    return math.cos(t + 1.0) * x ** 4 * y ** 4 - x ** alpha * math.sin(t + 1.0) * bracket
+
+
+class TestStepLoop:
+    @pytest.mark.parametrize("make_problem", [
+        lambda: table2_problem(1.5, nx=40), _unfactored_problem,
+    ], ids=["table2", "unfactored-source"])
+    def test_bitwise_equal_to_lu_solve_loop(self, make_problem):
+        problem = make_problem()
+        scheme = wsld_scheme(4, problem.alpha)
+        result = cn_solve(problem, scheme)
+        np.testing.assert_array_equal(result.u, _cn_reference(make_problem(), scheme))
+
+    def test_table2_forcing_cache_follows_the_nodes(self):
+        alpha = 1.5
+        source = expression("table2_forcing", alpha)
+
+        def check(x, t):
+            got = source(x, t)
+            fresh = expression("table2_forcing", alpha)(x.copy(), t)
+            np.testing.assert_array_equal(got, fresh)
+            np.testing.assert_array_equal(got, _table2_forcing_unfactored(alpha, x, t))
+
+        x1 = np.linspace(0.0, 2.0, 41)
+        x2 = np.linspace(0.1, 1.7, 17)
+        check(x1, 0.3)
+        check(x1, 0.7)
+        x1 *= 0.75  # same array object, new values
+        check(x1, 0.7)
+        check(x2, 0.7)
+        check(x2[::-1].copy(), 0.7)  # same length as x2, other values
+        check(x1, 0.3)
+
+    @pytest.mark.parametrize("position", [1, 20, 39])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_forcing_mid_run_reports_its_step(self, value, position):
+        problem = table2_problem(1.5, nx=40, nt=50)
+        finite_source, bad_step = problem.source, 7
+
+        def source(x, t):
+            f = finite_source(x, t)
+            if t > (bad_step - 1) * problem.tau:  # step k samples t = (k - 1/2) tau
+                f[position] = value
+            return f
+
+        problem.source = source
+        with pytest.raises(InstabilityError) as info:
+            cn_solve(problem, wsld_scheme(4, 1.5))
+        err = info.value
+        assert err.step == bad_step
+        assert err.t == bad_step * problem.tau
+        assert not np.isfinite(err.sup_norm)
 
 
 class TestStabilityProbe:
