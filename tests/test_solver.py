@@ -223,7 +223,7 @@ class TestCrankNicolson:
 
 
 def _cn_reference(problem, scheme):
-    """The step loop through ``scipy.linalg.lu_solve`` that ``cn_solve`` replaced."""
+    """Reference Crank-Nicolson loop: each step solved by ``scipy.linalg.lu_solve``."""
     system = assemble_cn_system(problem, scheme)
     x = problem.grid.nodes()
     tau = problem.tau
@@ -245,7 +245,7 @@ def _unfactored_problem():
 
 
 def _table2_forcing_unfactored(alpha, x, t):
-    """The Table 2 forcing evaluated in full, as before the spatial cache."""
+    """Reference Table 2 forcing: every factor evaluated on every call."""
     g = math.gamma
     c = [g(9) / g(9 - alpha), 8 * g(8) / g(8 - alpha), 24 * g(7) / g(7 - alpha),
          32 * g(6) / g(6 - alpha), 16 * g(5) / g(5 - alpha)]
