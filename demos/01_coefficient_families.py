@@ -29,8 +29,9 @@ print(f"  alpha=2: {grunwald_coeffs(2.0, 4)}")
 print(f"  alpha=1.5: {np.round(grunwald_coeffs(1.5, 6), 6)}")
 print()
 
-print("Fractional alpha, higher nu: the Miller recurrence evaluates the")
-print("series of the alpha-th power of the polynomial in O(nu*K) time.")
+print("Fractional alpha, higher nu: the polynomial is (1-z) R(z), so the")
+print("series is the Grunwald one convolved with that of R^alpha, which the")
+print("Miller recurrence gives up to index 200: it decays geometrically.")
 l = lubich_coeffs(5, 1.8, 10)
 print(f"  nu=5, alpha=1.8, first terms: {np.round(l, 6)}")
 print(f"  l_0 equals p_0^alpha = (137/60)^1.8 = {(137 / 60) ** 1.8:.6f}")
@@ -47,7 +48,7 @@ print()
 
 print("Cross-validation of the two paths at K = 64")
 print("-------------------------------------------")
-print("   nu  alpha      max |recurrence - oracle|")
+print("   nu  alpha      max |production - oracle|")
 for nu in (2, 3, 4, 5):
     for alpha in (-0.5, 1.5):
         a = lubich_coeffs(nu, alpha, 64)

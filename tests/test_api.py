@@ -22,11 +22,26 @@ def test_all_names_resolve(module):
     assert not missing, f"{module}.__all__ lists undefined names: {missing}"
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(demo):
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    # a fresh interpreter that imports this checkout's wsld
     src = str(Path(wsld.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, timeout=120)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    proc = _run_python(str(demo))
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_loads_no_scipy_signal_or_fft():
+    # numpy.fft serves the operators; scipy.signal would add about a second
+    # and tens of MiB to every start-up
+    probe = ("import sys, wsld; print(' '.join(m for m in sys.modules"
+             " if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'fft'])))")
+    proc = _run_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""

@@ -37,6 +37,14 @@ class TestCoeffs:
             main(["coeffs", "--nu", "7", "--alpha", "1.5", "--count", "4"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("oracle", [(), ("--oracle",)])
+    def test_nonfinite_alpha_is_config_error(self, capsys, oracle):
+        code, out, err = run_cli(capsys, "coeffs", "--nu", "3", "--alpha", "nan",
+                                 "--count", "3", *oracle)
+        assert code == 2
+        assert out == ""
+        assert "alpha must be finite" in err
+
 
 class TestOperator:
     def test_matrix_dimensions(self, capsys):
@@ -62,6 +70,14 @@ class TestOperator:
                                "--shifts", "1,-1,1,2,1,-1,1,3", "--n", "4", "--phi")
         assert code == 0
         assert out.splitlines()[0] == "k,phi_k"
+
+    @pytest.mark.parametrize("phi", [(), ("--phi",)])
+    def test_nonfinite_alpha_is_config_error(self, capsys, phi):
+        code, out, err = run_cli(capsys, "operator", "--nu", "4", "--alpha", "nan",
+                                 "--n", "4", *phi)
+        assert code == 2
+        assert out == ""
+        assert "alpha must be finite" in err
 
     def test_malformed_shifts(self, capsys):
         with pytest.raises(SystemExit) as err:

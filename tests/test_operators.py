@@ -1,8 +1,9 @@
-"""Weights, combined coefficients, matrix assembly, and direct application."""
+"""Weights, combined coefficients, matrix assembly, and FFT application."""
 
 import numpy as np
 import pytest
 
+from wsld import operators
 from wsld.coefficients import lubich_coeffs
 from wsld.operators import (
     DEFAULT_SHIFTS,
@@ -123,6 +124,11 @@ class TestScheme:
         with pytest.raises(ValueError):
             wsld_scheme(3, 1.5, shifts=(1, -1, 1))
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            wsld_scheme(4, alpha)
+
     def test_weighted_orders_need_nu_3_or_4(self):
         with pytest.raises(ValueError):
             wsld_scheme(5, 1.5, shifts=(1, -1))
@@ -164,6 +170,23 @@ class TestPhi:
         partial = np.abs(np.cumsum(phi))
         assert np.all(np.diff(partial[100:]) < 0)
         assert partial[-1] < 1e-4
+
+    @pytest.mark.parametrize("shifts", [None, 0, 1, (1, -1), (1, -1, 1, 2)])
+    def test_bitwise_equal_to_the_index_loop(self, shifts, monkeypatch):
+        # phi on a fixed coefficient series, against the indexed sum of the
+        # definition: phi_k += w_j l_{k + shift_j - m} wherever that index >= 0
+        l = np.random.default_rng(5).standard_normal(301)
+        monkeypatch.setattr(operators, "lubich_coeffs",
+                            lambda nu, alpha, kmax: l[: kmax + 1].copy())
+        scheme = wsld_scheme(4, 1.5, shifts=shifts)
+        for kmax in (0, 1, 2, 300):
+            k = np.arange(kmax + 1)
+            want = np.zeros(kmax + 1)
+            for w, sh in scheme.shift_weights():
+                idx = k + sh - scheme.m
+                valid = idx >= 0
+                want[valid] += w * l[idx[valid]]
+            np.testing.assert_array_equal(scheme.phi(kmax), want)
 
     def test_phi_matches_weighted_matrix_assembly(self):
         # combined coefficients assembled directly vs summing the weighted
@@ -256,6 +279,26 @@ class TestApplication:
             errors.append(err)
         rate = np.log2(errors[1] / errors[2])
         assert rate == pytest.approx(1.0, abs=0.3)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("nu", [3, 4])
+    def test_matches_direct_convolution(self, nu, side):
+        # the direct sum np.convolve computes, against the FFT, on the scale
+        # of the terms it sums: h^-alpha (|phi| * |u|)
+        scheme = wsld_scheme(nu, 1.7)
+        m = scheme.m
+        rng = np.random.default_rng(11)
+        for n in (m, 31, 4096, 5000):
+            u = rng.standard_normal(n + 1)
+            h = 1.0 / n
+            phi = scheme.phi(n + m)
+            v = u if side == "left" else u[::-1]
+            want = h ** -1.7 * np.convolve(phi, v)[m : m + n + 1]
+            scale = h ** -1.7 * np.convolve(np.abs(phi), np.abs(v))[m : m + n + 1]
+            if side == "right":
+                want = want[::-1]
+            got = apply_operator(u, scheme, h, side=side)
+            assert np.abs(got - want).max() <= 1e-14 * scale.max()
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
