@@ -14,9 +14,12 @@ Two problem families:
       [I - tau/(2 h^alpha) (D+ A + D- A^T)] U^{n+1}
           = [I + tau/(2 h^alpha) (D+ A + D- A^T)] U^n + tau F^{n+1/2}.
 
-The system matrix is time independent, so it is LU-factored once; each step
-then samples the forcing at the half step, forms the right-hand side with one
-mat-vec and solves it with one LAPACK ``getrs`` call on the stored factors.
+The system matrix ``M- = I - cS`` (``c = tau/(2 h^alpha)``) is time
+independent, so it is LU-factored once.  The explicit matrix ``M+ = I + cS``
+equals ``2I - M-``, so ``M- U^{n+1} = (2I - M-) U^n + tau F`` reads
+``U^{n+1} = 2W - U^n`` with ``M- W = U^n + (tau/2) F``: each step samples the
+forcing at the half step and solves with one LAPACK ``getrs`` call on the
+stored factors, with no mat-vec.
 With the proven-stable shift tuple the spatial operator is negative definite
 and the stepping is unconditionally stable; with a plain unshifted operator it
 visibly blows up (see :func:`stability_probe`).
@@ -161,7 +164,6 @@ def solve_steady(
         # cannot see; replace the last equation with the constraint
         if bc is None:
             raise ValueError("alpha in (1, 2) needs boundary values bc=(left, right)")
-        matrix = matrix.copy()
         matrix[-1, :] = 0.0
         matrix[-1, -1] = 1.0
         g[-1] = bc[1]
@@ -177,40 +179,54 @@ def solve_steady(
 
 @dataclass
 class CnSystem:
-    """Assembled Crank-Nicolson matrices with the reusable LU factorization."""
+    """The implicit Crank-Nicolson matrix ``M-`` with its LU factorization.
+
+    The explicit matrix is not stored: :attr:`m_rhs` forms it on demand.
+    """
 
     m_lhs: np.ndarray
-    m_rhs: np.ndarray
     lu: tuple
+
+    @property
+    def m_rhs(self) -> np.ndarray:
+        """The explicit matrix ``M+ = 2I - M-``, as a new array on each read.
+
+        Off the diagonal ``M+ = cS = -M-`` exactly.  On the Dirichlet rows both
+        matrices are identity rows, and ``2I - I = I`` there too.
+        """
+        return 2.0 * np.eye(len(self.m_lhs)) - self.m_lhs
 
 
 def assemble_cn_system(problem: DiffusionProblem, scheme: WsldScheme) -> CnSystem:
-    """Build both stepping matrices and factor the implicit one.
+    """Build the implicit matrix ``M- = I - c (D+ A + D- A^T)`` and factor it.
 
-    Dirichlet rows (first and last) are overwritten with identity rows in both
-    matrices; each step sets the matching right-hand side entries to zero.
-    Raises on a numerically singular implicit matrix, which cannot occur when
-    the spatial operator part is negative definite.
+    The matrix is built in place in one array, next to the operator matrix
+    ``A`` and with no identity or ``cS`` temporaries.  Each entry goes through
+    the IEEE operations of the unfactored formula, so it is bitwise that
+    formula's.  The Dirichlet rows (first and last) are identity rows;
+    ``M+ = 2I - M-`` then holds on them too, because ``M+`` has the same
+    identity rows.  Raises on a numerically singular implicit matrix,
+    which cannot occur when the spatial operator part is negative definite.
     """
     grid = problem.grid
     x = grid.nodes()
     a = assemble_left(scheme, grid.nx)
     dp = np.asarray(problem.d_plus(x), dtype=float)
     dm = np.asarray(problem.d_minus(x), dtype=float)
-    spatial = dp[:, None] * a + dm[:, None] * a.T
-    c = problem.tau / (2.0 * grid.h ** problem.alpha)
-    eye = np.eye(grid.nx + 1)
-    m_lhs = eye - c * spatial
-    m_rhs = eye + c * spatial
-    for m in (m_lhs, m_rhs):
-        m[0, :] = 0.0
-        m[0, 0] = 1.0
-        m[-1, :] = 0.0
-        m[-1, -1] = 1.0
+    m_lhs = dp[:, None] * a
+    a *= dm[None, :]
+    m_lhs += a.T
+    del a
+    m_lhs *= -(problem.tau / (2.0 * grid.h ** problem.alpha))
+    m_lhs.flat[:: grid.nx + 2] += 1.0
+    m_lhs[0, :] = 0.0
+    m_lhs[0, 0] = 1.0
+    m_lhs[-1, :] = 0.0
+    m_lhs[-1, -1] = 1.0
     lu, piv = sla.lu_factor(m_lhs)
     if not np.all(np.isfinite(lu)) or np.any(np.diag(lu) == 0.0):
         raise np.linalg.LinAlgError("implicit Crank-Nicolson matrix is singular")
-    return CnSystem(m_lhs=m_lhs, m_rhs=m_rhs, lu=(lu, piv))
+    return CnSystem(m_lhs=m_lhs, lu=(lu, piv))
 
 
 @dataclass(frozen=True)
@@ -244,10 +260,14 @@ def cn_solve(
 ) -> SolveResult:
     """Advance the Crank-Nicolson scheme to ``t = horizon``.
 
-    The implicit matrix is factored once.  Each step samples the forcing at
-    the half step ``t_{n+1/2}``, builds the right-hand side and solves it with
-    one LAPACK ``getrs`` call on the stored factors (the routine behind
-    ``scipy.linalg.lu_solve``, without its per-call wrapper).  A step whose
+    The implicit matrix ``M-`` is factored once.  Each step samples the
+    forcing ``F`` at the half step ``t_{n+1/2}``, solves
+    ``M- W = U^n + (tau/2) F`` with one LAPACK ``getrs`` call on the stored
+    factors (the routine behind ``scipy.linalg.lu_solve``, without its
+    per-call wrapper) and sets ``U^{n+1} = 2W - U^n``.  This is the step
+    ``M- U^{n+1} = M+ U^n + tau F`` with ``M+ = 2I - M-``.  The boundary
+    entries of the right-hand side are ``U^n/2``, which the identity rows map
+    to ``U^{n+1} = 0`` there; that zero is then written exactly.  A step whose
     sup norm exceeds ``BLOWUP_THRESHOLD`` or is not finite, including one
     whose forcing is not finite, aborts with :class:`InstabilityError`, which
     carries the step, its time and the norm.
@@ -264,11 +284,13 @@ def cn_solve(
     sup = float(np.abs(u).max())
     for n in range(problem.nt):
         t_half = (n + 0.5) * tau
-        rhs = system.m_rhs @ u + tau * problem.source(x, t_half)
-        rhs[0] = rhs[-1] = 0.0
-        u, info = getrs(lu, piv, rhs, overwrite_b=True)
+        rhs = u + 0.5 * tau * problem.source(x, t_half)
+        rhs[0], rhs[-1] = 0.5 * u[0], 0.5 * u[-1]
+        w, info = getrs(lu, piv, rhs, overwrite_b=True)
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of LAPACK getrs")
+        u = 2.0 * w - u
+        u[0] = u[-1] = 0.0
         step_sup = float(np.abs(u).max())
         if not step_sup <= BLOWUP_THRESHOLD:  # also catches NaN
             raise InstabilityError(n + 1, (n + 1) * tau, step_sup)

@@ -1,4 +1,5 @@
-"""Property tests of shift weights, assembly and application over drawn schemes."""
+"""Property tests of shift weights, assembly, application and Crank-Nicolson
+stability over drawn schemes."""
 
 import warnings
 
@@ -9,6 +10,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from wsld.operators import apply_operator, assemble_left, wsld_scheme  # noqa: E402
+from wsld.solver import DiffusionProblem, Grid1D, cn_solve  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=30)
@@ -74,3 +76,24 @@ def test_clashing_pair_products_are_refused(nu, p, q):
         warnings.simplefilter("ignore")
         with pytest.raises(ValueError, match="distinct shifts or shift products"):
             wsld_scheme(nu, 1.5, shifts=(p, q, q, p, 1, -1, 1, 3))
+
+
+@PROPERTY
+@given(st.sampled_from([3, 4]),
+       st.floats(1.01, 1.99),
+       st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+       st.floats(0.1, 300.0),
+       st.integers(8, 64))
+def test_crank_nicolson_sup_norm_stays_bounded(nu, alpha, kappa, tau_over_h, nx):
+    # the default tuple with d_minus = kappa * d_plus is unconditionally stable
+    grid = Grid1D(0.0, 2.0, nx)
+    nt = 50
+    problem = DiffusionProblem(
+        alpha=alpha, grid=grid,
+        d_plus=lambda x: x ** alpha, d_minus=lambda x: kappa * x ** alpha,
+        source=lambda x, t: np.zeros_like(x),
+        initial=lambda x: x ** 2 * (2.0 - x) ** 2 * np.cos(3 * x),
+        horizon=nt * tau_over_h * grid.h, nt=nt, kappa=kappa)
+    u0 = problem.initial(grid.nodes())
+    result = cn_solve(problem, wsld_scheme(nu, alpha))
+    assert result.sup_norm <= 2.0 * np.abs(u0).max()

@@ -1,6 +1,7 @@
 """Steady solves, Crank-Nicolson stepping, and the stability probe."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,6 +167,43 @@ class TestCrankNicolson:
         np.testing.assert_array_equal(system.m_lhs, np.eye(9))
         np.testing.assert_array_equal(system.m_rhs, np.eye(9))
 
+    @pytest.mark.parametrize("make_problem", [
+        lambda: table2_problem(1.5, nx=40),
+        lambda: DiffusionProblem(
+            alpha=1.3, grid=Grid1D(0.0, 2.0, 40),
+            d_plus=lambda x: x ** 1.3, d_minus=lambda x: 1.5 + np.cos(3 * x),
+            source=lambda x, t: np.zeros_like(x),
+            initial=lambda x: x * (2.0 - x), horizon=0.5, nt=20),
+    ], ids=["table2", "unrelated-d-minus"])
+    def test_matrices_match_the_unfactored_formula(self, make_problem):
+        problem = make_problem()
+        scheme = wsld_scheme(4, problem.alpha)
+        system = assemble_cn_system(problem, scheme)
+        m_minus, m_plus = _cn_matrices_unfactored(problem, scheme)
+        np.testing.assert_array_equal(system.m_lhs, m_minus)
+        lu, piv = sla.lu_factor(m_minus)
+        np.testing.assert_array_equal(system.lu[0], lu)
+        np.testing.assert_array_equal(system.lu[1], piv)
+        m_rhs = system.m_rhs
+        off = ~np.eye(m_rhs.shape[0], dtype=bool)
+        np.testing.assert_array_equal(m_rhs[off], m_plus[off])
+        # 2 - (1 - cs) and 1 + cs differ by roundings of operands of size
+        # 1 + |cs|; the result itself may cancel towards zero
+        diag, cs = np.diag(m_rhs), np.diag(m_plus) - 1.0
+        assert np.all(np.abs(diag - np.diag(m_plus)) <= 1e-15 * (1.0 + np.abs(cs)))
+
+    def test_assembly_peak_memory(self):
+        nx = 1000
+        problem = table2_problem(1.5, nx=nx, nt=1)
+        scheme = wsld_scheme(4, 1.5)
+        tracemalloc.start()
+        try:
+            assemble_cn_system(problem, scheme)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * (nx + 1) ** 2 * 8
+
     def test_zero_data_stays_zero(self):
         problem = DiffusionProblem(
             alpha=1.5, grid=Grid1D(0.0, 2.0, 20),
@@ -223,15 +261,82 @@ class TestCrankNicolson:
 
 
 def _cn_reference(problem, scheme):
-    """Reference Crank-Nicolson loop: each step solved by ``scipy.linalg.lu_solve``."""
+    """Reference Crank-Nicolson loop with the explicit matrix.
+
+    Each step solves ``M- u_{n+1} = M+ u_n + tau F`` with zero boundary
+    entries by ``scipy.linalg.lu_solve``.
+    """
     system = assemble_cn_system(problem, scheme)
+    m_rhs = system.m_rhs
     x = problem.grid.nodes()
     tau = problem.tau
     u = np.asarray(problem.initial(x), dtype=float)
     for n in range(problem.nt):
-        rhs = system.m_rhs @ u + tau * problem.source(x, (n + 0.5) * tau)
+        rhs = m_rhs @ u + tau * problem.source(x, (n + 0.5) * tau)
         rhs[0] = rhs[-1] = 0.0
         u = sla.lu_solve(system.lu, rhs)
+    return u
+
+
+def _cn_matrices_unfactored(problem, scheme, dtype=float):
+    """Reference ``M- = I - cS`` and ``M+ = I + cS``, each formed in full.
+
+    The double-precision data are converted to ``dtype`` before any
+    arithmetic, which is then done in ``dtype``.
+    """
+    grid = problem.grid
+    x = grid.nodes()
+    a = assemble_left(scheme, grid.nx).astype(dtype)
+    dp, dm = problem.d_plus(x).astype(dtype), problem.d_minus(x).astype(dtype)
+    spatial = dp[:, None] * a + dm[:, None] * a.T
+    c = dtype(problem.tau) / (2 * dtype(grid.h) ** dtype(problem.alpha))
+    eye = np.eye(grid.nx + 1, dtype=dtype)
+    m_minus, m_plus = eye - c * spatial, eye + c * spatial
+    for m in (m_minus, m_plus):
+        m[[0, -1]] = eye[[0, -1]]
+    return m_minus, m_plus
+
+
+def _lu_longdouble(m):
+    """LU factors of ``m`` by partial-pivoting elimination, in ``m``'s dtype."""
+    m = m.copy()
+    perm = np.arange(m.shape[0])
+    for k in range(m.shape[0] - 1):
+        p = k + int(np.argmax(np.abs(m[k:, k])))
+        m[[k, p]] = m[[p, k]]
+        perm[[k, p]] = perm[[p, k]]
+        m[k + 1:, k] /= m[k, k]
+        m[k + 1:, k + 1:] -= np.outer(m[k + 1:, k], m[k, k + 1:])
+    return m, perm
+
+
+def _lu_solve_longdouble(lu, perm, b):
+    y = b[perm]
+    for i in range(1, y.size):
+        y[i] -= lu[i, :i] @ y[:i]
+    for i in range(y.size - 1, -1, -1):
+        y[i] = (y[i] - lu[i, i + 1:] @ y[i + 1:]) / lu[i, i]
+    return y
+
+
+def _cn_longdouble(problem, scheme):
+    """The Crank-Nicolson scheme solved in ``np.longdouble``.
+
+    The data (operator matrix, coefficients, forcing and initial samples) are
+    the double-precision ones ``cn_solve`` sees; only the arithmetic is
+    extended, so the result is the exact solution of the same discrete scheme
+    up to the longdouble round-off.
+    """
+    ld = np.longdouble
+    m_minus, m_plus = _cn_matrices_unfactored(problem, scheme, ld)
+    lu, perm = _lu_longdouble(m_minus)
+    x = problem.grid.nodes()
+    tau = ld(problem.tau)
+    u = problem.initial(x).astype(ld)
+    for n in range(problem.nt):
+        rhs = m_plus @ u + tau * problem.source(x, (n + 0.5) * problem.tau).astype(ld)
+        rhs[0] = rhs[-1] = 0
+        u = _lu_solve_longdouble(lu, perm, rhs)
     return u
 
 
@@ -264,11 +369,43 @@ class TestStepLoop:
     @pytest.mark.parametrize("make_problem", [
         lambda: table2_problem(1.5, nx=40), _unfactored_problem,
     ], ids=["table2", "unfactored-source"])
-    def test_bitwise_equal_to_lu_solve_loop(self, make_problem):
+    def test_matches_lu_solve_loop(self, make_problem):
         problem = make_problem()
         scheme = wsld_scheme(4, problem.alpha)
-        result = cn_solve(problem, scheme)
-        np.testing.assert_array_equal(result.u, _cn_reference(make_problem(), scheme))
+        u = cn_solve(problem, scheme).u
+        reference = _cn_reference(make_problem(), scheme)
+        assert np.abs(u - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="longdouble is plain double on this platform")
+    @pytest.mark.parametrize("alpha,nx,nt", [(1.96, 320, 40), (1.5, 480, 10)])
+    def test_error_against_extended_precision_oracle(self, alpha, nx, nt):
+        problem = table2_problem(alpha, nx=nx, nt=nt)
+        scheme = wsld_scheme(4, alpha)
+        oracle = _cn_longdouble(problem, scheme)
+
+        def relative_error(u):
+            return float(np.abs(u - oracle).max() / np.abs(oracle).max())
+
+        error = relative_error(cn_solve(problem, scheme).u)
+        reference_error = relative_error(_cn_reference(problem, scheme))
+        assert error <= 2e-11
+        assert error <= reference_error
+
+    @pytest.mark.parametrize("nt", [1, 200])
+    def test_nonzero_boundary_data_are_zeroed(self, nt):
+        def make_problem():
+            problem = _unfactored_problem()
+            problem.initial = expression("one", problem.alpha)
+            problem.horizon *= nt / problem.nt
+            problem.nt = nt
+            return problem
+
+        scheme = wsld_scheme(4, 1.3)
+        u = cn_solve(make_problem(), scheme).u
+        reference = _cn_reference(make_problem(), scheme)
+        assert u[0] == u[-1] == 0.0
+        assert np.abs(u - reference).max() <= 1e-12 * np.abs(reference).max()
 
     def test_table2_forcing_cache_follows_the_nodes(self):
         alpha = 1.5
