@@ -1,12 +1,10 @@
-"""Command-line interface.
-
-Subcommands map onto the library one to one:
+"""Command-line interface: a formatting shell over one library call per result.
 
 * ``coeffs``      -- emit a coefficient series as ``k,l_k`` CSV
 * ``operator``    -- emit an operator matrix (or its phi series) as CSV
 * ``symbol``      -- sample the shifted-operator symbol along ``z = -it``
-* ``spectra``     -- negative-definiteness scan or dense eigenvalue probe
-* ``solve``       -- run a steady or diffusion problem from a JSON config
+* ``spectra``     -- the ``definiteness_scan`` rows and verdict, or an eigenvalue probe
+* ``solve``       -- run a JSON-configured problem (``table1``: always unshifted nu = 5)
 * ``convergence`` -- run a benchmark suite and check it against references
 
 Exit codes: 0 all checks pass, 1 numeric check failure, 2 configuration error.
@@ -17,8 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
-from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -46,14 +42,27 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _cmd_coeffs(args: argparse.Namespace) -> int:
-    if args.oracle:
-        values = lubich_coeffs_oracle(args.nu, args.alpha, args.count)
+def _write_lines(lines: list[str], out: str | None) -> None:
+    _write("\n".join(lines) + "\n", out)
+
+
+def _solution_csv(out: str | None, x, u, exact) -> None:
+    """``x,u,exact,error`` rows, or ``x,u`` rows when ``exact`` is None."""
+    if exact is None:
+        lines = ["x,u"] + [f"{xi:.9e},{ui:.16e}" for xi, ui in zip(x, u)]
     else:
-        values = lubich_coeffs(args.nu, args.alpha, args.count)
-    lines = ["k,l_k"]
-    lines += [f"{k},{v:.16e}" for k, v in enumerate(values)]
-    _write("\n".join(lines) + "\n", args.out)
+        lines = ["x,u,exact,error"] + [
+            f"{xi:.9e},{ui:.16e},{ei:.16e},{abs(ui - ei):.9e}"
+            for xi, ui, ei in zip(x, u, exact)
+        ]
+    _write_lines(lines, out)
+
+
+def _cmd_coeffs(args: argparse.Namespace) -> int:
+    coeffs = lubich_coeffs_oracle if args.oracle else lubich_coeffs
+    values = coeffs(args.nu, args.alpha, args.count)
+    _write_lines(["k,l_k"] + [f"{k},{v:.16e}" for k, v in enumerate(values)],
+                 args.out)
     return 0
 
 
@@ -62,13 +71,12 @@ def _cmd_operator(args: argparse.Namespace) -> int:
     if args.phi:
         phi = scheme.phi(args.n + scheme.m)
         lines = ["k,phi_k"] + [f"{k},{v:.16e}" for k, v in enumerate(phi)]
-        _write("\n".join(lines) + "\n", args.out)
-        return 0
-    matrix = assemble_left(scheme, args.n)
-    if args.side == "right":
-        matrix = matrix.T
-    lines = [",".join(f"{v:.16e}" for v in row) for row in matrix]
-    _write("\n".join(lines) + "\n", args.out)
+    else:
+        matrix = assemble_left(scheme, args.n)
+        if args.side == "right":
+            matrix = matrix.T
+        lines = [",".join(f"{v:.16e}" for v in row) for row in matrix]
+    _write_lines(lines, args.out)
     return 0
 
 
@@ -79,14 +87,14 @@ def _cmd_symbol(args: argparse.Namespace) -> int:
     except ValueError:
         print("--z-range expects 'tmin,tmax,count'", file=sys.stderr)
         return CONFIG_ERROR
-    w = spectral.symbol(args.nu, args.alpha, args.p, -1j * t)
-    dev = np.abs(spectral.symbol_deviation(args.nu, args.alpha, args.p, -1j * t))
+    # W = 1 + (W - 1) is exactly spectral.symbol, since geomspace never yields 0
+    dev = spectral.symbol_deviation(args.nu, args.alpha, args.p, -1j * t)
     lines = ["t,w_re,w_im,deviation"]
     lines += [
         f"{ti:.9e},{wi.real:.16e},{wi.imag:.16e},{di:.16e}"
-        for ti, wi, di in zip(t, w, dev)
+        for ti, wi, di in zip(t, 1.0 + dev, np.abs(dev))
     ]
-    _write("\n".join(lines) + "\n", args.out)
+    _write_lines(lines, args.out)
     return 0
 
 
@@ -97,45 +105,25 @@ def _cmd_spectra(args: argparse.Namespace) -> int:
             return CONFIG_ERROR
         scheme = wsld_scheme(args.nu, args.alpha, shifts=args.shifts)
         probe = spectral.eigen_probe(assemble_left(scheme, args.n))
-        _write(
-            "lambda_min,lambda_max\n"
-            f"{probe.lambda_min:.16e},{probe.lambda_max:.16e}\n",
-            args.out,
-        )
+        _write_lines(["lambda_min,lambda_max",
+                      f"{probe.lambda_min:.16e},{probe.lambda_max:.16e}"], args.out)
         return 0 if probe.lambda_max < 0 else NUMERIC_FAILURE
-    # scan mode: (alpha, x, f) triples over the default grids
+    # scan mode: definiteness_scan's walk, kept for the (alpha, x, f) triples
     alphas = spectral.default_alpha_grid() if args.alpha is None else [args.alpha]
     x = spectral.default_x_grid()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # definiteness_scan below warns once
-        scheme = wsld_scheme(args.nu, alphas[0], shifts=args.shifts)
+    scheme = wsld_scheme(args.nu, alphas[0], shifts=args.shifts)
+    rows = list(spectral._genfn_rows(scheme, alphas, x))
     lines = ["alpha,x,f"]
-    for a in alphas:
-        values = spectral.scheme_symmetric_genfn(replace(scheme, alpha=float(a)), x)
+    for a, values in rows:
         lines += [f"{a:.4f},{xi:.9e},{vi:.9e}" for xi, vi in zip(x, values)]
-    _write("\n".join(lines) + "\n", args.out)
-    report = spectral.definiteness_scan(args.nu, args.shifts,
-                                        alpha_grid=np.asarray(alphas))
+    _write_lines(lines, args.out)
+    report = spectral._sup(rows, x)
     print(
         f"max f = {report.max_value:.3e} at alpha={report.argmax_alpha:.4f}, "
         f"x={report.argmax_x:.6f}: {'PASS' if report.passed else 'FAIL'}",
         file=sys.stderr,
     )
     return 0 if report.passed else NUMERIC_FAILURE
-
-
-def _steady_csv(alpha: float, nx: int) -> str:
-    grid = solver.Grid1D(0.0, 1.0, nx)
-    bc = (0.0, 1.0) if 1.0 < alpha < 2.0 else None
-    u = solver.solve_steady(5, 0, alpha, solver.table1_source(alpha), grid, bc=bc)
-    x = grid.nodes()
-    exact = solver.table1_exact(x)
-    lines = ["x,u,exact,error"]
-    lines += [
-        f"{xi:.9e},{ui:.16e},{ei:.16e},{abs(ui - ei):.9e}"
-        for xi, ui, ei in zip(x, u, exact)
-    ]
-    return "\n".join(lines) + "\n"
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -149,8 +137,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         kind = cfg.get("problem", "custom")
         alpha = float(cfg["alpha"])
         if kind == "table1":
-            text = _steady_csv(alpha, int(cfg.get("Nx", 10)))
-            _write(text, args.csv)
+            grid = solver.Grid1D(0.0, 1.0, int(cfg.get("Nx", 10)))
+            bc = (0.0, 1.0) if 1.0 < alpha < 2.0 else None
+            u = solver.solve_steady(5, 0, alpha, solver.table1_source(alpha), grid,
+                                    bc=bc)
+            x = grid.nodes()
+            _solution_csv(args.csv, x, u, solver.table1_exact(x))
             return 0
         if kind == "table2":
             problem = solver.table2_problem(alpha, nx=int(cfg.get("Nx", 20)),
@@ -191,16 +183,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print(f"solver failure: {exc}", file=sys.stderr)
         return NUMERIC_FAILURE
     x = problem.grid.nodes()
-    if exact is not None:
-        ex = exact(x, problem.horizon)
-        lines = ["x,u,exact,error"]
-        lines += [
-            f"{xi:.9e},{ui:.16e},{ei:.16e},{abs(ui - ei):.9e}"
-            for xi, ui, ei in zip(x, result.u, ex)
-        ]
-    else:
-        lines = ["x,u"] + [f"{xi:.9e},{ui:.16e}" for xi, ui in zip(x, result.u)]
-    _write("\n".join(lines) + "\n", args.csv)
+    _solution_csv(args.csv, x, result.u,
+                  None if exact is None else exact(x, problem.horizon))
     if result.max_error is not None:
         print(f"max error at t={result.t}: {result.max_error:.4e}", file=sys.stderr)
     return 0
@@ -283,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_spectra)
 
-    p = sub.add_parser("solve", help="run a problem described by a JSON config")
+    p = sub.add_parser("solve", help="run a problem described by a JSON config; "
+                       "table1 always runs unshifted nu = 5, ignoring --nu/--shifts")
     p.add_argument("--config", required=True)
     p.add_argument("--nu", type=int, default=4, choices=(3, 4))
     p.add_argument("--shifts", type=_parse_shifts, default=None)

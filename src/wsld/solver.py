@@ -28,6 +28,7 @@ visibly blows up (see :func:`stability_probe`).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -106,8 +107,8 @@ class DiffusionProblem:
     def __post_init__(self) -> None:
         if not 1.0 < self.alpha < 2.0:
             raise ValueError("diffusion problems need alpha in (1, 2)")
-        if self.nt < 1:
-            raise ValueError("need nt >= 1")
+        if not isinstance(self.nt, numbers.Integral) or self.nt < 1:
+            raise ValueError("nt must be an integer >= 1")
         if self.horizon <= 0:
             raise ValueError("need horizon > 0")
         x = self.grid.nodes()
@@ -146,11 +147,12 @@ def solve_steady(
     residual near round-off).  For ``alpha in (1, 2)`` the problem carries a
     second boundary value; the last equation is replaced by the constraint
     ``u(x_right) = bc[1]``, which leaves the triangular sweep untouched
-    because no earlier equation involves the last unknown.
+    because no earlier equation involves the last unknown; the zero
+    extension fixes the left value, so ``bc[0]`` must be 0.
 
     Integral orders (``alpha < 0``) and ``alpha in (0, 1)`` need no
-    constraint: the first equation already pins ``u(x_left)`` whenever
-    ``f(x_left) = 0``.
+    constraint and take no ``bc``: the first equation already pins
+    ``u(x_left)`` whenever ``f(x_left) = 0``.
     """
     scheme = wsld_scheme(nu, alpha, shifts=p)
     matrix = assemble_left(scheme, grid.nx)
@@ -162,11 +164,13 @@ def solve_steady(
     if 1.0 < alpha < 2.0:
         # the two-sided boundary data leave one value the one-sided operator
         # cannot see; replace the last equation with the constraint
-        if bc is None:
-            raise ValueError("alpha in (1, 2) needs boundary values bc=(left, right)")
+        if bc is None or bc[0] != 0.0:
+            raise ValueError("alpha in (1, 2) needs boundary values bc=(0, right)")
         matrix[-1, :] = 0.0
         matrix[-1, -1] = 1.0
         g[-1] = bc[1]
+    elif bc is not None:
+        raise ValueError("bc applies only to alpha in (1, 2)")
     if p == 0:
         u = sla.solve_triangular(matrix, g, lower=True)
         u += sla.solve_triangular(matrix, g - matrix @ u, lower=True)

@@ -154,9 +154,19 @@ def definiteness_scan(
     if alpha_grid.size == 0 or x_grid.size == 0:
         raise ValueError("scan grids must be non-empty")
     scheme = wsld_scheme(nu, float(alpha_grid[0]), shifts=shifts)
-    best = (-np.inf, np.nan, np.nan)
+    return _sup(_genfn_rows(scheme, alpha_grid, x_grid), x_grid)
+
+
+def _genfn_rows(scheme: WsldScheme, alpha_grid, x_grid: np.ndarray):
+    """Yield ``(alpha, f)``: ``scheme``'s generating function at each alpha, lazily."""
     for a in alpha_grid:
-        values = scheme_symmetric_genfn(replace(scheme, alpha=float(a)), x_grid)
+        yield a, scheme_symmetric_genfn(replace(scheme, alpha=float(a)), x_grid)
+
+
+def _sup(rows, x_grid: np.ndarray) -> ScanReport:
+    """Running maximum over the ``(alpha, f)`` rows; the first maximum wins ties."""
+    best = (-np.inf, np.nan, np.nan)
+    for a, values in rows:
         j = int(np.argmax(values))
         if values[j] > best[0]:
             best = (float(values[j]), float(a), float(x_grid[j]))

@@ -45,3 +45,29 @@ def test_import_loads_no_scipy_signal_or_fft():
     proc = _run_python("-c", probe)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+def test_frozen_benchmark_still_binds(monkeypatch):
+    # perfbench/ wraps library names by attribute (solver.assemble_left,
+    # solver.sla, benchmarks.cn_solve, ...); a rename in src/ would break it,
+    # and its own tests are too slow for this suite
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    workloads = importlib.import_module("workloads")
+    owners = (wsld.operators, wsld.operators.WsldScheme, wsld.solver,
+              wsld.solver.sla, wsld.spectral, wsld.benchmarks)
+
+    def bindings():
+        return {(o.__name__, k): v for o in owners for k, v in vars(o).items()}
+
+    for name in workloads.WORKLOADS:
+        workload = workloads.build(name, 3)
+        before, sources = bindings(), [p.source for p in workload.problems]
+        with tracing.Tracer().installed(0, problems=workload.problems):
+            patched = {k for k, v in bindings().items() if v is not before[k]}
+        assert {"cn_solve", "assemble_left", "lu_factor", "definiteness_scan"} <= {
+            k for _, k in patched}
+        after = bindings()
+        assert after.keys() == before.keys()
+        assert all(after[k] is before[k] for k in before), name
+        assert all(p.source is s for p, s in zip(workload.problems, sources)), name

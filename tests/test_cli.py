@@ -1,12 +1,15 @@
 """CLI surface: CSV formats, config handling, exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from wsld import solver, spectral
 from wsld.cli import main
 from wsld.coefficients import lubich_coeffs
+from wsld.operators import wsld_scheme
 
 
 def run_cli(capsys, *argv):
@@ -97,6 +100,15 @@ class TestSymbol:
         slope = np.polyfit(np.log(t), np.log(dev), 1)[0]
         assert slope == pytest.approx(4.0, abs=0.2)
 
+    def test_symbol_columns_are_the_library_symbol(self, capsys):
+        # .16e round-trips a double, so the columns parse back bitwise
+        _, out, _ = run_cli(capsys, "symbol", "--nu", "3", "--alpha", "1.2",
+                            "--p", "1", "--z-range", "1e-3,1e-1,12")
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        w = spectral.symbol(3, 1.2, 1, -1j * np.geomspace(1e-3, 1e-1, 12))
+        np.testing.assert_array_equal([float(r[1]) for r in rows], w.real)
+        np.testing.assert_array_equal([float(r[2]) for r in rows], w.imag)
+
     def test_bad_range(self, capsys):
         code, _, err = run_cli(capsys, "symbol", "--nu", "3", "--alpha", "1.5",
                                "--p", "0", "--z-range", "oops")
@@ -125,6 +137,27 @@ class TestSpectra:
                                "--alpha", "1.5")
         assert code == 1
         assert "FAIL" in err
+
+    def test_scan_evaluates_each_alpha_once(self, capsys, monkeypatch):
+        calls = []
+        genfn = spectral.scheme_symmetric_genfn
+
+        def counting(scheme, x):
+            calls.append(scheme.alpha)
+            return genfn(scheme, x)
+
+        monkeypatch.setattr(spectral, "scheme_symmetric_genfn", counting)
+        code, _, err = run_cli(capsys, "spectra", "--nu", "4", "--alpha", "1.5")
+        assert code == 0 and "PASS" in err
+        assert calls == [1.5]
+
+    def test_scan_of_unverified_tuple_warns_once(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(capsys, "spectra", "--nu", "4", "--shifts",
+                                   "1,-1,1,3,1,-1,1,2", "--alpha", "1.5")
+        assert code == 0 and "PASS" in err
+        assert [w.category for w in caught] == [UserWarning]
 
     @pytest.mark.parametrize("nu,shifts,code,verdict", [
         ("4", "1,-1", 1, "FAIL"),
@@ -201,6 +234,44 @@ class TestSolve:
         assert code == 2
         assert f"{name} must be finite" in err
         assert "infs or NaNs" not in err
+
+    @pytest.mark.parametrize("cfg,expected", [
+        ({"problem": "table2", "alpha": 1.5, "Nx": 20},
+         lambda: solver.cn_solve(solver.table2_problem(1.5, nx=20),
+                                 wsld_scheme(4, 1.5)).u),
+        ({"problem": "table1", "alpha": 1.8, "Nx": 10},
+         lambda: solver.solve_steady(5, 0, 1.8, solver.table1_source(1.8),
+                                     solver.Grid1D(0.0, 1.0, 10), bc=(0.0, 1.0))),
+        ({"problem": "table1", "alpha": -0.5, "Nx": 10},
+         lambda: solver.solve_steady(5, 0, -0.5, solver.table1_source(-0.5),
+                                     solver.Grid1D(0.0, 1.0, 10))),
+        ({"problem": "custom", "alpha": 1.5, "xL": 0.0, "xR": 2.0, "Nx": 16,
+          "T": 0.1, "Nt": 10, "d_plus": "x^alpha", "d_minus": 2.0,
+          "source": "table2_forcing", "initial": "table2_initial"},
+         lambda: solver.cn_solve(solver.DiffusionProblem(
+             alpha=1.5, grid=solver.Grid1D(0.0, 2.0, 16),
+             d_plus=solver.expression("x^alpha", 1.5),
+             d_minus=lambda x: 2.0 * solver.expression("x^alpha", 1.5)(x),
+             source=solver.expression("table2_forcing", 1.5),
+             initial=solver.expression("table2_initial", 1.5),
+             horizon=0.1, nt=10), wsld_scheme(4, 1.5)).u),
+    ], ids=["table2", "table1-derivative", "table1-integral", "custom"])
+    def test_u_column_is_the_library_solution(self, capsys, tmp_path, cfg, expected):
+        # .16e round-trips a double, so the column parses back bitwise
+        config = tmp_path / "problem.json"
+        config.write_text(json.dumps(cfg))
+        code, out, _ = run_cli(capsys, "solve", "--config", str(config))
+        assert code == 0
+        u = [float(line.split(",")[1]) for line in out.strip().splitlines()[1:]]
+        np.testing.assert_array_equal(u, expected())
+
+    def test_non_integer_step_count_is_config_error(self, capsys, tmp_path):
+        config = tmp_path / "problem.json"
+        config.write_text(json.dumps({"problem": "table2", "alpha": 1.5, "Nx": 20,
+                                      "Nt": 2.5}))
+        code, _, err = run_cli(capsys, "solve", "--config", str(config))
+        assert code == 2
+        assert "bad config" in err and "Traceback" not in err
 
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--config", "/nonexistent.json")

@@ -69,6 +69,15 @@ class TestSteadySolve:
         with pytest.raises(ValueError, match="boundary"):
             solve_steady(5, 0, 1.5, table1_source(1.5), grid)
 
+    @pytest.mark.parametrize("alpha,bc", [(1.5, (0.5, 1.0)), (-0.5, (0.0, 1.0)),
+                                          (0.5, (0.0, 0.0))])
+    def test_rejects_boundary_values_it_cannot_impose(self, alpha, bc):
+        # the zero extension fixes u(x_left) = 0, and alpha outside (1, 2)
+        # has no boundary equation to replace
+        with pytest.raises(ValueError, match="bc"):
+            solve_steady(5, 0, alpha, table1_source(alpha), Grid1D(0.0, 1.0, 10),
+                         bc=bc)
+
     @pytest.mark.parametrize("alpha", [-0.5, 0.5, 1.8])
     def test_solution_converges_at_high_order(self, alpha):
         errors = []
@@ -147,6 +156,15 @@ class TestProblemValidation:
                 d_plus=np.zeros_like, d_minus=np.zeros_like,
                 source=lambda x, t: np.zeros_like(x),
                 initial=np.zeros_like, horizon=1.0, nt=4)
+
+    @pytest.mark.parametrize("nt", [2.5, 4.0, "4"])
+    def test_non_integer_step_count_rejected(self, nt):
+        with pytest.raises(ValueError, match="nt must be an integer"):
+            table2_problem(1.5, nx=8, nt=nt)
+
+    def test_numpy_integer_step_count_accepted(self):
+        problem = table2_problem(1.5, nx=8, nt=np.int64(4))
+        assert cn_solve(problem, wsld_scheme(4, 1.5)).steps == 4
 
     def test_table2_problem_has_exact_kappa(self):
         problem = table2_problem(1.5, nx=20)
