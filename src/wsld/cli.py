@@ -137,7 +137,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         kind = cfg.get("problem", "custom")
         alpha = float(cfg["alpha"])
         if kind == "table1":
-            grid = solver.Grid1D(0.0, 1.0, int(cfg.get("Nx", 10)))
+            grid = solver.Grid1D(0.0, 1.0, cfg.get("Nx", 10))
             bc = (0.0, 1.0) if 1.0 < alpha < 2.0 else None
             u = solver.solve_steady(5, 0, alpha, solver.table1_source(alpha), grid,
                                     bc=bc)
@@ -145,11 +145,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             _solution_csv(args.csv, x, u, solver.table1_exact(x))
             return 0
         if kind == "table2":
-            problem = solver.table2_problem(alpha, nx=int(cfg.get("Nx", 20)),
+            problem = solver.table2_problem(alpha, nx=cfg.get("Nx", 20),
                                             nt=cfg.get("Nt"))
             exact = solver.table2_exact
         elif kind == "custom":
-            grid = solver.Grid1D(float(cfg["xL"]), float(cfg["xR"]), int(cfg["Nx"]))
+            grid = solver.Grid1D(float(cfg["xL"]), float(cfg["xR"]), cfg["Nx"])
             d_plus = solver.expression(cfg["d_plus"], alpha)
             d_minus_cfg = cfg["d_minus"]
             kappa = None
@@ -166,7 +166,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 source=solver.expression(cfg.get("source", "zero_source"), alpha),
                 initial=solver.expression(cfg.get("initial", "zero"), alpha),
                 horizon=float(cfg.get("T", 1.0)),
-                nt=int(cfg["Nt"]),
+                nt=cfg["Nt"],
                 kappa=kappa,
             )
             exact = None

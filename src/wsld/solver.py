@@ -60,6 +60,11 @@ __all__ = [
 BLOWUP_THRESHOLD = 1e10
 
 
+def _is_count(value) -> bool:
+    """An integer, numpy's included, but not a bool (JSON ``true`` is no count)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform grid ``x_i = x_left + i h`` with ``h = (x_right - x_left)/nx``."""
@@ -71,8 +76,8 @@ class Grid1D:
     def __post_init__(self) -> None:
         if not self.x_left < self.x_right:
             raise ValueError("need x_left < x_right")
-        if self.nx < 2:
-            raise ValueError("need nx >= 2")
+        if not _is_count(self.nx) or self.nx < 2:
+            raise ValueError("nx must be an integer >= 2")
 
     @property
     def h(self) -> float:
@@ -107,7 +112,7 @@ class DiffusionProblem:
     def __post_init__(self) -> None:
         if not 1.0 < self.alpha < 2.0:
             raise ValueError("diffusion problems need alpha in (1, 2)")
-        if not isinstance(self.nt, numbers.Integral) or self.nt < 1:
+        if not _is_count(self.nt) or self.nt < 1:
             raise ValueError("nt must be an integer >= 1")
         if self.horizon <= 0:
             raise ValueError("need horizon > 0")
@@ -363,20 +368,22 @@ def _table2_source(alpha: float) -> Callable[[np.ndarray, float], np.ndarray]:
     """Forcing of the Table 2 problem, ``f(x, t)``.
 
     The fractional powers depend on ``x`` alone: they are computed once per
-    node array, in a one-entry cache keyed by a private copy of the last ``x``.
-    Each call multiplies in the order of the unfactored formula, so the
-    samples are bitwise those of evaluating it in full.
+    node array, in a one-entry cache keyed by the shape and the bytes of the
+    last ``x`` (so ``-0.0`` and ``0.0`` are different keys).  Each call
+    multiplies in the order of the unfactored formula, so the samples are
+    bitwise those of evaluating it in full.
     """
     g = math.gamma
     c = [g(9) / g(9 - alpha), 8 * g(8) / g(8 - alpha), 24 * g(7) / g(7 - alpha),
          32 * g(6) / g(6 - alpha), 16 * g(5) / g(5 - alpha)]
-    cache = None  # (x, x**4, (2-x)**4, x**alpha, bracket), replaced as a whole
+    cache = None  # (key, x**4, (2-x)**4, x**alpha, bracket), replaced as a whole
 
     def f(x: np.ndarray, t: float) -> np.ndarray:
         nonlocal cache
         x = np.asarray(x, dtype=float)
+        key = (x.shape, x.tobytes())
         entry = cache
-        if entry is None or not np.array_equal(entry[0], x):
+        if entry is None or entry[0] != key:
             y = 2.0 - x
             bracket = (
                 c[0] * (x ** (8 - alpha) + 2 * y ** (8 - alpha))
@@ -385,7 +392,7 @@ def _table2_source(alpha: float) -> Callable[[np.ndarray, float], np.ndarray]:
                 - c[3] * (x ** (5 - alpha) + 2 * y ** (5 - alpha))
                 + c[4] * (x ** (4 - alpha) + 2 * y ** (4 - alpha))
             )
-            entry = cache = (x.copy(), x ** 4, y ** 4, x ** alpha, bracket)
+            entry = cache = (key, x ** 4, y ** 4, x ** alpha, bracket)
         _, x4, y4, xa, bracket = entry
         return math.cos(t + 1.0) * x4 * y4 - xa * math.sin(t + 1.0) * bracket
 

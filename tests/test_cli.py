@@ -140,13 +140,13 @@ class TestSpectra:
 
     def test_scan_evaluates_each_alpha_once(self, capsys, monkeypatch):
         calls = []
-        genfn = spectral.scheme_symmetric_genfn
+        row = spectral._genfn_row
 
-        def counting(scheme, x):
+        def counting(scheme, basis):
             calls.append(scheme.alpha)
-            return genfn(scheme, x)
+            return row(scheme, basis)
 
-        monkeypatch.setattr(spectral, "scheme_symmetric_genfn", counting)
+        monkeypatch.setattr(spectral, "_genfn_row", counting)
         code, _, err = run_cli(capsys, "spectra", "--nu", "4", "--alpha", "1.5")
         assert code == 0 and "PASS" in err
         assert calls == [1.5]
@@ -272,6 +272,23 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", "--config", str(config))
         assert code == 2
         assert "bad config" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("cfg", [
+        {"problem": "custom", "Nx": 16.7, "Nt": 10},
+        {"problem": "custom", "Nx": 16, "Nt": 2.5},
+        {"problem": "table2", "Nx": 16.7},
+        {"problem": "table1", "Nx": 16.7},
+        {"problem": "custom", "Nx": 16, "Nt": True},
+    ], ids=["custom-Nx", "custom-Nt", "table2-Nx", "table1-Nx", "custom-Nt-bool"])
+    def test_fractional_grid_size_is_config_error(self, capsys, tmp_path, cfg):
+        # a fractional or boolean size is rejected, not truncated or read as 1
+        config = tmp_path / "problem.json"
+        config.write_text(json.dumps({
+            "alpha": 1.5, "xL": 0.0, "xR": 2.0, "T": 0.1, "d_plus": "x^alpha",
+            "d_minus": 2.0, **cfg}))
+        code, out, err = run_cli(capsys, "solve", "--config", str(config))
+        assert code == 2 and out == ""
+        assert "bad config" in err and "must be an integer" in err
 
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--config", "/nonexistent.json")

@@ -37,6 +37,9 @@ class TestGrid:
             Grid1D(1.0, 0.0, 4)
         with pytest.raises(ValueError):
             Grid1D(0.0, 1.0, 1)
+        with pytest.raises(ValueError, match="integer"):
+            Grid1D(0.0, 1.0, 16.7)
+        assert Grid1D(0.0, 1.0, np.int64(16)).nodes().size == 17
 
 
 class TestSteadySolve:
@@ -444,6 +447,11 @@ class TestStepLoop:
         check(x2, 0.7)
         check(x2[::-1].copy(), 0.7)  # same length as x2, other values
         check(x1, 0.3)
+        check(x1.reshape(-1, 1), 0.3)  # same bytes, other shape
+        x3 = np.linspace(0.0, 2.0, 41)
+        check(x3, 0.3)
+        x3[0] = -0.0  # equal to 0.0, other bytes
+        check(x3, 0.3)
 
     @pytest.mark.parametrize("position", [1, 20, 39])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

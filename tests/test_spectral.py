@@ -7,6 +7,9 @@ from wsld.coefficients import lubich_coeffs
 from wsld.operators import assemble_left, weights2, wsld_scheme
 from wsld.spectral import (
     EIGEN_MAX_DIM,
+    ScanReport,
+    _genfn_rows,
+    default_alpha_grid,
     definiteness_scan,
     default_x_grid,
     eigen_probe,
@@ -143,6 +146,27 @@ class TestDefinitenessScan:
         with pytest.raises(ValueError):
             definiteness_scan(3, alpha_grid=np.array([]))
 
+    @pytest.mark.parametrize("nu,shifts,expected", [
+        (3, None, ScanReport(-0.0, 1.01, 0.0)),
+        (3, 0, ScanReport(43.60922758949591, 1.99, 3.141592653589793)),
+        (4, None, ScanReport(-0.0, 1.01, 0.0)),
+        (4, 0, ScanReport(111.11614350018102, 1.99, 3.141592653589793)),
+    ])
+    def test_rows_are_the_per_alpha_genfn_bitwise(self, nu, shifts, expected):
+        # the scan shares one alpha-free basis between its rows; each row must
+        # still be the one-alpha generating function, bit for bit, and the
+        # reports the values the per-alpha evaluation gave
+        alphas, x = default_alpha_grid(), default_x_grid()
+        scheme = wsld_scheme(nu, alphas[0], shifts=shifts)
+        rows = list(_genfn_rows(scheme, alphas, x))
+        assert [a for a, _ in rows] == list(alphas)
+        for a, values in rows:
+            np.testing.assert_array_equal(
+                values, scheme_symmetric_genfn(wsld_scheme(nu, a, shifts=shifts), x))
+        report = definiteness_scan(nu, shifts=shifts)
+        assert report == expected
+        assert np.signbit(report.max_value) == np.signbit(expected.max_value)
+
 
 class TestEigenProbe:
     def test_negative_definite_default_tuple(self):
@@ -174,6 +198,38 @@ class TestEigenProbe:
         assert probe.lambda_min >= values.min() - eps
         assert probe.lambda_max <= values.max() + eps
 
+    @pytest.mark.parametrize("shifts", [None, 0, (1, -1)])
+    @pytest.mark.parametrize("nu", [3, 4])
+    def test_split_matches_full_eigensolve(self, nu, shifts):
+        # leading sections of a Toeplitz matrix are Toeplitz; odd and even
+        # sizes exercise the bordered and the plain even block
+        for alpha in (1.1, 1.5, 1.9):
+            full = assemble_left(wsld_scheme(nu, alpha, shifts=shifts),
+                                 EIGEN_MAX_DIM - 1)
+            for n in (1, 2, 3, 4, 9, 33, 64, 65, 129, 511, 512):
+                a = full[:n, :n]
+                h = 0.5 * (a + a.T)
+                ev = np.linalg.eigvalsh(h)
+                probe = eigen_probe(a)
+                tol = 1e-12 * np.abs(h).max()
+                assert abs(probe.lambda_min - ev[0]) <= tol, (alpha, n)
+                assert abs(probe.lambda_max - ev[-1]) <= tol, (alpha, n)
+                assert (probe.lambda_max < 0) == (ev[-1] < 0), (alpha, n)
+
+    def test_rejects_non_toeplitz(self):
+        a = np.random.default_rng(7).standard_normal((6, 6))
+        with pytest.raises(ValueError, match="centrosymmetric"):
+            eigen_probe(a)
+
+    @pytest.mark.parametrize("nu", [3, 4])
+    def test_accepts_every_benchmark_matrix(self, nu):
+        # the certify benchmark probes the largest section at seeded alpha in
+        # (1, 2); a Toeplitz section always passes the centrosymmetry check
+        for alpha in np.linspace(1.001, 1.999, 17):
+            matrix = assemble_left(wsld_scheme(nu, alpha), EIGEN_MAX_DIM - 1)
+            probe = eigen_probe(matrix)
+            assert np.isfinite(probe.lambda_min) and probe.lambda_max < 0
+
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             eigen_probe(np.eye(EIGEN_MAX_DIM + 2))
@@ -181,3 +237,5 @@ class TestEigenProbe:
     def test_requires_square(self):
         with pytest.raises(ValueError):
             eigen_probe(np.zeros((3, 4)))
+        with pytest.raises(ValueError):
+            eigen_probe(np.zeros((0, 0)))
