@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wsld.coefficients import lubich_coeffs
+from wsld.coefficients import lubich_coeffs, residual_polynomial
 from wsld.operators import assemble_left, weights2, wsld_scheme
 from wsld.spectral import (
     EIGEN_MAX_DIM,
@@ -18,6 +18,19 @@ from wsld.spectral import (
     symbol_deviation,
     symbol_order_slope,
 )
+
+
+def _genfn_unfactored(scheme, x):
+    """Reference generating function: every factor evaluated at one alpha."""
+    x = np.abs(np.asarray(x, dtype=float))
+    r = np.polyval([float(c) for c in residual_polynomial(scheme.nu)][::-1],
+                   np.exp(1j * x))
+    alpha = scheme.alpha
+    phase = alpha * (x / 2.0 - np.pi / 2.0 + np.angle(r))
+    total = np.zeros_like(x)
+    for w, shift in scheme.shift_weights():
+        total += w * np.cos(phase - shift * x)
+    return (2.0 * np.sin(x / 2.0)) ** alpha * np.abs(r) ** alpha * total
 
 
 class TestSymbol:
@@ -161,8 +174,9 @@ class TestDefinitenessScan:
         rows = list(_genfn_rows(scheme, alphas, x))
         assert [a for a, _ in rows] == list(alphas)
         for a, values in rows:
-            np.testing.assert_array_equal(
-                values, scheme_symmetric_genfn(wsld_scheme(nu, a, shifts=shifts), x))
+            one = wsld_scheme(nu, a, shifts=shifts)
+            np.testing.assert_array_equal(values, scheme_symmetric_genfn(one, x))
+            np.testing.assert_array_equal(values, _genfn_unfactored(one, x))
         report = definiteness_scan(nu, shifts=shifts)
         assert report == expected
         assert np.signbit(report.max_value) == np.signbit(expected.max_value)
