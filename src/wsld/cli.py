@@ -139,8 +139,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         if kind == "table1":
             grid = solver.Grid1D(0.0, 1.0, cfg.get("Nx", 10))
             bc = (0.0, 1.0) if 1.0 < alpha < 2.0 else None
-            u = solver.solve_steady(5, 0, alpha, solver.table1_source(alpha), grid,
-                                    bc=bc)
+            u = solver.solve_steady(wsld_scheme(5, alpha, shifts=0),
+                                    solver.table1_source(alpha), grid, bc=bc)
             x = grid.nodes()
             _solution_csv(args.csv, x, u, solver.table1_exact(x))
             return 0

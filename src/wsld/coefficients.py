@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -72,6 +73,11 @@ def _check_nu(nu: int, minimum: int = 1) -> None:
 def _check_alpha(alpha: float) -> None:
     if not math.isfinite(alpha):
         raise ValueError("alpha must be finite")
+
+
+def _is_integer(value) -> bool:
+    """An integer, numpy's included, but not a bool (JSON ``true`` is no integer)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def generating_polynomial(nu: int) -> tuple[Fraction, ...]:

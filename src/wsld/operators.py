@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -25,12 +26,11 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg as sla
 
-from .coefficients import _check_alpha, lubich_coeffs
+from .coefficients import _check_alpha, _check_nu, _is_integer, lubich_coeffs
 
 __all__ = [
     "DEFAULT_SHIFTS",
     "weights2",
-    "order3_error_constant",
     "weights4",
     "WsldScheme",
     "wsld_scheme",
@@ -58,31 +58,27 @@ def weights2(a: int, b: int) -> tuple[float, float]:
     return float(w), float(1 - w)
 
 
-def order3_error_constant(nu: int, alpha: float, p: int, q: int, r: int, s: int) -> float:
-    """Leading (third-order) error constant of the ``(p,q,r,s)`` combination.
-
-    For nu=4 the constant is independent of alpha; for nu=3 it carries an
-    alpha-proportional contribution from the generating polynomial itself.
-    """
-    if p * q == r * s:
-        raise ValueError("weighting needs distinct shifts or shift products")
-    if nu == 3:
-        num = 2 * p * q * r * s * (r + s - p - q) + 3 * alpha * (p * q - r * s)
-        return num / (12 * (r * s - p * q))
-    if nu == 4:
-        return (p * q * r * s * (r + s - p - q)) / (6 * (r * s - p * q))
-    raise ValueError("weighted combinations are defined for nu in {3, 4}")
-
-
 def weights4(nu: int, alpha: float, shifts: Sequence[int]) -> tuple[float, float]:
-    """Fourth-order weights that cancel the error constants of the two quadruples."""
-    quads = (shifts[:4], shifts[4:])
-    # the nu = 3 constants are the nu = 4 ones minus alpha/4, so c - c_bar does
-    # not depend on nu; equal nu = 4 constants round to equal floats
-    c4, c4_bar = (order3_error_constant(4, alpha, *t) for t in quads)
-    if c4 == c4_bar:
+    """Fourth-order weights that cancel the error constants of the two quadruples.
+
+    The leading (third-order) error constant of a quadruple ``(p, q, r, s)``
+    is ``pqrs (r + s - p - q) / (6 (rs - pq))`` for nu = 4, minus ``alpha/4``
+    for nu = 3 (the other nu :func:`wsld_scheme` admits at this order); one
+    quotient evaluates both.
+    """
+    alpha_term = 3 * alpha if nu == 3 else 0.0
+    free, consts = [], []
+    for p, q, r, s in (shifts[:4], shifts[4:]):
+        if p * q == r * s:
+            raise ValueError("weighting needs distinct shifts or shift products")
+        num, den = p * q * r * s * (r + s - p - q), r * s - p * q
+        free.append(Fraction(num, den))
+        consts.append((2 * num - alpha_term * den) / (12 * den))
+    # the alpha term is common to both constants, so compare the exact
+    # nu-free parts: two roundings of the same -alpha/4 may differ
+    if free[0] == free[1]:
         raise ValueError("fourth-order weighting needs distinct error constants")
-    c, c_bar = (order3_error_constant(nu, alpha, *t) for t in quads)
+    c, c_bar = consts
     w = c_bar / (c_bar - c)
     return w, 1.0 - w
 
@@ -162,21 +158,22 @@ def wsld_scheme(
     With no ``shifts`` the proven-stable default tuple is used at order 4.
     Any other fourth-order tuple is accepted but triggers an "unverified
     stability" warning: negative definiteness has only been established for
-    the default tuple.  A non-finite ``alpha`` raises ``ValueError``.
+    the default tuple.  A non-finite ``alpha``, or a shift that is not an
+    integer (a fraction or a bool), raises ``ValueError``.
     """
     _check_alpha(alpha)
     if shifts is None:
         shifts = DEFAULT_SHIFTS
-    flat = (shifts,) if isinstance(shifts, int) else tuple(int(v) for v in shifts)
-    if len(flat) not in (1, 2, 4, 8):
-        raise ValueError("shifts must contain 1, 2, 4 or 8 integers")
-    scheme = WsldScheme(nu=nu, alpha=alpha, shifts=flat)
+    flat = tuple(shifts) if isinstance(shifts, Iterable) else (shifts,)
+    if len(flat) not in (1, 2, 4, 8) or not all(_is_integer(v) for v in flat):
+        raise ValueError(f"shifts must be 1, 2, 4 or 8 integers, got {shifts!r}")
+    scheme = WsldScheme(nu=nu, alpha=alpha, shifts=tuple(int(v) for v in flat))
     if scheme.order >= 2 and nu not in (3, 4):
         raise ValueError("weighted combinations are defined for nu in {3, 4}")
-    if scheme.order == 1 and nu not in (1, 2, 3, 4, 5):
-        raise ValueError("nu must be in 1..5")
+    if scheme.order == 1:
+        _check_nu(nu)
     scheme.shift_weights()  # validates pairwise shift constraints
-    if scheme.order == 4 and flat != DEFAULT_SHIFTS:
+    if scheme.order == 4 and scheme.shifts != DEFAULT_SHIFTS:
         warnings.warn(
             "shift tuple differs from the proven-stable default; "
             "stability is unverified",
@@ -213,11 +210,14 @@ def apply_operator(
     taken by a real FFT of length at least ``2n + 1``, which keeps the
     circular wrap-around out of the ``n + 1`` outputs kept, in O(n log n)
     work.  Matches the product with :func:`assemble_left` (or its transpose,
-    for the right side) to round-off.
+    for the right side) to round-off.  The spacing ``h`` must be finite and
+    positive.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or u.size < 2:
         raise ValueError("u must be a 1-D array of at least two node values")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"h must be finite and positive, got {h!r}")
     n = u.size - 1
     m = scheme.m
     if n < max(2, m):

@@ -2,8 +2,9 @@
 
 Two problem families:
 
-* a steady one-sided problem ``D^alpha u = f`` on ``(0, 1)`` solved through
-  the unshifted operator matrix (lower triangular, forward substitution);
+* a steady one-sided problem ``D^alpha u = f`` on the grid, solved with the
+  operator matrix of any scheme by one LU factorization and one refinement
+  sweep;
 * the variable-coefficient space-fractional diffusion equation
 
       u_t = d_plus(x) * D_left^alpha u + d_minus(x) * D_right^alpha u + f(x, t)
@@ -28,14 +29,14 @@ visibly blows up (see :func:`stability_probe`).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
 
-from .operators import WsldScheme, assemble_left, wsld_scheme
+from .coefficients import _is_integer
+from .operators import WsldScheme, assemble_left
 
 __all__ = [
     "Grid1D",
@@ -60,11 +61,6 @@ __all__ = [
 BLOWUP_THRESHOLD = 1e10
 
 
-def _is_count(value) -> bool:
-    """An integer, numpy's included, but not a bool (JSON ``true`` is no count)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform grid ``x_i = x_left + i h`` with ``h = (x_right - x_left)/nx``."""
@@ -74,9 +70,10 @@ class Grid1D:
     nx: int
 
     def __post_init__(self) -> None:
-        if not self.x_left < self.x_right:
-            raise ValueError("need x_left < x_right")
-        if not _is_count(self.nx) or self.nx < 2:
+        if not (self.x_left < self.x_right
+                and math.isfinite(self.x_right - self.x_left)):
+            raise ValueError("need finite x_left < x_right")
+        if not _is_integer(self.nx) or self.nx < 2:
             raise ValueError("nx must be an integer >= 2")
 
     @property
@@ -112,10 +109,10 @@ class DiffusionProblem:
     def __post_init__(self) -> None:
         if not 1.0 < self.alpha < 2.0:
             raise ValueError("diffusion problems need alpha in (1, 2)")
-        if not _is_count(self.nt) or self.nt < 1:
+        if not _is_integer(self.nt) or self.nt < 1:
             raise ValueError("nt must be an integer >= 1")
-        if self.horizon <= 0:
-            raise ValueError("need horizon > 0")
+        if not (self.horizon > 0 and math.isfinite(self.horizon)):
+            raise ValueError("need a finite horizon > 0")
         x = self.grid.nodes()
         dp = np.asarray(self.d_plus(x), dtype=float)
         dm = np.asarray(self.d_minus(x), dtype=float)
@@ -138,28 +135,24 @@ class DiffusionProblem:
 
 
 def solve_steady(
-    nu: int,
-    p: int,
-    alpha: float,
+    scheme: WsldScheme,
     f: Callable[[np.ndarray], np.ndarray] | np.ndarray,
     grid: Grid1D,
     bc: tuple[float, float] | None = None,
 ) -> np.ndarray:
-    """Solve ``h^-alpha A_p u = f`` on the grid nodes.
+    """Solve ``h^-alpha A u = f`` on the grid nodes, ``A`` the scheme's matrix.
 
-    For the unshifted operator the matrix is lower triangular and the system
-    is solved by forward substitution (one refinement sweep keeps the
-    residual near round-off).  For ``alpha in (1, 2)`` the problem carries a
-    second boundary value; the last equation is replaced by the constraint
-    ``u(x_right) = bc[1]``, which leaves the triangular sweep untouched
-    because no earlier equation involves the last unknown; the zero
-    extension fixes the left value, so ``bc[0]`` must be 0.
+    The matrix is LU-factored and the solution takes one refinement sweep,
+    which keeps the residual near round-off.  For ``alpha in (1, 2)`` the
+    problem carries a second boundary value; the last equation is replaced by
+    the constraint ``u(x_right) = bc[1]``, and the zero extension fixes the
+    left value, so ``bc[0]`` must be 0.
 
     Integral orders (``alpha < 0``) and ``alpha in (0, 1)`` need no
     constraint and take no ``bc``: the first equation already pins
     ``u(x_left)`` whenever ``f(x_left) = 0``.
     """
-    scheme = wsld_scheme(nu, alpha, shifts=p)
+    alpha = scheme.alpha
     matrix = assemble_left(scheme, grid.nx)
     x = grid.nodes()
     rhs = np.asarray(f(x) if callable(f) else f, dtype=float)
@@ -176,13 +169,9 @@ def solve_steady(
         g[-1] = bc[1]
     elif bc is not None:
         raise ValueError("bc applies only to alpha in (1, 2)")
-    if p == 0:
-        u = sla.solve_triangular(matrix, g, lower=True)
-        u += sla.solve_triangular(matrix, g - matrix @ u, lower=True)
-    else:
-        lu = sla.lu_factor(matrix)
-        u = sla.lu_solve(lu, g)
-        u += sla.lu_solve(lu, g - matrix @ u)
+    lu = sla.lu_factor(matrix)
+    u = sla.lu_solve(lu, g)
+    u += sla.lu_solve(lu, g - matrix @ u)
     return u
 
 
@@ -264,7 +253,7 @@ class InstabilityError(RuntimeError):
 
 def cn_solve(
     problem: DiffusionProblem,
-    scheme: WsldScheme | None = None,
+    scheme: WsldScheme,
     exact: Callable[[np.ndarray, float], np.ndarray] | None = None,
 ) -> SolveResult:
     """Advance the Crank-Nicolson scheme to ``t = horizon``.
@@ -281,8 +270,6 @@ def cn_solve(
     whose forcing is not finite, aborts with :class:`InstabilityError`, which
     carries the step, its time and the norm.
     """
-    if scheme is None:
-        scheme = wsld_scheme(4, problem.alpha)
     system = assemble_cn_system(problem, scheme)
     lu, piv = system.lu
     getrs, = sla.get_lapack_funcs(("getrs",), (lu,))

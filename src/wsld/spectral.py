@@ -216,9 +216,10 @@ def eigen_probe(matrix: np.ndarray) -> EigenProbe:
     """Extreme eigenvalues of ``H = (A + A^T)/2`` for a Toeplitz ``A`` (n <= 512).
 
     ``A`` must be a Toeplitz section such as :func:`wsld.operators.assemble_left`
-    returns.  Then ``H_ij = (t_{i-j} + t_{j-i})/2`` is centrosymmetric, bitwise
-    (``H = JHJ`` with ``J`` the exchange matrix), so with ``k = n // 2`` the
-    spectrum of ``H`` is the union of two half-size symmetric problems:
+    returns (checked bitwise).  Then ``H_ij = h_{|i-j|}`` with
+    ``h_d = (A[d, 0] + A[0, d])/2`` is centrosymmetric (``H = JHJ`` with ``J``
+    the exchange matrix), so with ``k = n // 2`` the spectrum of ``H`` is the
+    union of two half-size symmetric problems, both read from ``h``:
 
     * the even block ``H11 + H12 J`` of size ``n - k``, bordered for odd ``n``
       by ``sqrt(2) H[:k, k]`` and ``H[k, k]``;
@@ -237,17 +238,18 @@ def eigen_probe(matrix: np.ndarray) -> EigenProbe:
     n = values.shape[0]
     if n > EIGEN_MAX_DIM:
         raise ValueError(f"dense probe limited to dimension {EIGEN_MAX_DIM}")
-    h = 0.5 * (values + values.T)
-    if not np.array_equal(h, h[::-1, ::-1]):
-        raise ValueError("the symmetric part is not centrosymmetric: "
-                         "expected a Toeplitz matrix")
+    if not np.array_equal(values[1:, 1:], values[:-1, :-1]):
+        raise ValueError("expected a Toeplitz matrix, whose symmetric part is "
+                         "centrosymmetric")
+    h = 0.5 * (values[:, 0] + values[0, :])
     k = n // 2
-    h11, h12j = h[:k, :k], h[:k, n - k:][:, ::-1]
+    i = np.arange(k)
+    h11, h12j = h[np.abs(i[:, None] - i)], h[n - 1 - i[:, None] - i]
     even = np.empty((n - k, n - k))
     even[:k, :k] = h11 + h12j
     if n % 2:
-        even[k, :k] = even[:k, k] = np.sqrt(2.0) * h[:k, k]
-        even[k, k] = h[k, k]
+        even[k, :k] = even[:k, k] = np.sqrt(2.0) * h[k - i]
+        even[k, k] = h[0]
     spectra = [np.linalg.eigvalsh(block) for block in (even, h11 - h12j) if block.size]
     return EigenProbe(lambda_min=float(min(ev[0] for ev in spectra)),
                       lambda_max=float(max(ev[-1] for ev in spectra)))

@@ -235,15 +235,33 @@ class TestSolve:
         assert f"{name} must be finite" in err
         assert "infs or NaNs" not in err
 
+    @pytest.mark.parametrize("key,raw", [
+        ("xR", "1e400"), ("xL", "-Infinity"), ("T", "NaN"), ("T", "Infinity"),
+    ])
+    def test_nonfinite_domain_or_horizon_is_config_error(self, capsys, tmp_path,
+                                                        key, raw):
+        # JSON reads 1e400 as inf; the grid or the problem rejects it at
+        # construction, before a nan node column or a scipy message appears
+        cfg = {"problem": "custom", "alpha": 1.5, "xL": 0.0, "xR": 2.0, "Nx": 16,
+               "T": 0.1, "Nt": 10, "d_plus": "one", "d_minus": 1.0, key: "@"}
+        config = tmp_path / "problem.json"
+        config.write_text(json.dumps(cfg).replace('"@"', raw))
+        code, out, err = run_cli(capsys, "solve", "--config", str(config))
+        assert code == 2 and out == ""
+        assert "bad config" in err and "finite" in err
+        assert "infs or NaNs" not in err
+
     @pytest.mark.parametrize("cfg,expected", [
         ({"problem": "table2", "alpha": 1.5, "Nx": 20},
          lambda: solver.cn_solve(solver.table2_problem(1.5, nx=20),
                                  wsld_scheme(4, 1.5)).u),
         ({"problem": "table1", "alpha": 1.8, "Nx": 10},
-         lambda: solver.solve_steady(5, 0, 1.8, solver.table1_source(1.8),
+         lambda: solver.solve_steady(wsld_scheme(5, 1.8, shifts=0),
+                                     solver.table1_source(1.8),
                                      solver.Grid1D(0.0, 1.0, 10), bc=(0.0, 1.0))),
         ({"problem": "table1", "alpha": -0.5, "Nx": 10},
-         lambda: solver.solve_steady(5, 0, -0.5, solver.table1_source(-0.5),
+         lambda: solver.solve_steady(wsld_scheme(5, -0.5, shifts=0),
+                                     solver.table1_source(-0.5),
                                      solver.Grid1D(0.0, 1.0, 10))),
         ({"problem": "custom", "alpha": 1.5, "xL": 0.0, "xR": 2.0, "Nx": 16,
           "T": 0.1, "Nt": 10, "d_plus": "x^alpha", "d_minus": 2.0,

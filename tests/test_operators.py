@@ -135,6 +135,19 @@ class TestScheme:
         # single shifts are fine for every nu
         assert wsld_scheme(5, 1.5, shifts=0).order == 1
 
+    @pytest.mark.parametrize("shifts", [(1.7, 2.2), 1.5, True, (1, True),
+                                        (1, -1, 1, 2.0), "12"])
+    def test_non_integer_shifts_rejected(self, shifts):
+        # a fraction is not truncated, and a bool is not read as shift 1
+        with pytest.raises(ValueError, match="integers"):
+            wsld_scheme(3, 1.5, shifts=shifts)
+
+    def test_numpy_integer_shifts_accepted(self):
+        assert wsld_scheme(3, 1.5, shifts=np.int64(-2)).shifts == (-2,)
+        scheme = wsld_scheme(4, 1.5, shifts=np.array(DEFAULT_SHIFTS))
+        assert scheme.shifts == DEFAULT_SHIFTS
+        assert all(type(v) is int for v in scheme.shifts)
+
     def test_nondefault_tuple_warns(self):
         with pytest.warns(UserWarning, match="unverified"):
             wsld_scheme(4, 1.5, shifts=(1, -1, 1, 3, 1, -1, 1, 2))
@@ -299,6 +312,13 @@ class TestApplication:
                 want = want[::-1]
             got = apply_operator(u, scheme, h, side=side)
             assert np.abs(got - want).max() <= 1e-14 * scale.max()
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("h", [0.0, -0.1, np.inf, np.nan])
+    def test_spacing_must_be_finite_and_positive(self, h, side):
+        # a negative h would give complex values, and h = 0 a ZeroDivisionError
+        with pytest.raises(ValueError, match="finite and positive"):
+            apply_operator(np.ones(21), wsld_scheme(4, 1.5), h, side=side)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -40,20 +40,31 @@ class TestGrid:
         with pytest.raises(ValueError, match="integer"):
             Grid1D(0.0, 1.0, 16.7)
         assert Grid1D(0.0, 1.0, np.int64(16)).nodes().size == 17
+        # 1e400 reads as inf; an infinite or NaN endpoint, or a length that
+        # overflows, would give non-finite nodes
+        for x_left, x_right in ((0.0, 1e400), (-np.inf, 0.0), (np.nan, 1.0),
+                                (0.0, np.nan), (-1e308, 1e308)):
+            with pytest.raises(ValueError, match="finite"):
+                Grid1D(x_left, x_right, 4)
+
+
+def unshifted(alpha):
+    """The unshifted fifth-order rule the steady benchmark solves with."""
+    return wsld_scheme(5, alpha, shifts=0)
 
 
 class TestSteadySolve:
     def test_zero_source_zero_solution(self):
         grid = Grid1D(0.0, 1.0, 16)
-        u = solve_steady(5, 0, -0.5, np.zeros(17), grid)
+        u = solve_steady(unshifted(-0.5), np.zeros(17), grid)
         assert np.abs(u).max() == 0.0
 
     @pytest.mark.parametrize("alpha", [-0.5, 0.5])
     def test_residual_near_roundoff(self, alpha):
         for nx in (10, 20, 40, 60):
             grid = Grid1D(0.0, 1.0, nx)
-            u = solve_steady(5, 0, alpha, table1_source(alpha), grid)
-            a = assemble_left(wsld_scheme(5, alpha, shifts=0), nx)
+            u = solve_steady(unshifted(alpha), table1_source(alpha), grid)
+            a = assemble_left(unshifted(alpha), nx)
             residual = grid.h ** (-alpha) * (a @ u) - table1_source(alpha)(grid.nodes())
             assert np.abs(residual).max() <= 1e-12
 
@@ -61,16 +72,16 @@ class TestSteadySolve:
         # alpha in (1, 2): all equations except the replaced last one
         alpha, nx = 1.8, 10
         grid = Grid1D(0.0, 1.0, nx)
-        u = solve_steady(5, 0, alpha, table1_source(alpha), grid, bc=(0.0, 1.0))
+        u = solve_steady(unshifted(alpha), table1_source(alpha), grid, bc=(0.0, 1.0))
         assert u[-1] == 1.0
-        a = assemble_left(wsld_scheme(5, alpha, shifts=0), nx)
+        a = assemble_left(unshifted(alpha), nx)
         residual = grid.h ** (-alpha) * (a @ u) - table1_source(alpha)(grid.nodes())
         assert np.abs(residual[:-1]).max() <= 1e-12
 
     def test_requires_boundary_values_for_derivative_orders(self):
         grid = Grid1D(0.0, 1.0, 10)
         with pytest.raises(ValueError, match="boundary"):
-            solve_steady(5, 0, 1.5, table1_source(1.5), grid)
+            solve_steady(unshifted(1.5), table1_source(1.5), grid)
 
     @pytest.mark.parametrize("alpha,bc", [(1.5, (0.5, 1.0)), (-0.5, (0.0, 1.0)),
                                           (0.5, (0.0, 0.0))])
@@ -78,7 +89,7 @@ class TestSteadySolve:
         # the zero extension fixes u(x_left) = 0, and alpha outside (1, 2)
         # has no boundary equation to replace
         with pytest.raises(ValueError, match="bc"):
-            solve_steady(5, 0, alpha, table1_source(alpha), Grid1D(0.0, 1.0, 10),
+            solve_steady(unshifted(alpha), table1_source(alpha), Grid1D(0.0, 1.0, 10),
                          bc=bc)
 
     @pytest.mark.parametrize("alpha", [-0.5, 0.5, 1.8])
@@ -87,7 +98,7 @@ class TestSteadySolve:
         for nx in (10, 20, 40):
             grid = Grid1D(0.0, 1.0, nx)
             bc = (0.0, 1.0) if 1 < alpha < 2 else None
-            u = solve_steady(5, 0, alpha, table1_source(alpha), grid, bc=bc)
+            u = solve_steady(unshifted(alpha), table1_source(alpha), grid, bc=bc)
             errors.append(np.abs(u - table1_exact(grid.nodes())).max())
         rate = np.log2(errors[0] / errors[1])
         assert rate > 4.0
@@ -98,14 +109,32 @@ class TestSteadySolve:
         # the residual identity
         alpha, nx = 0.5, 20
         grid = Grid1D(0.0, 1.0, nx)
-        u = solve_steady(3, 1, alpha, table1_source(alpha), grid)
-        a = assemble_left(wsld_scheme(3, alpha, shifts=1), nx)
+        scheme = wsld_scheme(3, alpha, shifts=1)
+        u = solve_steady(scheme, table1_source(alpha), grid)
+        a = assemble_left(scheme, nx)
         residual = grid.h ** (-alpha) * (a @ u) - table1_source(alpha)(grid.nodes())
         assert np.abs(residual).max() <= 1e-11
 
     def test_sample_length_mismatch(self):
         with pytest.raises(ValueError):
-            solve_steady(5, 0, -0.5, np.zeros(5), Grid1D(0.0, 1.0, 10))
+            solve_steady(unshifted(-0.5), np.zeros(5), Grid1D(0.0, 1.0, 10))
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.5, 1.8])
+    def test_unshifted_matches_forward_substitution(self, alpha):
+        # the unshifted matrix is lower triangular, also with the constraint
+        # row; the LU solve agrees with a refined forward substitution
+        for nx in (10, 20, 40, 60):
+            grid = Grid1D(0.0, 1.0, nx)
+            bc = (0.0, 1.0) if 1 < alpha < 2 else None
+            u = solve_steady(unshifted(alpha), table1_source(alpha), grid, bc=bc)
+            a = assemble_left(unshifted(alpha), nx)
+            g = grid.h ** alpha * table1_source(alpha)(grid.nodes())
+            if bc is not None:
+                a[-1, :] = 0.0
+                a[-1, -1], g[-1] = 1.0, bc[1]
+            ref = sla.solve_triangular(a, g, lower=True)
+            ref += sla.solve_triangular(a, g - a @ ref, lower=True)
+            assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestProblemValidation:
@@ -151,6 +180,15 @@ class TestProblemValidation:
         data[field] = bad
         with pytest.raises(ValueError, match=match):
             DiffusionProblem(**data)
+
+    @pytest.mark.parametrize("horizon", [np.nan, np.inf, 0.0, -1.0])
+    def test_horizon_must_be_finite_and_positive(self, horizon):
+        with pytest.raises(ValueError, match="finite horizon"):
+            DiffusionProblem(
+                alpha=1.5, grid=Grid1D(0.0, 1.0, 8),
+                d_plus=np.ones_like, d_minus=np.ones_like,
+                source=lambda x, t: np.zeros_like(x),
+                initial=np.zeros_like, horizon=horizon, nt=4)
 
     def test_alpha_range(self):
         with pytest.raises(ValueError):

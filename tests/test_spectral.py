@@ -33,6 +33,21 @@ def _genfn_unfactored(scheme, x):
     return (2.0 * np.sin(x / 2.0)) ** alpha * np.abs(r) ** alpha * total
 
 
+def _probe_via_full_h(a):
+    """Reference probe: blocks cut from the full symmetric part ``H``."""
+    n = a.shape[0]
+    h = 0.5 * (a + a.T)
+    k = n // 2
+    h11, h12j = h[:k, :k], h[:k, n - k:][:, ::-1]
+    even = np.empty((n - k, n - k))
+    even[:k, :k] = h11 + h12j
+    if n % 2:
+        even[k, :k] = even[:k, k] = np.sqrt(2.0) * h[:k, k]
+        even[k, k] = h[k, k]
+    spectra = [np.linalg.eigvalsh(b) for b in (even, h11 - h12j) if b.size]
+    return min(ev[0] for ev in spectra), max(ev[-1] for ev in spectra)
+
+
 class TestSymbol:
     def test_limit_at_zero_is_one(self):
         z = np.array([0.0, 0.1j, -0.1])
@@ -216,15 +231,17 @@ class TestEigenProbe:
     @pytest.mark.parametrize("nu", [3, 4])
     def test_split_matches_full_eigensolve(self, nu, shifts):
         # leading sections of a Toeplitz matrix are Toeplitz; odd and even
-        # sizes exercise the bordered and the plain even block
+        # sizes exercise the bordered and the plain even block, which are
+        # bitwise those cut from the full H
         for alpha in (1.1, 1.5, 1.9):
             full = assemble_left(wsld_scheme(nu, alpha, shifts=shifts),
                                  EIGEN_MAX_DIM - 1)
-            for n in (1, 2, 3, 4, 9, 33, 64, 65, 129, 511, 512):
+            for n in (*range(1, 20), 33, 64, 65, 129, 511, 512):
                 a = full[:n, :n]
                 h = 0.5 * (a + a.T)
                 ev = np.linalg.eigvalsh(h)
                 probe = eigen_probe(a)
+                assert (probe.lambda_min, probe.lambda_max) == _probe_via_full_h(a)
                 tol = 1e-12 * np.abs(h).max()
                 assert abs(probe.lambda_min - ev[0]) <= tol, (alpha, n)
                 assert abs(probe.lambda_max - ev[-1]) <= tol, (alpha, n)
