@@ -1,4 +1,4 @@
-"""Walkthrough: the Lubich coefficient families and their two computation paths.
+"""Walkthrough: the Lubich coefficient families and how their series is computed.
 
 Run from the repository root after ``pip install -e .``:
 
@@ -7,13 +7,7 @@ Run from the repository root after ``pip install -e .``:
 
 import numpy as np
 
-from wsld import (
-    generating_polynomial,
-    grunwald_coeffs,
-    lubich_coeffs,
-    lubich_coeffs_oracle,
-    root_factorization,
-)
+from wsld import generating_polynomial, grunwald_coeffs, lubich_coeffs
 
 print("Generating polynomials (exact rationals)")
 print("----------------------------------------")
@@ -35,25 +29,6 @@ print("Miller recurrence gives up to index 200: it decays geometrically.")
 l = lubich_coeffs(5, 1.8, 10)
 print(f"  nu=5, alpha=1.8, first terms: {np.round(l, 6)}")
 print(f"  l_0 equals p_0^alpha = (137/60)^1.8 = {(137 / 60) ** 1.8:.6f}")
-print()
-
-print("Closed-form root factorizations (Shengjin / Ferrari)")
-print("----------------------------------------------------")
-for nu in (3, 4, 5):
-    rf = root_factorization(nu)
-    roots = ", ".join(f"{r:.6f}" for r in rf.roots)
-    print(f"  nu={nu}: leading {rf.leading}, roots {roots}")
-    print(f"        re-expansion error {rf.reconstruction_error():.2e}")
-print()
-
-print("Cross-validation of the two paths at K = 64")
-print("-------------------------------------------")
-print("   nu  alpha      max |production - oracle|")
-for nu in (2, 3, 4, 5):
-    for alpha in (-0.5, 1.5):
-        a = lubich_coeffs(nu, alpha, 64)
-        b = lubich_coeffs_oracle(nu, alpha, 64)
-        print(f"   {nu}   {alpha:+.1f}        {np.abs(a - b).max():.2e}")
 print()
 
 print("Partial sums of the series tend to zero (the symbol vanishes at 1):")

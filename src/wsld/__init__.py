@@ -14,13 +14,10 @@ See ``demos/`` for narrative walkthroughs and ``wsld --help`` for the CLI.
 """
 
 from .coefficients import (
-    RootFactorization,
     generating_polynomial,
     grunwald_coeffs,
     lubich_coeffs,
-    lubich_coeffs_oracle,
     residual_polynomial,
-    root_factorization,
 )
 from .operators import (
     DEFAULT_SHIFTS,
@@ -71,9 +68,6 @@ __all__ = [
     "residual_polynomial",
     "grunwald_coeffs",
     "lubich_coeffs",
-    "lubich_coeffs_oracle",
-    "RootFactorization",
-    "root_factorization",
     # operators
     "DEFAULT_SHIFTS",
     "weights2",

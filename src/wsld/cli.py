@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import benchmarks, solver, spectral
-from .coefficients import lubich_coeffs, lubich_coeffs_oracle
+from .coefficients import lubich_coeffs
 from .operators import assemble_left, wsld_scheme
 
 CONFIG_ERROR = 2
@@ -59,8 +59,7 @@ def _solution_csv(out: str | None, x, u, exact) -> None:
 
 
 def _cmd_coeffs(args: argparse.Namespace) -> int:
-    coeffs = lubich_coeffs_oracle if args.oracle else lubich_coeffs
-    values = coeffs(args.nu, args.alpha, args.count)
+    values = lubich_coeffs(args.nu, args.alpha, args.count)
     _write_lines(["k,l_k"] + [f"{k},{v:.16e}" for k, v in enumerate(values)],
                  args.out)
     return 0
@@ -232,8 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--count", type=int, required=True, metavar="K",
                    help="highest index; emits k = 0..K")
-    p.add_argument("--oracle", action="store_true",
-                   help="use the root-factorization convolution path")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_coeffs)
 

@@ -146,7 +146,9 @@ def solve_steady(
     which keeps the residual near round-off.  For ``alpha in (1, 2)`` the
     problem carries a second boundary value; the last equation is replaced by
     the constraint ``u(x_right) = bc[1]``, and the zero extension fixes the
-    left value, so ``bc[0]`` must be 0.
+    left value, so ``bc[0]`` must be 0.  A shifted scheme (``m > 0``) reads
+    ``m`` nodes past ``x_right``, where the zero extension puts 0, so it also
+    needs ``bc[1] = 0``.
 
     Integral orders (``alpha < 0``) and ``alpha in (0, 1)`` need no
     constraint and take no ``bc``: the first equation already pins
@@ -158,12 +160,18 @@ def solve_steady(
     rhs = np.asarray(f(x) if callable(f) else f, dtype=float)
     if rhs.shape != x.shape:
         raise ValueError("f samples must match the grid nodes")
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("f must be finite at every grid node")
     g = grid.h ** alpha * rhs
     if 1.0 < alpha < 2.0:
         # the two-sided boundary data leave one value the one-sided operator
         # cannot see; replace the last equation with the constraint
         if bc is None or bc[0] != 0.0:
             raise ValueError("alpha in (1, 2) needs boundary values bc=(0, right)")
+        if scheme.m > 0 and bc[1] != 0.0:
+            raise ValueError(
+                f"a shifted scheme (m = {scheme.m}) reads past x_right, where the "
+                "zero extension is 0; it needs bc=(0, 0)")
         matrix[-1, :] = 0.0
         matrix[-1, -1] = 1.0
         g[-1] = bc[1]

@@ -45,6 +45,9 @@ EIGEN_MAX_DIM = 512
 #: A definiteness scan passes when the generating function stays below this.
 SCAN_TOL = 1e-12
 
+#: Sample points ``t`` of :func:`symbol_order_slope`, where ``z = -it``.
+SLOPE_T = np.geomspace(1e-3, 1e-1, 20)
+
 
 def symbol_deviation(nu: int, alpha: float, shift: int, z) -> np.ndarray:
     """``W(z) - 1`` for the shifted operator symbol, cancellation-safe.
@@ -78,18 +81,14 @@ def symbol(nu: int, alpha: float, shift: int, z) -> np.ndarray:
     return out
 
 
-def symbol_order_slope(
-    nu: int, alpha: float, shift: int, t: np.ndarray | None = None
-) -> float:
-    """Log-log slope of ``|W(-it) - 1|`` against ``t``.
+def symbol_order_slope(nu: int, alpha: float, shift: int) -> float:
+    """Log-log slope of ``|W(-it) - 1|`` against ``t`` over :data:`SLOPE_T`.
 
     The slope estimates the operator's consistency order: nu for zero shift,
     1 for any nonzero shift.
     """
-    if t is None:
-        t = np.geomspace(1e-3, 1e-1, 20)
-    dev = symbol_deviation(nu, alpha, shift, -1j * np.asarray(t, dtype=float))
-    return float(np.polyfit(np.log(t), np.log(np.abs(dev)), 1)[0])
+    dev = symbol_deviation(nu, alpha, shift, -1j * SLOPE_T)
+    return float(np.polyfit(np.log(SLOPE_T), np.log(np.abs(dev)), 1)[0])
 
 
 def scheme_symmetric_genfn(scheme: WsldScheme, x) -> np.ndarray:

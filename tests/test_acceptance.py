@@ -22,12 +22,7 @@ from wsld.benchmarks import (
     run_table1,
     run_table2,
 )
-from wsld.coefficients import (
-    generating_polynomial,
-    lubich_coeffs,
-    lubich_coeffs_oracle,
-    root_factorization,
-)
+from wsld.coefficients import generating_polynomial, lubich_coeffs
 from wsld.operators import apply_operator, assemble_left, wsld_scheme
 from wsld.solver import stability_probe, table2_problem
 from wsld.spectral import (
@@ -35,6 +30,8 @@ from wsld.spectral import (
     eigen_probe,
     symbol_order_slope,
 )
+
+from oracles import lubich_coeffs_oracle, root_factorization
 
 
 def report(number: int, passed: bool, detail: str) -> None:

@@ -1,4 +1,4 @@
-"""Public surface: every exported name resolves, and the demos run."""
+"""Public surface: the exported names are pinned and resolve, and the demos run."""
 
 import importlib
 import os
@@ -20,6 +20,21 @@ def test_all_names_resolve(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing, f"{module}.__all__ lists undefined names: {missing}"
+
+
+def test_public_api_is_frozen():
+    # growing the public surface is a deliberate edit of this list
+    assert sorted(wsld.__all__) == [
+        "ConvergenceReport", "DEFAULT_SHIFTS", "DiffusionProblem", "EigenProbe",
+        "Grid1D", "ProbeResult", "ScanReport", "SolveResult", "WsldScheme",
+        "__version__", "apply_operator", "assemble_cn_system", "assemble_left",
+        "cn_solve", "definiteness_scan", "eigen_probe", "generating_polynomial",
+        "grunwald_coeffs", "lubich_coeffs", "order_regression",
+        "residual_polynomial", "run_consistency", "run_table1", "run_table2",
+        "solve_steady", "stability_probe", "symbol", "symbol_deviation",
+        "symbol_order_slope", "table1_exact", "table1_source", "table2_exact",
+        "table2_problem", "weights2", "weights4", "wsld_scheme",
+    ]
 
 
 def _run_python(*args: str) -> subprocess.CompletedProcess:

@@ -28,25 +28,27 @@ class TestCoeffs:
         values = [float(line.split(",")[1]) for line in lines[1:]]
         np.testing.assert_allclose(values, lubich_coeffs(3, 1.5, 5), rtol=1e-15)
 
-    def test_oracle_flag_agrees(self, capsys):
-        code, out, _ = run_cli(capsys, "coeffs", "--nu", "4", "--alpha", "1.8",
-                               "--count", "32", "--oracle")
-        assert code == 0
-        values = [float(line.split(",")[1]) for line in out.strip().splitlines()[1:]]
-        np.testing.assert_allclose(values, lubich_coeffs(4, 1.8, 32), atol=1e-10)
-
     def test_bad_nu_is_config_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["coeffs", "--nu", "7", "--alpha", "1.5", "--count", "4"])
         assert err.value.code == 2
 
-    @pytest.mark.parametrize("oracle", [(), ("--oracle",)])
-    def test_nonfinite_alpha_is_config_error(self, capsys, oracle):
+    def test_nonfinite_alpha_is_config_error(self, capsys):
         code, out, err = run_cli(capsys, "coeffs", "--nu", "3", "--alpha", "nan",
-                                 "--count", "3", *oracle)
+                                 "--count", "3")
         assert code == 2
         assert out == ""
         assert "alpha must be finite" in err
+
+    def test_oracle_flag_is_a_usage_error(self, capsys):
+        # one coefficient path: the root-factorization cross-check is a test
+        # helper, not an option
+        with pytest.raises(SystemExit) as err:
+            main(["coeffs", "--nu", "4", "--alpha", "1.8", "--count", "32", "--oracle"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --oracle" in captured.err
 
 
 class TestOperator:

@@ -11,9 +11,9 @@ from wsld.coefficients import (
     residual_polynomial,
     grunwald_coeffs,
     lubich_coeffs,
-    lubich_coeffs_oracle,
-    root_factorization,
 )
+
+from oracles import lubich_coeffs_oracle, root_factorization
 
 ALPHAS = (-0.5, 0.5, 1.1, 1.5, 1.8)
 

@@ -53,6 +53,12 @@ def unshifted(alpha):
     return wsld_scheme(5, alpha, shifts=0)
 
 
+def d15_x_exp_x(x):
+    """``D^1.5 (x e^x) = sum_n (n+1) x^(n-1/2) / Gamma(n+1/2)``, 40 terms."""
+    x = np.asarray(x, dtype=float)
+    return sum((n + 1) / math.gamma(n + 0.5) * x ** (n - 0.5) for n in range(40))
+
+
 class TestSteadySolve:
     def test_zero_source_zero_solution(self):
         grid = Grid1D(0.0, 1.0, 16)
@@ -118,6 +124,52 @@ class TestSteadySolve:
     def test_sample_length_mismatch(self):
         with pytest.raises(ValueError):
             solve_steady(unshifted(-0.5), np.zeros(5), Grid1D(0.0, 1.0, 10))
+
+    def test_nan_source_rejected(self):
+        f = table1_source(-0.5)(Grid1D(0.0, 1.0, 10).nodes())
+        f[4] = np.nan
+        with pytest.raises(ValueError, match="f must be finite at every grid node"):
+            solve_steady(unshifted(-0.5), f, Grid1D(0.0, 1.0, 10))
+
+    def test_infinite_source_rejected(self):
+        # the series of D^1.5(x e^x) has an x^-0.5 term: +inf at x = 0
+        grid = Grid1D(0.0, 1.0, 10)
+        with np.errstate(divide="ignore"):
+            assert d15_x_exp_x(grid.nodes())[0] == np.inf
+            with pytest.raises(ValueError, match="f must be finite at every grid node"):
+                solve_steady(unshifted(1.5), d15_x_exp_x, grid, bc=(0.0, math.e))
+        f = np.zeros(11)
+        f[-1] = -np.inf
+        with pytest.raises(ValueError, match="f must be finite at every grid node"):
+            solve_steady(unshifted(-0.5), f, grid)
+
+    def test_shifted_scheme_rejects_nonzero_right_value(self):
+        # the default nu=4 tuple reads m = 3 nodes past x_right, where the zero
+        # extension puts 0; with u = x e^x the error stayed at 2.71 for every nx
+        grid = Grid1D(0.0, 1.0, 40)
+        f = d15_x_exp_x(grid.nodes()[1:])
+        f = np.concatenate(([0.0], f))
+        with pytest.raises(ValueError, match=r"shifted scheme \(m = 3\).*bc=\(0, 0\)"):
+            solve_steady(wsld_scheme(4, 1.5), f, grid, bc=(0.0, math.e))
+
+    def test_shifted_scheme_converges_with_zero_right_value(self):
+        # u = x^4 (1-x)^4 vanishes smoothly at x_right, so the zero extension
+        # is consistent and the default tuple keeps its fourth order
+        alpha = 1.5
+        g = math.gamma
+
+        def f(x):
+            return sum(math.comb(4, j) * (-1) ** j * g(5 + j) / g(5 + j - alpha)
+                       * x ** (4 + j - alpha) for j in range(5))
+
+        errors = []
+        for nx in (40, 80, 160, 320):
+            grid = Grid1D(0.0, 1.0, nx)
+            x = grid.nodes()
+            u = solve_steady(wsld_scheme(4, alpha), f, grid, bc=(0.0, 0.0))
+            errors.append(np.abs(u - x ** 4 * (1 - x) ** 4).max())
+        rates = np.log2(np.array(errors[:-1]) / errors[1:])
+        assert np.all(rates >= 3.8), rates
 
     @pytest.mark.parametrize("alpha", [-0.5, 0.5, 1.8])
     def test_unshifted_matches_forward_substitution(self, alpha):
