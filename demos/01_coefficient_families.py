@@ -7,7 +7,7 @@ Run from the repository root after ``pip install -e .``:
 
 import numpy as np
 
-from wsld import generating_polynomial, grunwald_coeffs, lubich_coeffs
+from wsld import generating_polynomial, lubich_coeffs
 
 print("Generating polynomials (exact rationals)")
 print("----------------------------------------")
@@ -16,11 +16,11 @@ for nu in range(1, 6):
     print(f"  nu={nu}:  {poly}")
 print()
 
-print("The nu=1 series is the classic Grunwald binomial sequence: for")
-print("integer alpha it terminates exactly.")
-print(f"  alpha=1: {grunwald_coeffs(1.0, 4)}")
-print(f"  alpha=2: {grunwald_coeffs(2.0, 4)}")
-print(f"  alpha=1.5: {np.round(grunwald_coeffs(1.5, 6), 6)}")
+print("The nu=1 series, lubich_coeffs(1, alpha, K), is the classic Grunwald")
+print("binomial sequence: for integer alpha it terminates exactly.")
+print(f"  alpha=1: {lubich_coeffs(1, 1.0, 4)}")
+print(f"  alpha=2: {lubich_coeffs(1, 2.0, 4)}")
+print(f"  alpha=1.5: {np.round(lubich_coeffs(1, 1.5, 6), 6)}")
 print()
 
 print("Fractional alpha, higher nu: the polynomial is (1-z) R(z), so the")

@@ -15,7 +15,6 @@ See ``demos/`` for narrative walkthroughs and ``wsld --help`` for the CLI.
 
 from .coefficients import (
     generating_polynomial,
-    grunwald_coeffs,
     lubich_coeffs,
     residual_polynomial,
 )
@@ -33,7 +32,6 @@ from .spectral import (
     ScanReport,
     definiteness_scan,
     eigen_probe,
-    symbol,
     symbol_deviation,
     symbol_order_slope,
 )
@@ -53,7 +51,6 @@ from .solver import (
 )
 from .benchmarks import (
     ConvergenceReport,
-    order_regression,
     run_consistency,
     run_table1,
     run_table2,
@@ -66,7 +63,6 @@ __all__ = [
     # coefficients
     "generating_polynomial",
     "residual_polynomial",
-    "grunwald_coeffs",
     "lubich_coeffs",
     # operators
     "DEFAULT_SHIFTS",
@@ -77,7 +73,6 @@ __all__ = [
     "assemble_left",
     "apply_operator",
     # spectral
-    "symbol",
     "symbol_deviation",
     "symbol_order_slope",
     "ScanReport",
@@ -99,7 +94,6 @@ __all__ = [
     "table2_exact",
     # benchmarks
     "ConvergenceReport",
-    "order_regression",
     "run_table1",
     "run_table2",
     "run_consistency",

@@ -36,9 +36,6 @@ from .solver import table1_source, table2_exact, table2_problem, cn_solve
 
 __all__ = [
     "ConvergenceReport",
-    "rate_between",
-    "observed_rates",
-    "order_regression",
     "run_table1",
     "run_table2",
     "run_consistency",
@@ -70,27 +67,6 @@ TABLE2_REFERENCE: dict[tuple[int, float], tuple[float, ...]] = {
 }
 
 
-def rate_between(h0: float, e0: float, h1: float, e1: float) -> float:
-    """Observed order between two resolutions (valid for non-dyadic steps)."""
-    return math.log(e0 / e1) / math.log(h0 / h1)
-
-
-def observed_rates(hs: Sequence[float], errors: Sequence[float]) -> list[float]:
-    return [rate_between(hs[i - 1], errors[i - 1], hs[i], errors[i])
-            for i in range(1, len(hs))]
-
-
-def order_regression(hs: Sequence[float], errors: Sequence[float]) -> float:
-    """Least-squares slope of log(error) against log(h); needs >= 3 rows."""
-    hs = np.asarray(hs, dtype=float)
-    errors = np.asarray(errors, dtype=float)
-    if hs.size < 3:
-        raise ValueError("order regression needs at least 3 rows")
-    if np.unique(hs).size < 2:
-        raise ValueError("order regression needs distinct step sizes")
-    return float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
-
-
 @dataclass
 class ConvergenceReport:
     """Errors and observed orders of one sweep, plus identifying metadata."""
@@ -102,14 +78,24 @@ class ConvergenceReport:
     def __post_init__(self) -> None:
         if len(self.hs) != len(self.errors):
             raise ValueError("hs and errors must align")
-        if any(e <= 0 for e in self.errors):
-            raise ValueError("errors must be strictly positive")
+        if not all(0 < e < math.inf for e in self.errors):  # also catches NaN
+            raise ValueError("errors must be finite and strictly positive")
 
     def rates(self) -> list[float]:
-        return observed_rates(self.hs, self.errors)
+        """Observed order ``log(e0/e1) / log(h0/h1)`` between consecutive rows."""
+        hs, errors = self.hs, self.errors
+        return [math.log(errors[i - 1] / errors[i]) / math.log(hs[i - 1] / hs[i])
+                for i in range(1, len(hs))]
 
     def regression_order(self) -> float:
-        return order_regression(self.hs, self.errors)
+        """Least-squares slope of log(error) against log(h); needs >= 3 rows."""
+        hs = np.asarray(self.hs, dtype=float)
+        if hs.size < 3:
+            raise ValueError("order regression needs at least 3 rows")
+        if np.unique(hs).size < 2:
+            raise ValueError("order regression needs distinct step sizes")
+        errors = np.asarray(self.errors, dtype=float)
+        return float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
 
     def to_csv(self) -> str:
         """Deterministic CSV: metadata comment, ``h,error,rate`` header, rows."""
@@ -169,8 +155,9 @@ def run_table2(
             for res in resolutions:
                 problem = table2_problem(alpha, nx=2 * res)
                 scheme = wsld_scheme(nu, alpha)
-                result = cn_solve(problem, scheme, exact=table2_exact)
-                errors.append(result.max_error)
+                u = cn_solve(problem, scheme).u
+                exact = table2_exact(problem.grid.nodes(), problem.horizon)
+                errors.append(float(np.abs(u - exact).max()))
             reports.append(ConvergenceReport(
                 hs=[1.0 / res for res in resolutions],
                 errors=errors,
@@ -226,15 +213,15 @@ def compare_to_reference(
     failures = []
     for h, got, want in zip(report.hs, report.errors, reference):
         rel = abs(got - want) / abs(want)
-        if rel > rtol:
+        if not rel <= rtol:  # a NaN reference fails too
             failures.append(
                 f"h={h:.4e}: error {got:.4e} vs reference {want:.4e} "
                 f"(rel {rel:.2%} > {rtol:.0%})"
             )
     if rate_tol is not None:
-        want_rates = observed_rates(report.hs, list(reference))
+        want_rates = ConvergenceReport(report.hs, list(reference)).rates()
         for h, got, want in zip(report.hs[1:], report.rates(), want_rates):
-            if abs(got - want) > rate_tol:
+            if not abs(got - want) <= rate_tol:
                 failures.append(
                     f"h={h:.4e}: rate {got:.4f} vs reference {want:.4f} "
                     f"(dev {abs(got - want):.3f} > {rate_tol})"

@@ -10,10 +10,11 @@ i.e. the ``alpha``-th power of the ``nu``-step backward-difference generating
 polynomial.  :func:`lubich_coeffs` computes them on one path.  It factors
 ``delta^alpha = (1-z)^alpha R(z)^alpha`` with ``R`` the
 :func:`residual_polynomial`: the Grunwald series of ``(1-z)^alpha`` is one
-cumulative product, and the series of ``R^alpha`` comes from the J.C.P.
-Miller recurrence on ``R``.  The second series decays like ``rho^k``, with
-``rho`` the largest reciprocal root of ``R``: 1/3, 0.426, 0.561 and 0.709
-for nu = 2..5.  So its terms up to index 200 carry it
+cumulative product, and is the whole result for nu = 1 (``R = 1``), so
+``lubich_coeffs(1, alpha, K)`` is the Grunwald series.  The series of
+``R^alpha`` comes from the J.C.P. Miller recurrence on ``R``.  It decays
+like ``rho^k``, with ``rho`` the largest reciprocal root of ``R``: 1/3,
+0.426, 0.561 and 0.709 for nu = 2..5.  So its terms up to index 200 carry it
 (``0.709^200 < 1e-29``), and one direct convolution of that prefix with the
 Grunwald series gives ``l_0..l_K`` in O(200 K) work, real arithmetic
 throughout.  Against a 40-digit Miller recurrence on the whole polynomial it
@@ -39,7 +40,6 @@ import numpy as np
 __all__ = [
     "generating_polynomial",
     "residual_polynomial",
-    "grunwald_coeffs",
     "lubich_coeffs",
 ]
 
@@ -97,24 +97,6 @@ def residual_polynomial(nu: int) -> tuple[Fraction, ...]:
     return tuple(r)
 
 
-def grunwald_coeffs(alpha: float, kmax: int) -> np.ndarray:
-    """Coefficients ``l_0..l_kmax`` of ``(1-z)^alpha`` (the nu=1 / Grunwald case).
-
-    The recurrence ``l_k = (1 - (alpha+1)/k) l_{k-1}`` with ``l_0 = 1``, run
-    as one in-place cumulative product of its factors; these are the signed
-    binomial coefficients ``(-1)^k C(alpha, k)``.
-    """
-    _check_alpha(alpha)
-    if kmax < 0:
-        raise ValueError("kmax must be >= 0")
-    l = np.arange(kmax + 1, dtype=float)
-    factors = l[1:]
-    np.divide(alpha + 1.0, factors, out=factors)
-    np.subtract(1.0, factors, out=factors)
-    l[0] = 1.0
-    return np.cumprod(l, out=l)
-
-
 def _miller(poly: tuple[Fraction, ...], alpha: float, kmax: int) -> np.ndarray:
     """Coefficients ``g_0..g_kmax`` of ``P^alpha`` by the J.C.P. Miller recurrence.
 
@@ -137,10 +119,14 @@ def _miller(poly: tuple[Fraction, ...], alpha: float, kmax: int) -> np.ndarray:
 def lubich_coeffs(nu: int, alpha: float, kmax: int) -> np.ndarray:
     """Coefficients ``l_0..l_kmax`` of ``delta^alpha = (1-z)^alpha R(z)^alpha``.
 
-    :func:`grunwald_coeffs` convolved with the geometrically decaying
-    ``R^alpha`` series up to index 200 (see the module docstring).
-    The convolution is direct, not by FFT, so the ``k^(-alpha-1)`` tail
-    keeps its relative accuracy.
+    The first stage is the Grunwald series of ``(1-z)^alpha``, which is the
+    whole result for nu = 1: the recurrence
+    ``g_k = (1 - (alpha+1)/k) g_{k-1}`` with ``g_0 = 1``, run as one in-place
+    cumulative product of its factors (the signed binomial coefficients
+    ``(-1)^k C(alpha, k)``).  For nu >= 2 it is convolved with the
+    geometrically decaying ``R^alpha`` series up to index 200 (see the
+    module docstring).  The convolution is direct, not by FFT, so the
+    ``k^(-alpha-1)`` tail keeps its relative accuracy.
 
     Parameters
     ----------
@@ -156,7 +142,12 @@ def lubich_coeffs(nu: int, alpha: float, kmax: int) -> np.ndarray:
     _check_alpha(alpha)
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
-    grunwald = grunwald_coeffs(alpha, kmax)
+    grunwald = np.arange(kmax + 1, dtype=float)
+    factors = grunwald[1:]
+    np.divide(alpha + 1.0, factors, out=factors)
+    np.subtract(1.0, factors, out=factors)
+    grunwald[0] = 1.0
+    np.cumprod(grunwald, out=grunwald)
     if nu == 1:
         return grunwald
     residual = _miller(residual_polynomial(nu), alpha, min(kmax, _RESIDUAL_TERMS))

@@ -152,7 +152,9 @@ def solve_steady(
 
     Integral orders (``alpha < 0``) and ``alpha in (0, 1)`` need no
     constraint and take no ``bc``: the first equation already pins
-    ``u(x_left)`` whenever ``f(x_left) = 0``.
+    ``u(x_left)`` whenever ``f(x_left) = 0``.  With no right boundary value
+    nothing makes the zero extension past ``x_right`` hold, so these orders
+    need an unshifted scheme (``m = 0``).
     """
     alpha = scheme.alpha
     matrix = assemble_left(scheme, grid.nx)
@@ -177,6 +179,11 @@ def solve_steady(
         g[-1] = bc[1]
     elif bc is not None:
         raise ValueError("bc applies only to alpha in (1, 2)")
+    elif scheme.m > 0:
+        raise ValueError(
+            f"a shifted scheme (m = {scheme.m}) reads past x_right, where the zero "
+            "extension is 0; alpha outside (1, 2) has no right boundary value "
+            "to make that hold, so it needs an unshifted scheme")
     lu = sla.lu_factor(matrix)
     u = sla.lu_solve(lu, g)
     u += sla.lu_solve(lu, g - matrix @ u)
@@ -237,13 +244,11 @@ def assemble_cn_system(problem: DiffusionProblem, scheme: WsldScheme) -> CnSyste
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Final state of a time-stepping run."""
+    """State ``u`` at ``t = horizon``, the step count and the running sup norm."""
 
     u: np.ndarray
-    t: float
     steps: int
     sup_norm: float
-    max_error: float | None = None
 
 
 class InstabilityError(RuntimeError):
@@ -259,11 +264,7 @@ class InstabilityError(RuntimeError):
         self.sup_norm = sup_norm
 
 
-def cn_solve(
-    problem: DiffusionProblem,
-    scheme: WsldScheme,
-    exact: Callable[[np.ndarray, float], np.ndarray] | None = None,
-) -> SolveResult:
+def cn_solve(problem: DiffusionProblem, scheme: WsldScheme) -> SolveResult:
     """Advance the Crank-Nicolson scheme to ``t = horizon``.
 
     The implicit matrix ``M-`` is factored once.  Each step samples the
@@ -299,11 +300,7 @@ def cn_solve(
         if not step_sup <= BLOWUP_THRESHOLD:  # also catches NaN
             raise InstabilityError(n + 1, (n + 1) * tau, step_sup)
         sup = max(sup, step_sup)
-    err = None
-    if exact is not None:
-        err = float(np.abs(u - exact(x, problem.horizon)).max())
-    return SolveResult(u=u, t=problem.horizon, steps=problem.nt, sup_norm=sup,
-                       max_error=err)
+    return SolveResult(u=u, steps=problem.nt, sup_norm=sup)
 
 
 @dataclass(frozen=True)

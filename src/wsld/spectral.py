@@ -30,7 +30,6 @@ from .operators import ShiftsLike, WsldScheme, wsld_scheme
 
 __all__ = [
     "symbol_deviation",
-    "symbol",
     "symbol_order_slope",
     "scheme_symmetric_genfn",
     "ScanReport",
@@ -70,15 +69,6 @@ def symbol_deviation(nu: int, alpha: float, shift: int, z) -> np.ndarray:
     r1 = sum(c * np.expm1(-k * z) for k, c in enumerate(r))
     exponent = shift * z + alpha * (np.log1p(b1) + np.log1p(r1))
     return np.expm1(exponent)
-
-
-def symbol(nu: int, alpha: float, shift: int, z) -> np.ndarray:
-    """The symbol ``W(z)`` itself; equals 1 in the ``z -> 0`` limit."""
-    z = np.asarray(z, dtype=complex)
-    out = np.ones_like(z)
-    nz = z != 0
-    out[nz] = 1.0 + symbol_deviation(nu, alpha, shift, z[nz])
-    return out
 
 
 def symbol_order_slope(nu: int, alpha: float, shift: int) -> float:
@@ -174,6 +164,10 @@ def definiteness_scan(
     x_grid = np.asarray(x_grid, dtype=float)
     if alpha_grid.size == 0 or x_grid.size == 0:
         raise ValueError("scan grids must be non-empty")
+    if not (np.all(np.isfinite(alpha_grid)) and np.all(np.isfinite(x_grid))):
+        # a NaN row or point never wins the running maximum, so it would
+        # read as a certified one
+        raise ValueError("scan grids must be finite")
     scheme = wsld_scheme(nu, float(alpha_grid[0]), shifts=shifts)
     return _sup(_genfn_rows(scheme, alpha_grid, x_grid), x_grid)
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from wsld.coefficients import NU_RANGE, generating_polynomial, grunwald_coeffs
+from wsld.coefficients import NU_RANGE, generating_polynomial, lubich_coeffs
 
 #: Oracle cost grows like K^nu when written as nested sums; keep it desk-scale.
 ORACLE_MAX_TERMS = 128
@@ -153,7 +153,7 @@ def lubich_coeffs_oracle(nu: int, alpha: float, kmax: int) -> np.ndarray:
     else:
         roots = root_factorization(nu).roots
     leading = float(generating_polynomial(nu)[0])
-    base = grunwald_coeffs(alpha, kmax)
+    base = lubich_coeffs(1, alpha, kmax)
     acc = base.astype(complex)
     powers = np.arange(kmax + 1)
     for r in roots:

@@ -23,17 +23,38 @@ def test_all_names_resolve(module):
 
 
 def test_public_api_is_frozen():
-    # growing the public surface is a deliberate edit of this list
+    # growing the public surface is a deliberate edit of these lists
     assert sorted(wsld.__all__) == [
         "ConvergenceReport", "DEFAULT_SHIFTS", "DiffusionProblem", "EigenProbe",
         "Grid1D", "ProbeResult", "ScanReport", "SolveResult", "WsldScheme",
         "__version__", "apply_operator", "assemble_cn_system", "assemble_left",
         "cn_solve", "definiteness_scan", "eigen_probe", "generating_polynomial",
-        "grunwald_coeffs", "lubich_coeffs", "order_regression",
-        "residual_polynomial", "run_consistency", "run_table1", "run_table2",
-        "solve_steady", "stability_probe", "symbol", "symbol_deviation",
+        "lubich_coeffs", "residual_polynomial", "run_consistency", "run_table1",
+        "run_table2", "solve_steady", "stability_probe", "symbol_deviation",
         "symbol_order_slope", "table1_exact", "table1_source", "table2_exact",
         "table2_problem", "weights2", "weights4", "wsld_scheme",
+    ]
+    assert sorted(wsld.coefficients.__all__) == [
+        "generating_polynomial", "lubich_coeffs", "residual_polynomial",
+    ]
+    assert sorted(wsld.operators.__all__) == [
+        "DEFAULT_SHIFTS", "WsldScheme", "apply_operator", "assemble_left",
+        "weights2", "weights4", "wsld_scheme",
+    ]
+    assert sorted(wsld.spectral.__all__) == [
+        "EigenProbe", "ScanReport", "definiteness_scan", "eigen_probe",
+        "scheme_symmetric_genfn", "symbol_deviation", "symbol_order_slope",
+    ]
+    assert sorted(wsld.solver.__all__) == [
+        "CnSystem", "DiffusionProblem", "EXPRESSION_IDS", "Grid1D",
+        "InstabilityError", "ProbeResult", "SolveResult", "assemble_cn_system",
+        "cn_solve", "expression", "solve_steady", "stability_probe",
+        "table1_exact", "table1_source", "table2_exact", "table2_problem",
+    ]
+    assert sorted(wsld.benchmarks.__all__) == [
+        "ConvergenceReport", "TABLE1_REFERENCE", "TABLE2_REFERENCE",
+        "check_reports", "compare_to_reference", "run_consistency", "run_table1",
+        "run_table2",
     ]
 
 

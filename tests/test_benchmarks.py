@@ -7,10 +7,8 @@ from wsld.benchmarks import (
     ConvergenceReport,
     TABLE1_REFERENCE,
     TABLE2_REFERENCE,
+    check_reports,
     compare_to_reference,
-    observed_rates,
-    order_regression,
-    rate_between,
     run_consistency,
     run_table1,
 )
@@ -18,35 +16,39 @@ from wsld.benchmarks import (
 
 class TestRates:
     def test_dyadic(self):
-        assert rate_between(0.1, 1e-2, 0.05, 6.25e-4) == pytest.approx(4.0)
+        (got,) = ConvergenceReport(hs=[0.1, 0.05], errors=[1e-2, 6.25e-4]).rates()
+        assert got == pytest.approx(4.0)
 
     def test_non_dyadic_refinement(self):
         # the 1/40 -> 1/60 step of the steady benchmark
         want = np.log(2.1214e-06 / 3.0790e-07) / np.log(60 / 40)
-        got = rate_between(1 / 40, 2.1214e-06, 1 / 60, 3.0790e-07)
+        (got,) = ConvergenceReport(hs=[1 / 40, 1 / 60],
+                                   errors=[2.1214e-06, 3.0790e-07]).rates()
         assert got == pytest.approx(want)
         assert got == pytest.approx(4.7601, abs=1e-3)
 
     def test_observed_rates_length(self):
-        assert len(observed_rates([0.1, 0.05, 0.025], [1, 0.25, 0.0625])) == 2
+        report = ConvergenceReport(hs=[0.1, 0.05, 0.025], errors=[1, 0.25, 0.0625])
+        assert len(report.rates()) == 2
 
 
 class TestOrderRegression:
     def test_exact_fourth_order_model(self):
         hs = [0.1, 0.05, 0.025, 0.0125]
         errors = [3.0 * h ** 4 for h in hs]
-        assert order_regression(hs, errors) == pytest.approx(4.0, abs=1e-12)
+        report = ConvergenceReport(hs=hs, errors=errors)
+        assert report.regression_order() == pytest.approx(4.0, abs=1e-12)
 
     def test_reference_diffusion_rows_regress_to_four(self):
         hs = [1 / 10, 1 / 20, 1 / 40, 1 / 80]
-        errors = TABLE2_REFERENCE[(4, 1.8)]
-        assert order_regression(hs, errors) == pytest.approx(4.0, abs=0.1)
+        report = ConvergenceReport(hs=hs, errors=list(TABLE2_REFERENCE[(4, 1.8)]))
+        assert report.regression_order() == pytest.approx(4.0, abs=0.1)
 
     def test_too_few_rows(self):
-        with pytest.raises(ValueError):
-            order_regression([0.1], [1e-3])
-        with pytest.raises(ValueError):
-            order_regression([0.1, 0.1, 0.1], [1, 1, 1])
+        with pytest.raises(ValueError, match="at least 3 rows"):
+            ConvergenceReport(hs=[0.1], errors=[1e-3]).regression_order()
+        with pytest.raises(ValueError, match="distinct step sizes"):
+            ConvergenceReport(hs=[0.1, 0.1, 0.1], errors=[1, 1, 1]).regression_order()
 
 
 class TestConvergenceReport:
@@ -59,7 +61,7 @@ class TestConvergenceReport:
         hs = [float(r[0]) for r in rows]
         errors = [float(r[1]) for r in rows]
         emitted = [float(r[2]) for r in rows[1:]]
-        recomputed = observed_rates(hs, errors)
+        recomputed = ConvergenceReport(hs=hs, errors=errors).rates()
         np.testing.assert_allclose(emitted, recomputed, atol=1e-3)
 
     def test_csv_shape_and_header(self):
@@ -74,6 +76,13 @@ class TestConvergenceReport:
     def test_rejects_nonpositive_errors(self):
         with pytest.raises(ValueError):
             ConvergenceReport(hs=[0.1], errors=[0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_errors(self, bad):
+        # NaN slipped past an ``e <= 0`` guard, and its rates then compared
+        # False against every tolerance, so the report passed its reference
+        with pytest.raises(ValueError, match="finite"):
+            ConvergenceReport(hs=[0.1, 0.05], errors=[1e-2, bad])
 
     def test_determinism(self):
         a = "".join(r.to_csv() for r in run_table1(alphas=(-0.5,)))
@@ -120,3 +129,23 @@ class TestCompareToReference:
                                         rate_tol=0.5)
         assert len(failures) == 1
         assert "rate" in failures[0]
+
+    def test_nan_reference_never_passes(self):
+        report = ConvergenceReport(hs=[0.1, 0.05], errors=[1.0, 0.5], metadata={})
+        failures = compare_to_reference(report, [1.0, float("nan")], rtol=0.1)
+        assert len(failures) == 1
+        assert "h=5.0000e-02" in failures[0]
+        # the reference rates come from a report, which refuses the NaN
+        with pytest.raises(ValueError, match="finite"):
+            compare_to_reference(report, [1.0, float("nan")], rtol=0.1, rate_tol=0.2)
+
+    def test_nan_error_fails_the_suite_check(self):
+        # a NaN written past the constructor's check still fails every comparison
+        hs = [1 / 10, 1 / 20, 1 / 40, 1 / 80]
+        report = ConvergenceReport(hs=hs, errors=list(TABLE2_REFERENCE[(4, 1.5)]),
+                                   metadata={"nu": 4, "alpha": 1.5})
+        assert check_reports("table2", [report]) == []
+        report.errors[1] = float("nan")
+        failures = check_reports("table2", [report])
+        assert len(failures) == 3
+        assert all("nu=4 alpha=1.5" in f for f in failures)

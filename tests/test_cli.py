@@ -107,7 +107,8 @@ class TestSymbol:
         _, out, _ = run_cli(capsys, "symbol", "--nu", "3", "--alpha", "1.2",
                             "--p", "1", "--z-range", "1e-3,1e-1,12")
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
-        w = spectral.symbol(3, 1.2, 1, -1j * np.geomspace(1e-3, 1e-1, 12))
+        dev = spectral.symbol_deviation(3, 1.2, 1, -1j * np.geomspace(1e-3, 1e-1, 12))
+        w = 1.0 + dev
         np.testing.assert_array_equal([float(r[1]) for r in rows], w.real)
         np.testing.assert_array_equal([float(r[2]) for r in rows], w.imag)
 
@@ -187,6 +188,26 @@ class TestSolve:
         assert lines[0] == "x,u,exact,error"
         assert len(lines) == 22
         assert "max error" in err
+
+    def test_table2_error_is_the_csv_error_and_exact_runs_once(
+            self, capsys, tmp_path, monkeypatch):
+        final_calls = []
+        table2_exact = solver.table2_exact
+
+        def counting(x, t):
+            if t == 1.0:
+                final_calls.append(t)
+            return table2_exact(x, t)
+
+        monkeypatch.setattr(solver, "table2_exact", counting)
+        config = tmp_path / "problem.json"
+        config.write_text(json.dumps({"problem": "table2", "alpha": 1.5,
+                                      "Nx": 20}))
+        code, out, err = run_cli(capsys, "solve", "--config", str(config))
+        assert code == 0
+        assert len(final_calls) == 1
+        worst = max(float(line.split(",")[3]) for line in out.strip().splitlines()[1:])
+        assert err == f"max error at t=1.0: {worst:.4e}\n"
 
     def test_table1_config(self, capsys, tmp_path):
         config = tmp_path / "problem.json"

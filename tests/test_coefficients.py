@@ -9,7 +9,6 @@ import pytest
 from wsld.coefficients import (
     generating_polynomial,
     residual_polynomial,
-    grunwald_coeffs,
     lubich_coeffs,
 )
 
@@ -50,23 +49,24 @@ class TestGeneratingPolynomial:
 
 
 class TestGrunwald:
+    # nu = 1: the Grunwald series of (1-z)^alpha, the first stage of every nu
     def test_length_zero(self):
-        assert grunwald_coeffs(1.7, 0).tolist() == [1.0]
+        assert lubich_coeffs(1, 1.7, 0).tolist() == [1.0]
 
     def test_integer_orders_terminate(self):
-        np.testing.assert_allclose(grunwald_coeffs(1.0, 3), [1, -1, 0, 0], atol=0)
-        np.testing.assert_allclose(grunwald_coeffs(2.0, 3), [1, -2, 1, 0], atol=0)
+        np.testing.assert_allclose(lubich_coeffs(1, 1.0, 3), [1, -1, 0, 0], atol=0)
+        np.testing.assert_allclose(lubich_coeffs(1, 2.0, 3), [1, -2, 1, 0], atol=0)
 
     def test_matches_signed_binomials(self):
         alpha = 1.5
-        got = grunwald_coeffs(alpha, 8)
+        got = lubich_coeffs(1, alpha, 8)
         want = [(-1) ** k * math.gamma(alpha + 1)
                 / (math.gamma(k + 1) * math.gamma(alpha - k + 1))
                 for k in range(9)]
         np.testing.assert_allclose(got, want, rtol=1e-13)
 
     def test_alternating_signs_for_derivative_orders(self):
-        l = grunwald_coeffs(1.5, 10)
+        l = lubich_coeffs(1, 1.5, 10)
         assert l[0] == 1.0
         assert l[1] == -1.5
         # beyond k = 1 all coefficients of (1-z)^alpha, alpha in (1,2), are positive
@@ -74,7 +74,7 @@ class TestGrunwald:
 
     def test_negative_kmax(self):
         with pytest.raises(ValueError):
-            grunwald_coeffs(1.5, -1)
+            lubich_coeffs(1, 1.5, -1)
 
     @pytest.mark.parametrize("alpha", [-0.5, 0.5, 1.1, 1.5, 1.9])
     def test_bitwise_equal_to_the_recurrence_loop(self, alpha):
@@ -84,12 +84,12 @@ class TestGrunwald:
         want[0] = 1.0
         for k in range(1, kmax + 1):
             want[k] = (1.0 - (alpha + 1.0) / k) * want[k - 1]
-        np.testing.assert_array_equal(grunwald_coeffs(alpha, kmax), want)
+        np.testing.assert_array_equal(lubich_coeffs(1, alpha, kmax), want)
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
     def test_nonfinite_alpha(self, alpha):
         with pytest.raises(ValueError, match="alpha must be finite"):
-            grunwald_coeffs(alpha, 4)
+            lubich_coeffs(1, alpha, 4)
 
 
 class TestMillerRecurrence:
@@ -118,10 +118,6 @@ class TestMillerRecurrence:
                 l0 = lubich_coeffs(nu, alpha, 0)[0]
                 assert l0 == pytest.approx(p0 ** alpha, rel=1e-15)
                 assert l0 > 1.0
-
-    def test_nu_one_is_grunwald(self):
-        np.testing.assert_array_equal(lubich_coeffs(1, 1.3, 20),
-                                      grunwald_coeffs(1.3, 20))
 
     def test_all_finite(self):
         for nu in (2, 3, 4, 5):

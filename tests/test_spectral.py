@@ -14,7 +14,6 @@ from wsld.spectral import (
     default_x_grid,
     eigen_probe,
     scheme_symmetric_genfn,
-    symbol,
     symbol_deviation,
     symbol_order_slope,
 )
@@ -49,12 +48,6 @@ def _probe_via_full_h(a):
 
 
 class TestSymbol:
-    def test_limit_at_zero_is_one(self):
-        z = np.array([0.0, 0.1j, -0.1])
-        w = symbol(4, 1.5, 0, z)
-        assert w[0] == 1.0 + 0.0j
-        assert abs(w[1] - 1.0) < 1e-3
-
     def test_deviation_rejects_zero(self):
         with pytest.raises(ValueError):
             symbol_deviation(3, 1.5, 0, 0.0)
@@ -173,6 +166,19 @@ class TestDefinitenessScan:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             definiteness_scan(3, alpha_grid=np.array([]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_x_grid_rejected(self, bad):
+        # a NaN point made every row's maximum NaN, which never beat -inf:
+        # the unstable unshifted operator (43.61 on the default grid) passed
+        with pytest.raises(ValueError, match="finite"):
+            definiteness_scan(3, shifts=0, x_grid=np.array([bad, 3.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_alpha_grid_rejected(self, bad):
+        # a NaN alpha row was skipped without a word
+        with pytest.raises(ValueError, match="finite"):
+            definiteness_scan(3, shifts=0, alpha_grid=[1.5, bad])
 
     @pytest.mark.parametrize("nu,shifts,expected", [
         (3, None, ScanReport(-0.0, 1.01, 0.0)),
