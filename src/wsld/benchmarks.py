@@ -208,8 +208,12 @@ def compare_to_reference(
 
     Returns human-readable failure strings (empty means everything matched).
     When ``rate_tol`` is given the observed rates are compared against the
-    rates recomputed from the reference errors.
+    rates recomputed from the reference errors.  A reference with a different
+    number of entries than the report has rows raises ``ValueError``.
     """
+    if len(reference) != len(report.errors):
+        raise ValueError(f"reference has {len(reference)} entries for a report "
+                         f"of {len(report.errors)} rows")
     failures = []
     for h, got, want in zip(report.hs, report.errors, reference):
         rel = abs(got - want) / abs(want)

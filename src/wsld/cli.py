@@ -151,7 +151,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             d_plus = solver.expression(cfg["d_plus"], alpha)
             d_minus_cfg = cfg["d_minus"]
             kappa = None
-            if isinstance(d_minus_cfg, (int, float)):
+            # a JSON bool is an int to Python, not a ratio
+            if (isinstance(d_minus_cfg, (int, float))
+                    and not isinstance(d_minus_cfg, bool)):
                 kappa = float(d_minus_cfg)
                 d_minus = (lambda dp, k: (lambda x: k * dp(x)))(d_plus, kappa)
             else:

@@ -16,7 +16,9 @@ Two problem families:
           = [I + tau/(2 h^alpha) (D+ A + D- A^T)] U^n + tau F^{n+1/2}.
 
 The system matrix ``M- = I - cS`` (``c = tau/(2 h^alpha)``) is time
-independent, so it is LU-factored once.  The explicit matrix ``M+ = I + cS``
+independent, so it is LU-factored once.  It is written from O(N) data (the
+Toeplitz band of ``phi`` values and the coefficient samples) into one N x N
+array, which LAPACK factors in place.  The explicit matrix ``M+ = I + cS``
 equals ``2I - M-``, so ``M- U^{n+1} = (2I - M-) U^n + tau F`` reads
 ``U^{n+1} = 2W - U^n`` with ``M- W = U^n + (tau/2) F``: each step samples the
 forcing at the half step and solves with one LAPACK ``getrs`` call on the
@@ -33,6 +35,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 import scipy.linalg as sla
 
 from .coefficients import _is_integer
@@ -192,13 +195,29 @@ def solve_steady(
 
 @dataclass
 class CnSystem:
-    """The implicit Crank-Nicolson matrix ``M-`` with its LU factorization.
+    """The implicit Crank-Nicolson matrix ``M-`` as O(N) data, with its LU factors.
 
-    The explicit matrix is not stored: :attr:`m_rhs` forms it on demand.
+    ``M- = I - c (D+ A + D- A^T)`` is defined by the Toeplitz band of the
+    operator matrix, ``A[i, j] = band[n + i - j]``, the coefficient samples
+    ``d_plus`` and ``d_minus`` at the nodes, and ``c = tau / (2 h^alpha)``.
+    Neither ``M-`` nor the explicit matrix is stored: :attr:`m_lhs` and
+    :attr:`m_rhs` form them on demand.
     """
 
-    m_lhs: np.ndarray
+    band: np.ndarray
+    d_plus: np.ndarray
+    d_minus: np.ndarray
+    c: float
     lu: tuple
+
+    @property
+    def m_lhs(self) -> np.ndarray:
+        """The implicit matrix ``M-``, as a new array on each read.
+
+        It is formed by the fill that :func:`assemble_cn_system` factors, so
+        it is bitwise the matrix behind :attr:`lu`.
+        """
+        return _cn_matrix(self.band, self.d_plus, self.d_minus, self.c)
 
     @property
     def m_rhs(self) -> np.ndarray:
@@ -207,39 +226,72 @@ class CnSystem:
         Off the diagonal ``M+ = cS = -M-`` exactly.  On the Dirichlet rows both
         matrices are identity rows, and ``2I - I = I`` there too.
         """
-        return 2.0 * np.eye(len(self.m_lhs)) - self.m_lhs
+        return 2.0 * np.eye(self.d_plus.size) - self.m_lhs
+
+
+#: Columns per block of the ``D- A^T`` term: the temporary holds this many.
+_BLOCK = 64
+
+
+def _cn_matrix(band: np.ndarray, dp: np.ndarray, dm: np.ndarray,
+               c: float) -> np.ndarray:
+    """Form ``M- = I - c (D+ A + D- A^T)`` in one Fortran-ordered array.
+
+    ``A`` and ``A^T`` are read as strided views of ``band``, and the
+    ``D- A^T`` term is added in column blocks, so no temporary is larger
+    than ``_BLOCK`` columns.  Each entry is ``fl(dp_i A_ij) + fl(dm_i A_ji)``
+    times ``-c``, plus 1 on the diagonal: the IEEE operations of the
+    unfactored formula.  The Dirichlet rows (first and last) are identity
+    rows.  Fortran order lets LAPACK factor the array in place.
+    """
+    size = dp.size  # n + 1
+    a = sliding_window_view(band[::-1], size)[::-1]  # a[i, j] = band[n + i - j]
+    a_t = sliding_window_view(band, size)[::-1]  # a_t[i, j] = band[n + j - i]
+    out = np.empty((size, size), order="F")
+    np.multiply(dp[:, None], a, out=out)
+    tmp = np.empty((size, _BLOCK), order="F")
+    for start in range(0, size, _BLOCK):
+        cols = slice(start, start + _BLOCK)
+        part = tmp[:, : min(_BLOCK, size - start)]
+        np.multiply(dm[:, None], a_t[:, cols], out=part)
+        out[:, cols] += part
+    out *= -c
+    out.flat[:: size + 1] += 1.0
+    out[0, :] = 0.0
+    out[0, 0] = 1.0
+    out[-1, :] = 0.0
+    out[-1, -1] = 1.0
+    return out
 
 
 def assemble_cn_system(problem: DiffusionProblem, scheme: WsldScheme) -> CnSystem:
     """Build the implicit matrix ``M- = I - c (D+ A + D- A^T)`` and factor it.
 
-    The matrix is built in place in one array, next to the operator matrix
-    ``A`` and with no identity or ``cS`` temporaries.  Each entry goes through
-    the IEEE operations of the unfactored formula, so it is bitwise that
-    formula's.  The Dirichlet rows (first and last) are identity rows;
-    ``M+ = 2I - M-`` then holds on them too, because ``M+`` has the same
-    identity rows.  Raises on a numerically singular implicit matrix,
-    which cannot occur when the spatial operator part is negative definite.
+    The matrix is written once into one N x N array and LU-factored in that
+    array; the operator matrix ``A`` is never formed, only its O(N) band of
+    ``phi`` values.  Each entry goes through the IEEE operations of the
+    unfactored formula, so it is bitwise that formula's.  The Dirichlet rows
+    (first and last) are identity rows; ``M+ = 2I - M-`` then holds on them
+    too, because ``M+`` has the same identity rows.  Raises when the grid
+    cannot contain the stencil (``nx < max(2, m)``), and on a numerically
+    singular implicit matrix, which cannot occur when the spatial operator
+    part is negative definite.
     """
     grid = problem.grid
+    n, m = grid.nx, scheme.m
+    if n < max(2, m):
+        raise ValueError(f"grid too small: need n >= {max(2, m)}, got {n}")
+    # A[i, j] = phi_{i-j+m}, zero for a negative index
+    band = np.zeros(2 * n + 1)
+    band[n - m :] = scheme.phi(n + m)
     x = grid.nodes()
-    a = assemble_left(scheme, grid.nx)
     dp = np.asarray(problem.d_plus(x), dtype=float)
     dm = np.asarray(problem.d_minus(x), dtype=float)
-    m_lhs = dp[:, None] * a
-    a *= dm[None, :]
-    m_lhs += a.T
-    del a
-    m_lhs *= -(problem.tau / (2.0 * grid.h ** problem.alpha))
-    m_lhs.flat[:: grid.nx + 2] += 1.0
-    m_lhs[0, :] = 0.0
-    m_lhs[0, 0] = 1.0
-    m_lhs[-1, :] = 0.0
-    m_lhs[-1, -1] = 1.0
-    lu, piv = sla.lu_factor(m_lhs)
+    c = problem.tau / (2.0 * grid.h ** problem.alpha)
+    lu, piv = sla.lu_factor(_cn_matrix(band, dp, dm, c), overwrite_a=True)
     if not np.all(np.isfinite(lu)) or np.any(np.diag(lu) == 0.0):
         raise np.linalg.LinAlgError("implicit Crank-Nicolson matrix is singular")
-    return CnSystem(m_lhs=m_lhs, lu=(lu, piv))
+    return CnSystem(band=band, d_plus=dp, d_minus=dm, c=c, lu=(lu, piv))
 
 
 @dataclass(frozen=True)

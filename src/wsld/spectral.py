@@ -223,7 +223,7 @@ def eigen_probe(matrix: np.ndarray) -> EigenProbe:
     the difference by ``1e-12 max|H|`` for sizes 1..512, and the largest seen
     is ``1.2e-14 max|H|``.  Any other matrix raises ``ValueError``, since the
     split would be wrong for it; eigensolver non-convergence surfaces as
-    ``numpy.linalg.LinAlgError``.
+    ``numpy.linalg.LinAlgError``.  A non-finite entry raises ``ValueError``.
     """
     values = np.asarray(matrix)
     if values.ndim != 2 or values.shape[0] != values.shape[1] or values.size == 0:
@@ -231,6 +231,8 @@ def eigen_probe(matrix: np.ndarray) -> EigenProbe:
     n = values.shape[0]
     if n > EIGEN_MAX_DIM:
         raise ValueError(f"dense probe limited to dimension {EIGEN_MAX_DIM}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("matrix entries must be finite")
     if not np.array_equal(values[1:, 1:], values[:-1, :-1]):
         raise ValueError("expected a Toeplitz matrix, whose symmetric part is "
                          "centrosymmetric")

@@ -130,6 +130,16 @@ class TestCompareToReference:
         assert len(failures) == 1
         assert "rate" in failures[0]
 
+    @pytest.mark.parametrize("reference", [[1.0, 0.5], [1.0, 0.5, 0.25, 0.125, 0.0625]],
+                             ids=["shorter", "longer"])
+    @pytest.mark.parametrize("rate_tol", [None, 0.2])
+    def test_reference_length_must_match(self, reference, rate_tol):
+        report = ConvergenceReport(hs=[0.1, 0.05, 0.025, 0.0125],
+                                   errors=[1.0, 0.5, 0.25, 0.125], metadata={})
+        match = f"reference has {len(reference)} entries for a report of 4 rows"
+        with pytest.raises(ValueError, match=match):
+            compare_to_reference(report, reference, rtol=0.1, rate_tol=rate_tol)
+
     def test_nan_reference_never_passes(self):
         report = ConvergenceReport(hs=[0.1, 0.05], errors=[1.0, 0.5], metadata={})
         failures = compare_to_reference(report, [1.0, float("nan")], rtol=0.1)

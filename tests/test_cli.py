@@ -344,6 +344,16 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", "--config", str(config))
         assert code == 2
 
+    def test_boolean_d_minus_is_config_error(self, capsys, tmp_path):
+        # JSON true is neither a ratio kappa nor an expression id, not kappa = 1
+        config = tmp_path / "problem.json"
+        config.write_text(json.dumps({
+            "problem": "custom", "alpha": 1.5, "xL": 0.0, "xR": 1.0, "Nx": 8,
+            "Nt": 4, "d_plus": "one", "d_minus": True}))
+        code, out, err = run_cli(capsys, "solve", "--config", str(config))
+        assert code == 2 and out == ""
+        assert "bad config" in err and "unknown expression id True" in err
+
     def test_unknown_problem_kind(self, capsys, tmp_path):
         config = tmp_path / "problem.json"
         config.write_text(json.dumps({"problem": "table9", "alpha": 1.5}))

@@ -292,7 +292,9 @@ class TestCrankNicolson:
             d_plus=lambda x: x ** 1.3, d_minus=lambda x: 1.5 + np.cos(3 * x),
             source=lambda x, t: np.zeros_like(x),
             initial=lambda x: x * (2.0 - x), horizon=0.5, nt=20),
-    ], ids=["table2", "unrelated-d-minus"])
+        # 201 columns: several fill blocks and a ragged last one
+        lambda: table2_problem(1.8, nx=200, nt=10),
+    ], ids=["table2", "unrelated-d-minus", "ragged-blocks"])
     def test_matrices_match_the_unfactored_formula(self, make_problem):
         problem = make_problem()
         scheme = wsld_scheme(4, problem.alpha)
@@ -320,7 +322,15 @@ class TestCrankNicolson:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * (nx + 1) ** 2 * 8
+        assert peak <= 1.25 * (nx + 1) ** 2 * 8
+
+    def test_grid_too_small(self):
+        # the default tuple reaches m = 3 columns past the diagonal
+        problem = table2_problem(1.5, nx=2, nt=1)
+        scheme = wsld_scheme(4, 1.5)
+        for solve in (assemble_cn_system, cn_solve):
+            with pytest.raises(ValueError, match="grid too small"):
+                solve(problem, scheme)
 
     def test_zero_data_stays_zero(self):
         problem = DiffusionProblem(

@@ -258,6 +258,15 @@ class TestEigenProbe:
         with pytest.raises(ValueError, match="centrosymmetric"):
             eigen_probe(a)
 
+    @pytest.mark.parametrize("make_matrix", [
+        # a Toeplitz matrix with an inf band, and one that is NaN throughout
+        lambda: assemble_left(wsld_scheme(4, 1.5), 8) + np.diag(np.full(7, np.inf), 2),
+        lambda: np.full((6, 6), np.nan),
+    ], ids=["toeplitz-inf", "all-nan"])
+    def test_rejects_nonfinite_entries(self, make_matrix):
+        with pytest.raises(ValueError, match="must be finite"):
+            eigen_probe(make_matrix())
+
     @pytest.mark.parametrize("nu", [3, 4])
     def test_accepts_every_benchmark_matrix(self, nu):
         # the certify benchmark probes the largest section at seeded alpha in
