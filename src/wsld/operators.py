@@ -7,7 +7,9 @@ two shift pairs third order, and two pair-of-pairs fourth order.  This module
 builds the combined convolution coefficients ``phi_k``, their dense Toeplitz
 matrix on ``[x_L, x_R]`` (functions are zero-extended outside the domain), and
 their application to grid samples as one FFT convolution, in O(n log n) work.
-The right-derivative matrix is the transpose of the left one.
+The right-derivative matrix is the transpose of the left one.  The module
+needs numpy only: the Toeplitz matrix is a copy of a strided view of one
+band of ``phi`` values, the band the diffusion solver also builds from.
 
 Matrices are returned unscaled: the ``h**-alpha`` factor is deferred to the
 caller so one matrix serves any grid spacing (the diffusion solver applies
@@ -24,7 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg as sla
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .coefficients import _check_alpha, _check_nu, _is_integer, lubich_coeffs
 
@@ -182,6 +184,21 @@ def wsld_scheme(
     return scheme
 
 
+def _band(scheme: WsldScheme, n: int) -> np.ndarray:
+    """Toeplitz band of the matrix on ``n + 1`` nodes, ``A[i, j] = band[n + i - j]``.
+
+    ``band`` has ``2n + 1`` entries: ``phi_{k-n+m}`` at index ``k``, zero
+    where that subscript is negative.  Raises when the grid cannot contain the
+    stencil (``n < max(2, m)``).
+    """
+    m = scheme.m
+    if n < max(2, m):
+        raise ValueError(f"grid too small: need n >= {max(2, m)}, got {n}")
+    band = np.zeros(2 * n + 1)
+    band[n - m :] = scheme.phi(n + m)
+    return band
+
+
 def assemble_left(scheme: WsldScheme, n: int) -> np.ndarray:
     """Dense left-derivative matrix on ``n + 1`` nodes (``h**-alpha`` deferred).
 
@@ -190,13 +207,8 @@ def assemble_left(scheme: WsldScheme, n: int) -> np.ndarray:
     right-derivative matrix is its transpose.  Raises when the grid cannot
     contain the stencil (``n < max(2, m)``).
     """
-    m = scheme.m
-    if n < max(2, m):
-        raise ValueError(f"grid too small: need n >= {max(2, m)}, got {n}")
-    phi = scheme.phi(n + m)
-    row = np.zeros(n + 1)
-    row[: m + 1] = phi[m::-1]
-    return sla.toeplitz(phi[m : m + n + 1], row)
+    band = _band(scheme, n)
+    return sliding_window_view(band[::-1], n + 1)[::-1].copy()
 
 
 def apply_operator(
@@ -211,7 +223,7 @@ def apply_operator(
     circular wrap-around out of the ``n + 1`` outputs kept, in O(n log n)
     work.  Matches the product with :func:`assemble_left` (or its transpose,
     for the right side) to round-off.  The spacing ``h`` must be finite and
-    positive.
+    positive, and ``u`` finite at every node.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or u.size < 2:
@@ -226,6 +238,8 @@ def apply_operator(
         return apply_operator(u[::-1], scheme, h, side="left")[::-1]
     if side != "left":
         raise ValueError("side must be 'left' or 'right'")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("u must be finite at every node")
     size = _fft_size(2 * n + 1)
     spectrum = np.fft.rfft(scheme.phi(n + m), size)
     spectrum *= np.fft.rfft(u, size)

@@ -26,6 +26,12 @@ stored factors, with no mat-vec.
 With the proven-stable shift tuple the spatial operator is negative definite
 and the stepping is unconditionally stable; with a plain unshifted operator it
 visibly blows up (see :func:`stability_probe`).
+
+``scipy.linalg`` is imported by the first factorization, not with the module,
+so ``import wsld`` and every layer that factors nothing need numpy only.  The
+attribute ``solver.sla`` still resolves to ``scipy.linalg`` (loading it), for
+callers that patch its ``lu_factor`` and ``lu_solve``; the functions here look
+those names up on the module at each call, so a patch takes effect.
 """
 
 from __future__ import annotations
@@ -36,10 +42,9 @@ from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-import scipy.linalg as sla
 
 from .coefficients import _is_integer
-from .operators import WsldScheme, assemble_left
+from .operators import WsldScheme, _band, assemble_left
 
 __all__ = [
     "Grid1D",
@@ -59,6 +64,15 @@ __all__ = [
     "expression",
     "EXPRESSION_IDS",
 ]
+
+
+def __getattr__(name: str):
+    if name == "sla":
+        import scipy.linalg
+
+        return scipy.linalg
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 #: Sup-norm threshold beyond which a time-stepping run is declared blown up.
 BLOWUP_THRESHOLD = 1e10
@@ -187,6 +201,8 @@ def solve_steady(
             f"a shifted scheme (m = {scheme.m}) reads past x_right, where the zero "
             "extension is 0; alpha outside (1, 2) has no right boundary value "
             "to make that hold, so it needs an unshifted scheme")
+    import scipy.linalg as sla
+
     lu = sla.lu_factor(matrix)
     u = sla.lu_solve(lu, g)
     u += sla.lu_solve(lu, g - matrix @ u)
@@ -278,16 +294,13 @@ def assemble_cn_system(problem: DiffusionProblem, scheme: WsldScheme) -> CnSyste
     part is negative definite.
     """
     grid = problem.grid
-    n, m = grid.nx, scheme.m
-    if n < max(2, m):
-        raise ValueError(f"grid too small: need n >= {max(2, m)}, got {n}")
-    # A[i, j] = phi_{i-j+m}, zero for a negative index
-    band = np.zeros(2 * n + 1)
-    band[n - m :] = scheme.phi(n + m)
+    band = _band(scheme, grid.nx)
     x = grid.nodes()
     dp = np.asarray(problem.d_plus(x), dtype=float)
     dm = np.asarray(problem.d_minus(x), dtype=float)
     c = problem.tau / (2.0 * grid.h ** problem.alpha)
+    import scipy.linalg as sla
+
     lu, piv = sla.lu_factor(_cn_matrix(band, dp, dm, c), overwrite_a=True)
     if not np.all(np.isfinite(lu)) or np.any(np.diag(lu) == 0.0):
         raise np.linalg.LinAlgError("implicit Crank-Nicolson matrix is singular")
@@ -333,6 +346,8 @@ def cn_solve(problem: DiffusionProblem, scheme: WsldScheme) -> SolveResult:
     """
     system = assemble_cn_system(problem, scheme)
     lu, piv = system.lu
+    import scipy.linalg as sla
+
     getrs, = sla.get_lapack_funcs(("getrs",), (lu,))
     grid = problem.grid
     x = grid.nodes()
@@ -376,8 +391,11 @@ def stability_probe(
     and marks it unbounded, with the step at which it blew up in
     ``steps_completed``.  With the negative-definite default tuple the sup
     norm stays of the order of the solution scale for any ratio; the
-    unshifted operator diverges within tens of steps.
+    unshifted operator diverges within tens of steps.  ``tau_over_h`` must be
+    finite and positive.
     """
+    if not (math.isfinite(tau_over_h) and tau_over_h > 0):
+        raise ValueError(f"tau_over_h must be finite and positive, got {tau_over_h!r}")
     tau = tau_over_h * problem.grid.h
     probe_problem = replace(problem, horizon=tau * n_steps, nt=n_steps)
     try:

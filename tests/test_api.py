@@ -83,6 +83,44 @@ def test_import_loads_no_scipy_signal_or_fft():
     assert proc.stdout.strip() == ""
 
 
+STARTUP_PROBE = """
+import contextlib, io, sys
+import numpy as np
+import wsld, wsld.cli
+
+scheme = wsld.wsld_scheme(4, 1.5)
+wsld.lubich_coeffs(4, 1.5, 64)
+u = np.linspace(0.0, 1.0, 41) ** 2
+for side in ("left", "right"):
+    wsld.apply_operator(u, scheme, 1.0 / 40, side=side)
+wsld.definiteness_scan(4)
+wsld.eigen_probe(wsld.assemble_left(scheme, 64))
+for argv in (["coeffs", "--nu", "4", "--alpha", "1.5", "--count", "16"],
+             ["operator", "--nu", "4", "--alpha", "1.5", "--n", "8"],
+             ["symbol", "--nu", "4", "--alpha", "1.5", "--p", "1"],
+             ["spectra", "--nu", "4", "--alpha", "1.5"],
+             ["spectra", "--nu", "4", "--alpha", "1.5", "--eigen", "--n", "64"]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        assert wsld.cli.main(argv) == 0, argv
+print(" ".join(m for m in sys.modules if m.split(".")[:2] == ["scipy", "linalg"]))
+wsld.solve_steady(wsld.wsld_scheme(4, 1.5, shifts=0), np.ones(33),
+                  wsld.Grid1D(0.0, 1.0, 32), bc=(0.0, 0.0))
+wsld.cn_solve(wsld.table2_problem(1.5, nx=16, nt=4), scheme)
+import scipy.linalg
+assert wsld.solver.sla is scipy.linalg
+"""
+
+
+def test_only_a_factorization_loads_scipy_linalg():
+    # scipy.linalg costs a fresh process about 0.2 s and 26 MiB; the
+    # coefficient, operator and spectral layers and the commands built on
+    # them factor nothing, so they must not pay for it
+    proc = _run_python("-c", STARTUP_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
+
+
 def test_frozen_benchmark_still_binds(monkeypatch):
     # perfbench/ wraps library names by attribute (solver.assemble_left,
     # solver.sla, benchmarks.cn_solve, ...); a rename in src/ would break it,

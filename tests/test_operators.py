@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from wsld import operators
 from wsld.coefficients import lubich_coeffs
@@ -242,6 +243,23 @@ class TestAssembly:
         with pytest.raises(ValueError, match="grid too small"):
             assemble_left(wsld_scheme(4, 1.5), 2)
 
+    @pytest.mark.parametrize("nu, shifts", [
+        (3, None), (4, None), (3, 0), (4, 0), (5, 0), (3, 1), (4, 2), (5, 1),
+    ])
+    def test_bitwise_equal_to_scipy_toeplitz(self, nu, shifts):
+        # the oracle: first column phi_m..phi_{m+n}, first row phi_m..phi_0
+        scheme = wsld_scheme(nu, 1.5, shifts=shifts)
+        m = scheme.m
+        for n in (2, m, 40, 511):
+            if n < max(2, m):
+                continue
+            phi = scheme.phi(n + m)
+            row = np.zeros(n + 1)
+            row[: m + 1] = phi[m::-1]
+            a = assemble_left(scheme, n)
+            assert a.dtype == np.float64 and a.flags.c_contiguous
+            assert np.array_equal(a, sla.toeplitz(phi[m : m + n + 1], row))
+
 
 class TestApplication:
     def test_zero_input(self):
@@ -319,6 +337,15 @@ class TestApplication:
         # a negative h would give complex values, and h = 0 a ZeroDivisionError
         with pytest.raises(ValueError, match="finite and positive"):
             apply_operator(np.ones(21), wsld_scheme(4, 1.5), h, side=side)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_samples_must_be_finite(self, bad, side):
+        # one bad node would otherwise spread through the FFT to every output
+        u = np.linspace(0.0, 1.0, 41) ** 2
+        u[30] = bad
+        with pytest.raises(ValueError, match="u must be finite at every node"):
+            apply_operator(u, wsld_scheme(4, 1.5), 1.0 / 40, side=side)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -622,6 +622,13 @@ class TestStabilityProbe:
         assert probe.bounded
         assert probe.sup_norm == 0.0
 
+    @pytest.mark.parametrize("ratio", [math.nan, -1.0, 0.0, math.inf])
+    def test_ratio_must_be_finite_and_positive(self, ratio):
+        # checked before the horizon tau_over_h * h * n_steps is formed
+        with pytest.raises(ValueError, match="tau_over_h must be finite and positive"):
+            stability_probe(table2_problem(1.5, nx=40), wsld_scheme(4, 1.5),
+                            tau_over_h=ratio)
+
 
 class TestExpressionRegistry:
     def test_known_ids(self):
