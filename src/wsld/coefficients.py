@@ -136,12 +136,13 @@ def lubich_coeffs(nu: int, alpha: float, kmax: int) -> np.ndarray:
         Derivative order (finite; negative values give the coefficients of
         the fractional-integral rule).
     kmax : int
-        Highest retained index; the result has ``kmax + 1`` entries.
+        Highest retained index, an integer >= 0 (numpy's included, not a
+        bool); the result has ``kmax + 1`` entries.
     """
     _check_nu(nu)
     _check_alpha(alpha)
-    if kmax < 0:
-        raise ValueError("kmax must be >= 0")
+    if not _is_integer(kmax) or kmax < 0:
+        raise ValueError(f"kmax must be an integer >= 0, got {kmax!r}")
     grunwald = np.arange(kmax + 1, dtype=float)
     factors = grunwald[1:]
     np.divide(alpha + 1.0, factors, out=factors)

@@ -76,6 +76,16 @@ class TestGrunwald:
         with pytest.raises(ValueError):
             lubich_coeffs(1, 1.5, -1)
 
+    @pytest.mark.parametrize("nu", [1, 2, 4])
+    def test_non_integer_kmax_rejected(self, nu):
+        # 3.5 gave 5 coefficients for nu = 1 and a TypeError for nu >= 2;
+        # True gave 2 entries
+        for kmax in (3.5, 4.0, True, "4"):
+            with pytest.raises(ValueError, match="kmax must be an integer >= 0"):
+                lubich_coeffs(nu, 1.5, kmax)
+        np.testing.assert_array_equal(lubich_coeffs(nu, 1.5, np.int64(4)),
+                                      lubich_coeffs(nu, 1.5, 4))
+
     @pytest.mark.parametrize("alpha", [-0.5, 0.5, 1.1, 1.5, 1.9])
     def test_bitwise_equal_to_the_recurrence_loop(self, alpha):
         # the cumulative product multiplies the same factors in the same order

@@ -98,6 +98,15 @@ class TestSteadySolve:
             solve_steady(unshifted(alpha), table1_source(alpha), Grid1D(0.0, 1.0, 10),
                          bc=bc)
 
+    @pytest.mark.parametrize("alpha", [1.5, -0.5])
+    @pytest.mark.parametrize("bc", [(0.0,), (0.0, 1.0, 2.0), 0.0, ((0.0, 1.0),)],
+                             ids=["one", "three", "scalar", "nested"])
+    def test_boundary_values_must_be_a_pair(self, alpha, bc):
+        # (0.0,) used to raise IndexError and a third value was dropped
+        with pytest.raises(ValueError, match="bc must be two boundary values"):
+            solve_steady(unshifted(alpha), table1_source(alpha), Grid1D(0.0, 1.0, 10),
+                         bc=bc)
+
     @pytest.mark.parametrize("alpha", [-0.5, 0.5, 1.8])
     def test_solution_converges_at_high_order(self, alpha):
         errors = []
@@ -497,7 +506,9 @@ def _table2_forcing_unfactored(alpha, x, t):
 class TestStepLoop:
     @pytest.mark.parametrize("make_problem", [
         lambda: table2_problem(1.5, nx=40), _unfactored_problem,
-    ], ids=["table2", "unfactored-source"])
+        # 40 steps on 41 unknowns: fewer than 2N, the getrs path
+        lambda: table2_problem(1.5, nx=40, nt=40),
+    ], ids=["table2", "unfactored-source", "getrs-path"])
     def test_matches_lu_solve_loop(self, make_problem):
         problem = make_problem()
         scheme = wsld_scheme(4, problem.alpha)
@@ -520,6 +531,42 @@ class TestStepLoop:
         reference_error = relative_error(_cn_reference(problem, scheme))
         assert error <= 2e-11
         assert error <= reference_error
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="longdouble is plain double on this platform")
+    @pytest.mark.parametrize("alpha,nx,nt", [(1.96, 40, 400), (1.1, 40, 1600)])
+    def test_inverse_path_error_against_extended_precision_oracle(self, alpha, nx, nt):
+        # nt >= 2 (nx + 1): each step is one gemv with the inverse of M-
+        problem = table2_problem(alpha, nx=nx, nt=nt)
+        scheme = wsld_scheme(4, alpha)
+        oracle = _cn_longdouble(problem, scheme)
+        u = cn_solve(problem, scheme).u
+        assert np.abs(u - oracle).max() <= 2e-11 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("nt", [40, 400], ids=["getrs-path", "inverse-path"])
+    def test_initial_data_array_is_not_written(self, nt):
+        problem = table2_problem(1.5, nx=40, nt=nt)
+        initial = problem.initial(problem.grid.nodes())
+        saved = initial.copy()
+        problem.initial = lambda x: initial
+        cn_solve(problem, wsld_scheme(4, 1.5))
+        np.testing.assert_array_equal(initial, saved)
+
+    @pytest.mark.parametrize("nx,nt,inverts", [(640, 20, False), (40, 400, True)])
+    def test_inverts_only_long_runs(self, monkeypatch, nx, nt, inverts):
+        # 20 steps, as in the large-grid benchmark (there at nx = 2560): getri
+        # would cost about twice the LU factorization and never pay back
+        requested = []
+        get_lapack_funcs = sla.get_lapack_funcs
+
+        def spy(names, *args, **kwargs):
+            requested.extend([names] if isinstance(names, str) else names)
+            return get_lapack_funcs(names, *args, **kwargs)
+
+        monkeypatch.setattr(sla, "get_lapack_funcs", spy)
+        cn_solve(table2_problem(1.5, nx=nx, nt=nt), wsld_scheme(4, 1.5))
+        assert requested.count("getri") == (1 if inverts else 0)
+        assert requested.count("getrs") == (0 if inverts else 1)
 
     @pytest.mark.parametrize("nt", [1, 200])
     def test_nonzero_boundary_data_are_zeroed(self, nt):
@@ -561,10 +608,13 @@ class TestStepLoop:
         x3[0] = -0.0  # equal to 0.0, other bytes
         check(x3, 0.3)
 
-    @pytest.mark.parametrize("position", [1, 20, 39])
+    # 50 steps on 41 unknowns take the getrs path, 100 the inverse path
+    @pytest.mark.parametrize("position,nt", [
+        (1, 50), (20, 50), (39, 50), (1, 100), (20, 100), (39, 100),
+    ], ids=["1", "20", "39", "1-nt100", "20-nt100", "39-nt100"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_nonfinite_forcing_mid_run_reports_its_step(self, value, position):
-        problem = table2_problem(1.5, nx=40, nt=50)
+    def test_nonfinite_forcing_mid_run_reports_its_step(self, value, position, nt):
+        problem = table2_problem(1.5, nx=40, nt=nt)
         finite_source, bad_step = problem.source, 7
 
         def source(x, t):
@@ -628,6 +678,15 @@ class TestStabilityProbe:
         with pytest.raises(ValueError, match="tau_over_h must be finite and positive"):
             stability_probe(table2_problem(1.5, nx=40), wsld_scheme(4, 1.5),
                             tau_over_h=ratio)
+
+    def test_step_count_checked_by_name(self):
+        # it was passed on as nt, whose message named a field the caller never set
+        problem, scheme = table2_problem(1.5, nx=40), wsld_scheme(4, 1.5)
+        for n_steps in (0, 2.5, True, -3, 4.0):
+            with pytest.raises(ValueError, match="n_steps must be an integer >= 1"):
+                stability_probe(problem, scheme, tau_over_h=1.0, n_steps=n_steps)
+        probe = stability_probe(problem, scheme, tau_over_h=1.0, n_steps=np.int64(3))
+        assert probe.bounded and probe.steps_completed == 3
 
 
 class TestExpressionRegistry:
