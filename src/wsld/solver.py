@@ -16,18 +16,29 @@ Two problem families:
           = [I + tau/(2 h^alpha) (D+ A + D- A^T)] U^n + tau F^{n+1/2}.
 
 The system matrix ``M- = I - cS`` (``c = tau/(2 h^alpha)``) is time
-independent, so it is LU-factored once.  It is written from O(N) data (the
-Toeplitz band of ``phi`` values and the coefficient samples) into one N x N
-array, which LAPACK factors in place.  The explicit matrix ``M+ = I + cS``
-equals ``2I - M-``, so ``M- U^{n+1} = (2I - M-) U^n + tau F`` reads
-``U^{n+1} = 2W - U^n`` with ``M- W = U^n + (tau/2) F``: each step samples the
-forcing at the half step and forms ``U^{n+1}`` from the stored factors by one
-of two paths, chosen from the run's shape.  A run of fewer than ``2N`` steps
-on ``N`` unknowns solves with one LAPACK ``getrs`` call per step.  A longer
-run inverts ``M-`` once (LAPACK ``getri``) and takes each step as one BLAS
-``gemv``, ``U^{n+1} = 2 M-^{-1} (U^n + (tau/2) F) - U^n``: two triangular
-solves cost about twice a matrix-vector product of the same size, so the
-inversion pays for itself after about ``N`` to ``2N`` steps.
+independent.  The explicit matrix ``M+ = I + cS`` equals ``2I - M-``, so
+``M- U^{n+1} = (2I - M-) U^n + tau F`` reads ``U^{n+1} = 2W - U^n`` with
+``M- W = U^n + (tau/2) F``: each step samples the forcing at the half step
+and solves with ``M-`` by one of three paths.
+
+* ``getrs``: ``M-`` is written from O(N) data (the Toeplitz band of ``phi``
+  values and the coefficient samples) into one N x N array, LU-factored
+  there once, and each step is one LAPACK ``getrs`` call.
+* ``gemv``: the same factors are inverted once (LAPACK ``getri``) and each
+  step is one BLAS ``gemv``, ``U^{n+1} = 2 M-^{-1} (U^n + (tau/2) F) - U^n``.
+* matrix-free: no N x N array is formed.  Each step solves ``M- W = rhs``
+  by right-preconditioned GMRES, warm-started from the last step's ``W``.
+  The mat-vec is the band ``|i - j| <= 32`` of ``M-`` (BLAS ``gbmv``) plus
+  the far field of the Toeplitz operator by FFT; the band, LU-factored once
+  by LAPACK ``gbtrf``, is the preconditioner.  Memory is O(N (b + restart)).
+
+The path is the cheapest for the run's size ``N`` and step count ``nt`` by
+kernel times measured on one BLAS thread (:data:`_KERNEL_US`).  On that
+table the inversion pays back after about 0.6N, 1.5N, 3.1N, 2.6N and 4.9N
+steps at N = 161, 641, 1281, 1921 and 2561.  The matrix-free path wins
+short runs on large grids, where the factorization dominates (20 steps
+from N = 1620 on, at most 27 steps at N = 1921 and 41 at N = 2561), and
+loses long ones, where one GMRES solve costs 3 to 10 ``getrs`` steps.
 With the proven-stable shift tuple the spatial operator is negative definite
 and the stepping is unconditionally stable; with a plain unshifted operator it
 visibly blows up (see :func:`stability_probe`).
@@ -49,7 +60,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .coefficients import _is_integer
-from .operators import WsldScheme, _band, assemble_left
+from .operators import WsldScheme, _band, _fft_product, _fft_size, assemble_left
 
 __all__ = [
     "Grid1D",
@@ -82,11 +93,19 @@ def __getattr__(name: str):
 #: Sup-norm threshold beyond which a time-stepping run is declared blown up.
 BLOWUP_THRESHOLD = 1e10
 
-#: :func:`cn_solve` inverts ``M-`` once when a run takes at least this many
-#: steps per matrix row.  With BLAS on one thread, one ``getri`` costs as much
-#: as the per-step saving of ``gemv`` over ``getrs`` summed over 0.9N, 1.1N
-#: and 2.0N steps at N = 161, 641 and 1281.
-_INVERT_STEPS_PER_ROW = 2
+#: Half-width ``b`` of the band ``|i - j| <= b`` of ``M-`` that the
+#: matrix-free path stores and factors as its preconditioner.
+_BAND = 32
+#: GMRES restart length: Krylov vectors held at once by the matrix-free path.
+_RESTART = 40
+#: GMRES iterations allowed per time step before the solve fails.
+_MAX_ITERATIONS = 200
+#: GMRES stops when its recursive residual estimate is at most this times
+#: ``||rhs||``.
+_GMRES_TOL = 1e-12
+#: The true residual after convergence may exceed the stopping target by the
+#: rounding of one mat-vec, at most this many ``eps ||M-|| ||W||``.
+_RESIDUAL_FLOOR = 100.0
 
 
 @dataclass(frozen=True)
@@ -294,6 +313,15 @@ def _cn_matrix(band: np.ndarray, dp: np.ndarray, dm: np.ndarray,
     return out
 
 
+def _cn_data(problem: DiffusionProblem, scheme: WsldScheme):
+    """The O(N) data of ``M-``: the band of ``phi``, ``d_plus``, ``d_minus``, ``c``."""
+    grid = problem.grid
+    x = grid.nodes()
+    return (_band(scheme, grid.nx), np.asarray(problem.d_plus(x), dtype=float),
+            np.asarray(problem.d_minus(x), dtype=float),
+            problem.tau / (2.0 * grid.h ** problem.alpha))
+
+
 def assemble_cn_system(problem: DiffusionProblem, scheme: WsldScheme) -> CnSystem:
     """Build the implicit matrix ``M- = I - c (D+ A + D- A^T)`` and factor it.
 
@@ -307,18 +335,216 @@ def assemble_cn_system(problem: DiffusionProblem, scheme: WsldScheme) -> CnSyste
     singular implicit matrix, which cannot occur when the spatial operator
     part is negative definite.
     """
-    grid = problem.grid
-    band = _band(scheme, grid.nx)
-    x = grid.nodes()
-    dp = np.asarray(problem.d_plus(x), dtype=float)
-    dm = np.asarray(problem.d_minus(x), dtype=float)
-    c = problem.tau / (2.0 * grid.h ** problem.alpha)
+    band, dp, dm, c = _cn_data(problem, scheme)
     import scipy.linalg as sla
 
     lu, piv = sla.lu_factor(_cn_matrix(band, dp, dm, c), overwrite_a=True)
     if not np.all(np.isfinite(lu)) or np.any(np.diag(lu) == 0.0):
         raise np.linalg.LinAlgError("implicit Crank-Nicolson matrix is singular")
     return CnSystem(band=band, d_plus=dp, d_minus=dm, c=c, lu=(lu, piv))
+
+
+def _cn_band(band: np.ndarray, dp: np.ndarray, dm: np.ndarray, c: float,
+             width: int) -> np.ndarray:
+    """The band ``|i - j| <= width`` of ``M-`` in LAPACK band storage.
+
+    Row ``width + i - j``, column ``j`` holds ``M-[i, j]`` (the BLAS ``gbmv``
+    layout with ``kl = ku = width``); slots outside the matrix hold 0.  Each
+    entry takes the IEEE operations of :func:`_cn_matrix`, so it is bitwise
+    that entry of the dense matrix, identity Dirichlet rows included.
+    """
+    size = dp.size
+    n = size - 1
+    offset = np.arange(-width, width + 1)[:, None]  # i - j
+    rows = np.arange(size) + offset  # i
+    outside = (rows < 0) | (rows > n)
+    np.clip(rows, 0, n, out=rows)
+    out = dp[rows] * band[n + offset]
+    out += dm[rows] * band[n - offset]
+    out *= -c
+    out[width] += 1.0
+    out[outside | (rows == 0) | (rows == n)] = 0.0
+    out[width, [0, -1]] = 1.0
+    return np.asfortranarray(out)
+
+
+class _MatrixFree:
+    """``M- W = rhs`` without an N x N array: GMRES on a band-plus-FFT mat-vec.
+
+    ``M- = B - c (D+ A_far + D- A_far^T)``: ``B`` is the band
+    ``|i - j| <= b`` of ``M-`` with its identity Dirichlet rows, applied by
+    BLAS ``gbmv``; ``A_far`` is the Toeplitz operator whose coefficients
+    ``phi_k``, ``k <= m + b``, are set to zero, applied by one FFT product for
+    ``A_far w`` and one for ``A_far^T w`` from a spectrum taken once.  The far
+    terms are zero on the Dirichlet rows.  Keeping the near coefficients out
+    of the FFT keeps its rounding, relative to the largest coefficients, out
+    of the product.  A second copy of ``B``, LU-factored once by LAPACK
+    ``gbtrf``, is the right preconditioner, applied by ``gbtrs``.  Memory is
+    O(N (b + restart)).
+    """
+
+    def __init__(self, problem: DiffusionProblem, scheme: WsldScheme) -> None:
+        import scipy.linalg as sla
+
+        n, m = problem.grid.nx, scheme.m
+        band, dp, dm, c = _cn_data(problem, scheme)
+        width = self.width = min(_BAND, n // 2)  # gbmv needs 2 width < n + 1
+        self.near = _cn_band(band, dp, dm, c, width)
+        factor = np.zeros((3 * width + 1, n + 1), order="F")
+        factor[width:] = self.near
+        gbtrf, self._gbtrs = sla.get_lapack_funcs(("gbtrf", "gbtrs"), (factor,))
+        self._lu, self._piv, info = gbtrf(factor, width, width, overwrite_ab=True)
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                "band of the implicit Crank-Nicolson matrix is singular")
+        self._gbmv, = sla.get_blas_funcs(("gbmv",), (self.near,))
+        phi = band[n - m:]  # phi_0..phi_{n+m}
+        far = phi.copy()
+        far[: m + width + 1] = 0.0
+        self._fft = _fft_size(2 * n + 1)
+        self._spectrum = np.fft.rfft(far, self._fft)
+        self._m = m
+        self._dp, self._dm = dp.copy(), dm.copy()
+        self._dp[[0, -1]] = self._dm[[0, -1]] = 0.0
+        self._c = c
+        # ||M-||_1 and ||M-||_inf are at most this, so ||M-||_2 is too
+        self._norm = 1.0 + c * (dp.max() + dm.max()) * float(np.abs(phi).sum())
+        self._basis = np.empty((_RESTART + 1, n + 1))
+
+    def matvec(self, w: np.ndarray) -> np.ndarray:
+        size, width = w.size, self.width
+        y = self._gbmv(size, size, width, width, 1.0, self.near, w)
+        far = self._dp * _fft_product(self._spectrum, w, self._m, self._fft)
+        far += self._dm * _fft_product(self._spectrum, w[::-1], self._m, self._fft)[::-1]
+        far *= self._c
+        y -= far
+        return y
+
+    def _precondition(self, v: np.ndarray) -> np.ndarray:
+        z, info = self._gbtrs(self._lu, self.width, self.width, v, self._piv)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK gbtrs")
+        return z
+
+    def solve(self, rhs: np.ndarray, w: np.ndarray, step: int) -> np.ndarray:
+        """``W`` with ``M- W = rhs``, by restarted GMRES from the guess ``w``.
+
+        GMRES stops when its recursive residual estimate is at most
+        ``_GMRES_TOL ||rhs||``.  The true residual is then checked once
+        against that target plus the rounding floor of the mat-vec; past the
+        bound, or past ``_MAX_ITERATIONS``, it raises ``RuntimeError`` naming
+        ``step``.  A right side that is not finite returns a ``W`` that is
+        not finite, which the step's sup-norm check reports.
+        """
+        target = _GMRES_TOL * float(np.linalg.norm(rhs))
+        iterations, converged = 0, False
+        while True:
+            residual = rhs - self.matvec(w)
+            beta = float(np.linalg.norm(residual))
+            if not math.isfinite(beta):
+                return w + residual
+            if converged or beta <= target:
+                break
+            if iterations >= _MAX_ITERATIONS:
+                raise RuntimeError(
+                    f"GMRES did not converge at step {step}: {iterations} "
+                    f"iterations reached a residual of {beta:.3e} against "
+                    f"the target {target:.3e}")
+            w, estimate, taken = self._cycle(w, residual, beta, target,
+                                             _MAX_ITERATIONS - iterations)
+            iterations += taken
+            converged = estimate <= target
+        floor = _RESIDUAL_FLOOR * np.finfo(float).eps * self._norm * float(
+            np.linalg.norm(w))
+        if not beta <= target + floor:
+            raise RuntimeError(
+                f"GMRES failed at step {step}: after {iterations} iterations "
+                f"the true residual is {beta:.3e}, past the bound "
+                f"{target + floor:.3e}")
+        return w
+
+    def _cycle(self, w, residual, beta, target, budget):
+        """One GMRES cycle of at most ``min(_RESTART, budget)`` iterations.
+
+        Arnoldi on ``M- P^{-1}`` with classical Gram-Schmidt run twice, and
+        Givens rotations that keep the Hessenberg matrix triangular, so
+        ``|g[k]|`` is the residual estimate after ``k`` iterations.  Returns
+        the new iterate, that estimate and ``k``.
+        """
+        basis = self._basis
+        limit = min(_RESTART, budget)
+        basis[0] = residual
+        basis[0] /= beta
+        tri = np.zeros((limit, limit))
+        g = [beta] + [0.0] * limit
+        cos, sin = [], []
+        for j in range(limit):
+            v = self.matvec(self._precondition(basis[j]))
+            q = basis[: j + 1]
+            h = q @ v
+            v -= h @ q
+            again = q @ v
+            v -= again @ q
+            h += again
+            norm = float(np.linalg.norm(v))
+            col = h.tolist()
+            for i in range(j):
+                col[i], col[i + 1] = (cos[i] * col[i] + sin[i] * col[i + 1],
+                                      cos[i] * col[i + 1] - sin[i] * col[i])
+            rho = math.hypot(col[j], norm)
+            cos.append(col[j] / rho)
+            sin.append(norm / rho)
+            col[j] = rho
+            tri[: j + 1, j] = col
+            g[j + 1] = -sin[j] * g[j]
+            g[j] *= cos[j]
+            k = j + 1
+            if abs(g[k]) <= target or norm == 0.0:
+                break
+            np.divide(v, norm, out=basis[k])
+        y = np.array(g[:k])
+        for i in range(k - 1, -1, -1):
+            y[i] = (y[i] - tri[i, i + 1: k] @ y[i + 1:]) / tri[i, i]
+        return w + self._precondition(y @ basis[:k]), abs(g[k]), k
+
+
+#: Kernel times in microseconds on ``N`` unknowns, BLAS on one thread (2-core
+#: x86-64 box, numpy 2.4.6, scipy 1.17.1), min of 3 to 15 runs.  Columns:
+#: ``N``; fill and ``getrf`` of ``M-`` (:func:`assemble_cn_system`); ``getri``;
+#: one ``getrs`` step, ``2 getrs(rhs) - U``; one ``gemv`` step; the
+#: matrix-free set-up; one matrix-free step, forcing included, the slowest of
+#: alpha in {1.2, 1.5, 1.9} on the Table 2 problem.
+_KERNEL_US = np.array([
+    (21, 330, 5.2, 2.5, 1.25, 280, 520),
+    (41, 370, 22, 3.1, 2.3, 300, 360),
+    (81, 760, 110, 7.4, 3.3, 700, 570),
+    (161, 1160, 620, 15, 8.2, 820, 590),
+    (321, 4140, 4570, 36, 25, 1340, 1450),
+    (641, 20200, 41700, 220, 177, 1900, 2200),
+    (1281, 89600, 377000, 810, 714, 2900, 7090),
+    (1921, 217000, 1427000, 2700, 2410, 4500, 10500),
+    (2561, 478000, 3545000, 5330, 5050, 6300, 16700),
+])
+
+
+def _step_path(size: int, nt: int) -> str:
+    """The cheapest step path for ``nt`` steps on ``size`` unknowns.
+
+    ``"getrs"`` costs a factorization plus ``nt`` ``getrs`` steps, ``"gemv"``
+    adds one ``getri`` and takes ``nt`` ``gemv`` steps, and ``"matrix-free"``
+    costs its set-up plus ``nt`` GMRES solves.  Each kernel time is read from
+    :data:`_KERNEL_US` by piecewise-linear interpolation in ``log N``,
+    ``log t``, extended past either end along the nearest segment.
+    """
+    logs = np.log(_KERNEL_US)
+    x = math.log(size)
+    i = min(max(int(np.searchsorted(logs[:, 0], x)), 1), len(logs) - 1)
+    lo, hi = logs[i - 1], logs[i]
+    _, factor, getri, getrs, gemv, setup, gmres = np.exp(
+        lo + (x - lo[0]) / (hi[0] - lo[0]) * (hi - lo))
+    totals = {"getrs": factor + nt * getrs, "gemv": factor + getri + nt * gemv,
+              "matrix-free": setup + nt * gmres}
+    return min(totals, key=totals.get)
 
 
 @dataclass(frozen=True)
@@ -346,53 +572,68 @@ class InstabilityError(RuntimeError):
 def cn_solve(problem: DiffusionProblem, scheme: WsldScheme) -> SolveResult:
     """Advance the Crank-Nicolson scheme to ``t = horizon``.
 
-    The implicit matrix ``M-`` is factored once.  Each step samples the
-    forcing ``F`` at the half step ``t_{n+1/2}``, solves
-    ``M- W = U^n + (tau/2) F`` and sets ``U^{n+1} = 2W - U^n``.  This is the
-    step ``M- U^{n+1} = M+ U^n + tau F`` with ``M+ = 2I - M-``.  A run of
-    ``nt >= 2N`` steps on ``N = nx + 1`` unknowns inverts ``M-`` once from its
-    factors (LAPACK ``getri``, into a new array, so ``CnSystem.lu`` stays the
-    factors) and takes each step as one BLAS ``gemv`` that writes
-    ``2 M-^{-1} rhs - U^n`` over ``U^n``.  A shorter run, where the inversion
-    would not pay for itself, calls LAPACK ``getrs`` on the stored factors
-    once per step (the routine behind ``scipy.linalg.lu_solve``, without its
-    per-call wrapper).  The initial data are copied first, so the array
-    ``problem.initial`` returns is never written.  The boundary entries of
-    the right-hand side are ``U^n/2``, which the identity rows map to
-    ``U^{n+1} = 0`` there; that zero is then written exactly.  A step whose
-    sup norm exceeds ``BLOWUP_THRESHOLD`` or is not finite, including one
-    whose forcing is not finite, aborts with :class:`InstabilityError`, which
-    carries the step, its time and the norm.
-    """
-    system = assemble_cn_system(problem, scheme)
-    lu, piv = system.lu
-    import scipy.linalg as sla
+    Each step samples the forcing ``F`` at the half step ``t_{n+1/2}``,
+    solves ``M- W = U^n + (tau/2) F`` and sets ``U^{n+1} = 2W - U^n``.  This
+    is the step ``M- U^{n+1} = M+ U^n + tau F`` with ``M+ = 2I - M-``.  The
+    solve takes one of three paths, the cheapest for ``nt`` steps on
+    ``N = nx + 1`` unknowns by measured kernel times (see the module
+    docstring); no argument selects it:
 
-    inverse = None
-    if problem.nt >= _INVERT_STEPS_PER_ROW * lu.shape[0]:
-        getri, = sla.get_lapack_funcs(("getri",), (lu,))
-        inverse, info = getri(lu, piv)  # a new Fortran array; lu is kept
-        if info != 0:
-            raise ValueError(f"LAPACK getri failed with info = {info}")
-        gemv, = sla.get_blas_funcs(("gemv",), (inverse,))
+    * ``getrs``: ``M-`` is factored once and each step calls LAPACK
+      ``getrs`` on the factors (the routine behind ``scipy.linalg.lu_solve``,
+      without its per-call wrapper);
+    * ``gemv``: the factors are inverted once (LAPACK ``getri``, into a new
+      array, so ``CnSystem.lu`` stays the factors) and each step is one BLAS
+      ``gemv`` that writes ``2 M-^{-1} rhs - U^n`` over ``U^n``;
+    * matrix-free: GMRES on a band-plus-FFT mat-vec, preconditioned by the
+      LU factors of the band, with no N x N array.  A GMRES solve that does
+      not converge within its iteration cap, or whose true residual exceeds
+      the stopping target plus the mat-vec's rounding floor, raises
+      ``RuntimeError`` naming the step, the iterations and the residual.
+
+    The initial data are copied first, so the array ``problem.initial``
+    returns is never written.  The boundary entries of the right-hand side
+    are ``U^n/2``, which the identity rows map to ``U^{n+1} = 0`` there; that
+    zero is then written exactly.  A step whose sup norm exceeds
+    ``BLOWUP_THRESHOLD`` or is not finite, including one whose forcing is not
+    finite, aborts with :class:`InstabilityError`, which carries the step,
+    its time and the norm.
+    """
+    path = _step_path(problem.grid.nx + 1, problem.nt)
+    if path == "matrix-free":
+        implicit = _MatrixFree(problem, scheme)
     else:
-        getrs, = sla.get_lapack_funcs(("getrs",), (lu,))
+        import scipy.linalg as sla
+
+        lu, piv = assemble_cn_system(problem, scheme).lu
+        if path == "gemv":
+            getri, = sla.get_lapack_funcs(("getri",), (lu,))
+            inverse, info = getri(lu, piv)  # a new Fortran array; lu is kept
+            if info != 0:
+                raise ValueError(f"LAPACK getri failed with info = {info}")
+            gemv, = sla.get_blas_funcs(("gemv",), (inverse,))
+        else:
+            getrs, = sla.get_lapack_funcs(("getrs",), (lu,))
     grid = problem.grid
     x = grid.nodes()
     tau = problem.tau
     # a copy: the gemv step writes U^{n+1} over U^n in place
     u = np.array(problem.initial(x), dtype=float)
+    w = u  # the first GMRES guess; later ones are the last step's W
     sup = float(np.abs(u).max())
     for n in range(problem.nt):
         t_half = (n + 0.5) * tau
         rhs = u + 0.5 * tau * problem.source(x, t_half)
         rhs[0], rhs[-1] = 0.5 * u[0], 0.5 * u[-1]
-        if inverse is not None:
+        if path == "gemv":
             u = gemv(2.0, inverse, rhs, beta=-1.0, y=u, overwrite_y=True)
         else:
-            w, info = getrs(lu, piv, rhs, overwrite_b=True)
-            if info != 0:
-                raise ValueError(f"illegal value in argument {-info} of LAPACK getrs")
+            if path == "getrs":
+                w, info = getrs(lu, piv, rhs, overwrite_b=True)
+                if info != 0:
+                    raise ValueError(f"illegal value in argument {-info} of LAPACK getrs")
+            else:
+                w = implicit.solve(rhs, w, n + 1)
             u = 2.0 * w - u
         u[0] = u[-1] = 0.0
         step_sup = float(np.abs(u).max())

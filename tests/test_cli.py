@@ -240,6 +240,18 @@ class TestSolve:
         assert code == 2
         assert "finite" in err
 
+    def test_gmres_failure_is_numeric_failure(self, capsys, tmp_path, monkeypatch):
+        # a matrix-free solve that cannot converge fails like a blow-up
+        monkeypatch.setattr(solver, "_step_path", lambda size, nt: "matrix-free")
+        monkeypatch.setattr(solver, "_MAX_ITERATIONS", 1)
+        config = tmp_path / "problem.json"
+        config.write_text(json.dumps({"problem": "table2", "alpha": 1.5,
+                                      "Nx": 64, "Nt": 4}))
+        code, out, err = run_cli(capsys, "solve", "--config", str(config))
+        assert code == 1
+        assert out == ""
+        assert "solver failure: GMRES did not converge at step 1" in err
+
     @pytest.mark.parametrize("key,value,name", [
         ("initial", "x^alpha", "initial data"),
         ("source", "table2_forcing", "source at t = tau/2"),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from wsld import solver
 from wsld.operators import assemble_left, wsld_scheme
 from wsld.solver import (
     BLOWUP_THRESHOLD,
@@ -333,6 +334,21 @@ class TestCrankNicolson:
             tracemalloc.stop()
         assert peak <= 1.25 * (nx + 1) ** 2 * 8
 
+    def test_matrix_free_peak_memory(self, monkeypatch):
+        # the band twice, the Krylov basis and O(N) vectors: O(N (b + restart))
+        nx = 2560
+        _force_path(monkeypatch, "matrix-free")
+        problem = table2_problem(1.5, nx=nx, nt=2)
+        scheme = wsld_scheme(4, 1.5)
+        tracemalloc.start()
+        try:
+            cn_solve(problem, scheme)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (nx + 1) * 8 * (solver._BAND + solver._RESTART)
+        assert peak <= 0.15 * (nx + 1) ** 2 * 8
+
     def test_grid_too_small(self):
         # the default tuple reaches m = 3 columns past the diagonal
         problem = table2_problem(1.5, nx=2, nt=1)
@@ -396,6 +412,12 @@ class TestCrankNicolson:
             errors.append(np.abs(u - table2_exact(problem.grid.nodes(), 1.0)).max())
         slope = np.polyfit(np.log(taus), np.log(errors), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.3)
+
+
+def _force_path(monkeypatch, path):
+    """Make :func:`cn_solve` take ``path`` whatever the run's shape."""
+    if path is not None:
+        monkeypatch.setattr(solver, "_step_path", lambda size, nt: path)
 
 
 def _cn_reference(problem, scheme):
@@ -504,12 +526,16 @@ def _table2_forcing_unfactored(alpha, x, t):
 
 
 class TestStepLoop:
-    @pytest.mark.parametrize("make_problem", [
-        lambda: table2_problem(1.5, nx=40), _unfactored_problem,
-        # 40 steps on 41 unknowns: fewer than 2N, the getrs path
-        lambda: table2_problem(1.5, nx=40, nt=40),
-    ], ids=["table2", "unfactored-source", "getrs-path"])
-    def test_matches_lu_solve_loop(self, make_problem):
+    @pytest.mark.parametrize("make_problem,path", [
+        (lambda: table2_problem(1.5, nx=40), None),
+        (_unfactored_problem, None),
+        (lambda: table2_problem(1.5, nx=40, nt=40), "getrs"),
+        (lambda: table2_problem(1.5, nx=40, nt=40), "matrix-free"),
+        (_unfactored_problem, "matrix-free"),
+    ], ids=["table2", "unfactored-source", "getrs-path", "matrix-free-path",
+            "unfactored-source-matrix-free"])
+    def test_matches_lu_solve_loop(self, monkeypatch, make_problem, path):
+        _force_path(monkeypatch, path)
         problem = make_problem()
         scheme = wsld_scheme(4, problem.alpha)
         u = cn_solve(problem, scheme).u
@@ -519,7 +545,9 @@ class TestStepLoop:
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
                         reason="longdouble is plain double on this platform")
     @pytest.mark.parametrize("alpha,nx,nt", [(1.96, 320, 40), (1.5, 480, 10)])
-    def test_error_against_extended_precision_oracle(self, alpha, nx, nt):
+    def test_error_against_extended_precision_oracle(self, monkeypatch, alpha, nx, nt):
+        # the dense step path these runs take, the lu_solve reference loop and
+        # the matrix-free path all solve the same scheme to the same bound
         problem = table2_problem(alpha, nx=nx, nt=nt)
         scheme = wsld_scheme(4, alpha)
         oracle = _cn_longdouble(problem, scheme)
@@ -527,10 +555,11 @@ class TestStepLoop:
         def relative_error(u):
             return float(np.abs(u - oracle).max() / np.abs(oracle).max())
 
-        error = relative_error(cn_solve(problem, scheme).u)
-        reference_error = relative_error(_cn_reference(problem, scheme))
-        assert error <= 2e-11
-        assert error <= reference_error
+        assert solver._step_path(nx + 1, nt) != "matrix-free"
+        assert relative_error(cn_solve(problem, scheme).u) <= 2e-11
+        assert relative_error(_cn_reference(problem, scheme)) <= 2e-11
+        _force_path(monkeypatch, "matrix-free")
+        assert relative_error(cn_solve(problem, scheme).u) <= 2e-11
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
                         reason="longdouble is plain double on this platform")
@@ -543,30 +572,48 @@ class TestStepLoop:
         u = cn_solve(problem, scheme).u
         assert np.abs(u - oracle).max() <= 2e-11 * np.abs(oracle).max()
 
-    @pytest.mark.parametrize("nt", [40, 400], ids=["getrs-path", "inverse-path"])
-    def test_initial_data_array_is_not_written(self, nt):
-        problem = table2_problem(1.5, nx=40, nt=nt)
+    @pytest.mark.parametrize("path", ["getrs", "gemv", "matrix-free"],
+                             ids=["getrs-path", "inverse-path", "matrix-free-path"])
+    def test_initial_data_array_is_not_written(self, monkeypatch, path):
+        _force_path(monkeypatch, path)
+        problem = table2_problem(1.5, nx=40, nt=40)
         initial = problem.initial(problem.grid.nodes())
         saved = initial.copy()
         problem.initial = lambda x: initial
         cn_solve(problem, wsld_scheme(4, 1.5))
         np.testing.assert_array_equal(initial, saved)
 
-    @pytest.mark.parametrize("nx,nt,inverts", [(640, 20, False), (40, 400, True)])
-    def test_inverts_only_long_runs(self, monkeypatch, nx, nt, inverts):
-        # 20 steps, as in the large-grid benchmark (there at nx = 2560): getri
-        # would cost about twice the LU factorization and never pay back
+    @pytest.mark.parametrize("nx,nt,path", [
+        (640, 20, "getrs"), (40, 400, "gemv"), (2560, 20, "matrix-free")])
+    def test_inverts_only_long_runs(self, monkeypatch, nx, nt, path):
+        # the measured kernel costs pick the path: 20 steps at nx = 640 do not
+        # pay for getri; 20 steps at nx = 2560, as in the large-grid benchmark,
+        # do not pay for the dense factorization at all
         requested = []
-        get_lapack_funcs = sla.get_lapack_funcs
+        get_lapack_funcs, lu_factor = sla.get_lapack_funcs, sla.lu_factor
 
         def spy(names, *args, **kwargs):
             requested.extend([names] if isinstance(names, str) else names)
             return get_lapack_funcs(names, *args, **kwargs)
 
+        def factor_spy(*args, **kwargs):
+            requested.append("getrf")
+            return lu_factor(*args, **kwargs)
+
         monkeypatch.setattr(sla, "get_lapack_funcs", spy)
+        monkeypatch.setattr(sla, "lu_factor", factor_spy)
+        assert solver._step_path(nx + 1, nt) == path
         cn_solve(table2_problem(1.5, nx=nx, nt=nt), wsld_scheme(4, 1.5))
-        assert requested.count("getri") == (1 if inverts else 0)
-        assert requested.count("getrs") == (0 if inverts else 1)
+        dense = path != "matrix-free"
+        assert requested.count("getrf") == requested.count("getrs") + requested.count(
+            "getri") == (1 if dense else 0)
+        assert requested.count("getri") == (1 if path == "gemv" else 0)
+        assert requested.count("gbtrf") == requested.count("gbtrs") == (0 if dense else 1)
+
+    def test_table2_runs_keep_the_inverse_path(self):
+        # run_table2 steps nt = nx^2/4 >= 2N on N = nx + 1 <= 161 unknowns
+        for nx in (20, 40, 80, 160):
+            assert solver._step_path(nx + 1, table2_problem(1.5, nx=nx).nt) == "gemv"
 
     @pytest.mark.parametrize("nt", [1, 200])
     def test_nonzero_boundary_data_are_zeroed(self, nt):
@@ -608,12 +655,24 @@ class TestStepLoop:
         x3[0] = -0.0  # equal to 0.0, other bytes
         check(x3, 0.3)
 
-    # 50 steps on 41 unknowns take the getrs path, 100 the inverse path
+    # 50 steps on 41 unknowns run the getrs path, 100 the inverse path
     @pytest.mark.parametrize("position,nt", [
         (1, 50), (20, 50), (39, 50), (1, 100), (20, 100), (39, 100),
     ], ids=["1", "20", "39", "1-nt100", "20-nt100", "39-nt100"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_nonfinite_forcing_mid_run_reports_its_step(self, value, position, nt):
+    def test_nonfinite_forcing_mid_run_reports_its_step(self, monkeypatch, value,
+                                                        position, nt):
+        self._nonfinite_forcing_mid_run(monkeypatch, value, position, nt,
+                                        "getrs" if nt == 50 else "gemv")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_forcing_mid_run_reports_its_step_matrix_free(
+            self, monkeypatch, value):
+        self._nonfinite_forcing_mid_run(monkeypatch, value, 20, 50, "matrix-free")
+
+    @staticmethod
+    def _nonfinite_forcing_mid_run(monkeypatch, value, position, nt, path):
+        _force_path(monkeypatch, path)
         problem = table2_problem(1.5, nx=40, nt=nt)
         finite_source, bad_step = problem.source, 7
 
@@ -630,6 +689,54 @@ class TestStepLoop:
         assert err.step == bad_step
         assert err.t == bad_step * problem.tau
         assert not np.isfinite(err.sup_norm)
+
+
+class TestMatrixFree:
+    @pytest.mark.parametrize("nx", [1280, 2560])
+    @pytest.mark.parametrize("alpha,bound", [(1.2, 1e-10), (1.5, 1e-10), (1.9, 1e-8)])
+    def test_agrees_with_the_dense_solve(self, monkeypatch, nx, alpha, bound):
+        # 20 steps, as in the large-grid benchmark; at alpha = 1.9 the 1-norm
+        # condition number of M- is about 5e10 at nx = 2560
+        problem = table2_problem(alpha, nx=nx, nt=20)
+        scheme = wsld_scheme(4, alpha)
+        _force_path(monkeypatch, "getrs")
+        dense = cn_solve(problem, scheme).u
+        _force_path(monkeypatch, "matrix-free")
+        u = cn_solve(problem, scheme).u
+        assert np.abs(u - dense).max() <= bound * np.abs(dense).max()
+
+    @pytest.mark.parametrize("nx", [40, 200])
+    def test_band_is_bitwise_the_dense_matrix(self, nx):
+        problem = DiffusionProblem(
+            alpha=1.3, grid=Grid1D(0.0, 2.0, nx),
+            d_plus=lambda x: x ** 1.3, d_minus=lambda x: 1.5 + np.cos(3 * x),
+            source=lambda x, t: np.zeros_like(x),
+            initial=lambda x: x * (2.0 - x), horizon=0.5, nt=20)
+        scheme = wsld_scheme(4, 1.3)
+        implicit = solver._MatrixFree(problem, scheme)
+        m_lhs = assemble_cn_system(problem, scheme).m_lhs
+        width = implicit.width
+        assert width == min(solver._BAND, nx // 2)
+        for offset in range(-width, width + 1):  # offset = i - j
+            stored = implicit.near[width + offset]
+            columns = slice(max(0, -offset), nx + 1 - max(0, offset))
+            np.testing.assert_array_equal(stored[columns], np.diagonal(m_lhs, -offset))
+            assert not stored[:columns.start].any() and not stored[columns.stop:].any()
+
+    def test_iteration_cap_raises_naming_the_step(self, monkeypatch):
+        _force_path(monkeypatch, "matrix-free")
+        monkeypatch.setattr(solver, "_MAX_ITERATIONS", 1)
+        with pytest.raises(RuntimeError, match=r"at step 1: 1 iterations"):
+            cn_solve(table2_problem(1.5, nx=200, nt=4), wsld_scheme(4, 1.5))
+
+    def test_true_residual_is_checked(self, monkeypatch):
+        # a cycle that claims convergence without moving W fails the check
+        _force_path(monkeypatch, "matrix-free")
+        monkeypatch.setattr(solver._MatrixFree, "_cycle",
+                            lambda self, w, *args: (w, 0.0, 1))
+        with pytest.raises(RuntimeError, match=r"failed at step 1: after 1 "
+                                               r"iterations the true residual"):
+            cn_solve(table2_problem(1.5, nx=200, nt=4), wsld_scheme(4, 1.5))
 
 
 class TestStabilityProbe:
