@@ -28,12 +28,14 @@ and solves with ``M-`` by one of three paths.
   step is one BLAS ``gemv``, ``U^{n+1} = 2 M-^{-1} (U^n + (tau/2) F) - U^n``.
 * matrix-free: no N x N array is formed.  Each step solves ``M- W = rhs``
   by right-preconditioned GMRES, warm-started from the last step's ``W``.
-  The mat-vec is the band ``|i - j| <= 32`` of ``M-`` (BLAS ``gbmv``) plus
-  the far field of the Toeplitz operator by FFT; the band, LU-factored once
-  by LAPACK ``gbtrf``, is the preconditioner.  Memory is O(N (b + restart)).
+  The mat-vec is the band ``|i - j| <= b`` of ``M-`` (BLAS ``gbmv``;
+  ``b = 32``, or the scheme's shift ``m`` if larger) plus the far field of
+  the Toeplitz operator by FFT; the band, LU-factored once by LAPACK
+  ``gbtrf``, is the preconditioner.  Memory is O(N (b + restart)).
 
 The path is the cheapest for the run's size ``N`` and step count ``nt`` by
-kernel times measured on one BLAS thread (:data:`_KERNEL_US`).  On that
+kernel times measured on one BLAS thread (:data:`_KERNEL_US`); the
+matrix-free path is offered for the default shift tuple only.  On that
 table the inversion pays back after about 0.6N, 1.5N, 3.1N, 2.6N and 4.9N
 steps at N = 161, 641, 1281, 1921 and 2561.  The matrix-free path wins
 short runs on large grids, where the factorization dominates (20 steps
@@ -60,7 +62,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .coefficients import _is_integer
-from .operators import WsldScheme, _band, _fft_product, _fft_size, assemble_left
+from .operators import (DEFAULT_SHIFTS, WsldScheme, _band, _fft_product, _fft_size,
+                        assemble_left)
 
 __all__ = [
     "Grid1D",
@@ -94,7 +97,8 @@ def __getattr__(name: str):
 BLOWUP_THRESHOLD = 1e10
 
 #: Half-width ``b`` of the band ``|i - j| <= b`` of ``M-`` that the
-#: matrix-free path stores and factors as its preconditioner.
+#: matrix-free path stores and factors as its preconditioner (widened to a
+#: scheme's shift ``m`` past it).
 _BAND = 32
 #: GMRES restart length: Krylov vectors held at once by the matrix-free path.
 _RESTART = 40
@@ -374,7 +378,7 @@ class _MatrixFree:
     ``M- = B - c (D+ A_far + D- A_far^T)``: ``B`` is the band
     ``|i - j| <= b`` of ``M-`` with its identity Dirichlet rows, applied by
     BLAS ``gbmv``; ``A_far`` is the Toeplitz operator whose coefficients
-    ``phi_k``, ``k <= m + b``, are set to zero, applied by one FFT product for
+    ``phi_k``, ``|k - m| <= b``, are set to zero, applied by one FFT product for
     ``A_far w`` and one for ``A_far^T w`` from a spectrum taken once.  The far
     terms are zero on the Dirichlet rows.  Keeping the near coefficients out
     of the FFT keeps its rounding, relative to the largest coefficients, out
@@ -388,7 +392,9 @@ class _MatrixFree:
 
         n, m = problem.grid.nx, scheme.m
         band, dp, dm, c = _cn_data(problem, scheme)
-        width = self.width = min(_BAND, n // 2)  # gbmv needs 2 width < n + 1
+        # the band reaches past the shift m, where gbmv's 2 width < n + 1
+        # allows, so that it holds the largest coefficients phi_0, phi_1, ...
+        width = self.width = min(max(_BAND, m), n // 2)
         self.near = _cn_band(band, dp, dm, c, width)
         factor = np.zeros((3 * width + 1, n + 1), order="F")
         factor[width:] = self.near
@@ -400,7 +406,7 @@ class _MatrixFree:
         self._gbmv, = sla.get_blas_funcs(("gbmv",), (self.near,))
         phi = band[n - m:]  # phi_0..phi_{n+m}
         far = phi.copy()
-        far[: m + width + 1] = 0.0
+        far[max(0, m - width): m + width + 1] = 0.0  # the band's phi_k
         self._fft = _fft_size(2 * n + 1)
         self._spectrum = np.fft.rfft(far, self._fft)
         self._m = m
@@ -527,14 +533,20 @@ _KERNEL_US = np.array([
 ])
 
 
-def _step_path(size: int, nt: int) -> str:
-    """The cheapest step path for ``nt`` steps on ``size`` unknowns.
+def _step_path(size: int, nt: int, scheme: WsldScheme) -> str:
+    """The cheapest step path for ``nt`` steps of ``scheme`` on ``size`` unknowns.
 
     ``"getrs"`` costs a factorization plus ``nt`` ``getrs`` steps, ``"gemv"``
     adds one ``getri`` and takes ``nt`` ``gemv`` steps, and ``"matrix-free"``
     costs its set-up plus ``nt`` GMRES solves.  Each kernel time is read from
     :data:`_KERNEL_US` by piecewise-linear interpolation in ``log N``,
     ``log t``, extended past either end along the nearest segment.
+
+    ``"matrix-free"`` is offered for the default shift tuple only, whose
+    operator has every eigenvalue in the left half plane; its GMRES counts
+    were measured there.  Other tuples carry no such bound: with the
+    unshifted operator at N = 2561, GMRES stalls at a residual of 6e-3 of
+    ``||rhs||`` after 200 iterations.
     """
     logs = np.log(_KERNEL_US)
     x = math.log(size)
@@ -542,8 +554,9 @@ def _step_path(size: int, nt: int) -> str:
     lo, hi = logs[i - 1], logs[i]
     _, factor, getri, getrs, gemv, setup, gmres = np.exp(
         lo + (x - lo[0]) / (hi[0] - lo[0]) * (hi - lo))
-    totals = {"getrs": factor + nt * getrs, "gemv": factor + getri + nt * gemv,
-              "matrix-free": setup + nt * gmres}
+    totals = {"getrs": factor + nt * getrs, "gemv": factor + getri + nt * gemv}
+    if scheme.shifts == DEFAULT_SHIFTS:
+        totals["matrix-free"] = setup + nt * gmres
     return min(totals, key=totals.get)
 
 
@@ -576,8 +589,9 @@ def cn_solve(problem: DiffusionProblem, scheme: WsldScheme) -> SolveResult:
     solves ``M- W = U^n + (tau/2) F`` and sets ``U^{n+1} = 2W - U^n``.  This
     is the step ``M- U^{n+1} = M+ U^n + tau F`` with ``M+ = 2I - M-``.  The
     solve takes one of three paths, the cheapest for ``nt`` steps on
-    ``N = nx + 1`` unknowns by measured kernel times (see the module
-    docstring); no argument selects it:
+    ``N = nx + 1`` unknowns by measured kernel times, with the matrix-free
+    path for the default shift tuple only (see the module docstring); no
+    argument selects it:
 
     * ``getrs``: ``M-`` is factored once and each step calls LAPACK
       ``getrs`` on the factors (the routine behind ``scipy.linalg.lu_solve``,
@@ -599,7 +613,7 @@ def cn_solve(problem: DiffusionProblem, scheme: WsldScheme) -> SolveResult:
     finite, aborts with :class:`InstabilityError`, which carries the step,
     its time and the norm.
     """
-    path = _step_path(problem.grid.nx + 1, problem.nt)
+    path = _step_path(problem.grid.nx + 1, problem.nt, scheme)
     if path == "matrix-free":
         implicit = _MatrixFree(problem, scheme)
     else:

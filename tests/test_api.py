@@ -86,7 +86,7 @@ def test_import_loads_no_scipy_signal_or_fft():
 def test_matrix_free_solve_loads_no_scipy_sparse():
     # the band factor and product come from scipy.linalg's LAPACK and BLAS
     probe = ("import sys, wsld, wsld.solver as s\n"
-             "s._step_path = lambda size, nt: 'matrix-free'\n"
+             "s._step_path = lambda size, nt, scheme: 'matrix-free'\n"
              "wsld.cn_solve(wsld.table2_problem(1.5, nx=256, nt=4), wsld.wsld_scheme(4, 1.5))\n"
              "print(' '.join(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'sparse']))")
     proc = _run_python("-c", probe)

@@ -242,7 +242,7 @@ class TestSolve:
 
     def test_gmres_failure_is_numeric_failure(self, capsys, tmp_path, monkeypatch):
         # a matrix-free solve that cannot converge fails like a blow-up
-        monkeypatch.setattr(solver, "_step_path", lambda size, nt: "matrix-free")
+        monkeypatch.setattr(solver, "_step_path", lambda size, nt, scheme: "matrix-free")
         monkeypatch.setattr(solver, "_MAX_ITERATIONS", 1)
         config = tmp_path / "problem.json"
         config.write_text(json.dumps({"problem": "table2", "alpha": 1.5,

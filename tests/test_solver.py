@@ -417,7 +417,7 @@ class TestCrankNicolson:
 def _force_path(monkeypatch, path):
     """Make :func:`cn_solve` take ``path`` whatever the run's shape."""
     if path is not None:
-        monkeypatch.setattr(solver, "_step_path", lambda size, nt: path)
+        monkeypatch.setattr(solver, "_step_path", lambda size, nt, scheme: path)
 
 
 def _cn_reference(problem, scheme):
@@ -555,7 +555,7 @@ class TestStepLoop:
         def relative_error(u):
             return float(np.abs(u - oracle).max() / np.abs(oracle).max())
 
-        assert solver._step_path(nx + 1, nt) != "matrix-free"
+        assert solver._step_path(nx + 1, nt, scheme) != "matrix-free"
         assert relative_error(cn_solve(problem, scheme).u) <= 2e-11
         assert relative_error(_cn_reference(problem, scheme)) <= 2e-11
         _force_path(monkeypatch, "matrix-free")
@@ -602,8 +602,9 @@ class TestStepLoop:
 
         monkeypatch.setattr(sla, "get_lapack_funcs", spy)
         monkeypatch.setattr(sla, "lu_factor", factor_spy)
-        assert solver._step_path(nx + 1, nt) == path
-        cn_solve(table2_problem(1.5, nx=nx, nt=nt), wsld_scheme(4, 1.5))
+        scheme = wsld_scheme(4, 1.5)
+        assert solver._step_path(nx + 1, nt, scheme) == path
+        cn_solve(table2_problem(1.5, nx=nx, nt=nt), scheme)
         dense = path != "matrix-free"
         assert requested.count("getrf") == requested.count("getrs") + requested.count(
             "getri") == (1 if dense else 0)
@@ -613,7 +614,8 @@ class TestStepLoop:
     def test_table2_runs_keep_the_inverse_path(self):
         # run_table2 steps nt = nx^2/4 >= 2N on N = nx + 1 <= 161 unknowns
         for nx in (20, 40, 80, 160):
-            assert solver._step_path(nx + 1, table2_problem(1.5, nx=nx).nt) == "gemv"
+            nt = table2_problem(1.5, nx=nx).nt
+            assert solver._step_path(nx + 1, nt, wsld_scheme(4, 1.5)) == "gemv"
 
     @pytest.mark.parametrize("nt", [1, 200])
     def test_nonzero_boundary_data_are_zeroed(self, nt):
@@ -655,23 +657,14 @@ class TestStepLoop:
         x3[0] = -0.0  # equal to 0.0, other bytes
         check(x3, 0.3)
 
-    # 50 steps on 41 unknowns run the getrs path, 100 the inverse path
-    @pytest.mark.parametrize("position,nt", [
-        (1, 50), (20, 50), (39, 50), (1, 100), (20, 100), (39, 100),
-    ], ids=["1", "20", "39", "1-nt100", "20-nt100", "39-nt100"])
+    @pytest.mark.parametrize("position,nt,path", [
+        (1, 50, "getrs"), (20, 50, "getrs"), (39, 50, "getrs"),
+        (1, 100, "gemv"), (20, 100, "gemv"), (39, 100, "gemv"),
+        (20, 50, "matrix-free"),
+    ], ids=["1", "20", "39", "1-nt100", "20-nt100", "39-nt100", "20-matrix-free"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_nonfinite_forcing_mid_run_reports_its_step(self, monkeypatch, value,
-                                                        position, nt):
-        self._nonfinite_forcing_mid_run(monkeypatch, value, position, nt,
-                                        "getrs" if nt == 50 else "gemv")
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_nonfinite_forcing_mid_run_reports_its_step_matrix_free(
-            self, monkeypatch, value):
-        self._nonfinite_forcing_mid_run(monkeypatch, value, 20, 50, "matrix-free")
-
-    @staticmethod
-    def _nonfinite_forcing_mid_run(monkeypatch, value, position, nt, path):
+                                                        position, nt, path):
         _force_path(monkeypatch, path)
         problem = table2_problem(1.5, nx=40, nt=nt)
         finite_source, bad_step = problem.source, 7
@@ -705,6 +698,40 @@ class TestMatrixFree:
         u = cn_solve(problem, scheme).u
         assert np.abs(u - dense).max() <= bound * np.abs(dense).max()
 
+    def test_agrees_with_the_dense_solve_at_one_step(self, monkeypatch):
+        # the largest step, tau = 1, on the large-grid size: 28 iterations
+        problem = table2_problem(1.5, nx=2560, nt=1)
+        scheme = wsld_scheme(4, 1.5)
+        assert solver._step_path(2561, 1, scheme) == "matrix-free"
+        _force_path(monkeypatch, "getrs")
+        dense = cn_solve(problem, scheme).u
+        _force_path(monkeypatch, "matrix-free")
+        u = cn_solve(problem, scheme).u
+        assert np.abs(u - dense).max() <= 1e-9 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("nx,shifts", [(60, 40), (200, 40), (200, None)])
+    def test_matvec_is_the_dense_product(self, nx, shifts):
+        # at nx = 60 the band is b = 30 < m = 40, so phi_0..phi_9 lie below
+        # its lower edge (i - j < -b), in the far field
+        problem = table2_problem(1.5, nx=nx, nt=4)
+        scheme = wsld_scheme(3 if shifts else 4, 1.5, shifts=shifts)
+        implicit = solver._MatrixFree(problem, scheme)
+        w = np.random.default_rng(7).standard_normal(nx + 1)
+        expected = assemble_cn_system(problem, scheme).m_lhs @ w
+        np.testing.assert_allclose(implicit.matvec(w), expected, rtol=0,
+                                   atol=1e-13 * np.abs(expected).max())
+
+    def test_agrees_with_the_dense_solve_for_a_shift_past_the_band(self, monkeypatch):
+        # m = 40 > 32: the band widens to m, keeping phi_0.. out of the far field
+        problem = table2_problem(1.5, nx=200, nt=4)
+        scheme = wsld_scheme(3, 1.5, shifts=40)
+        assert solver._MatrixFree(problem, scheme).width == scheme.m
+        _force_path(monkeypatch, "getrs")
+        dense = cn_solve(problem, scheme).u
+        _force_path(monkeypatch, "matrix-free")
+        u = cn_solve(problem, scheme).u
+        assert np.abs(u - dense).max() <= 1e-10 * np.abs(dense).max()
+
     @pytest.mark.parametrize("nx", [40, 200])
     def test_band_is_bitwise_the_dense_matrix(self, nx):
         problem = DiffusionProblem(
@@ -716,7 +743,7 @@ class TestMatrixFree:
         implicit = solver._MatrixFree(problem, scheme)
         m_lhs = assemble_cn_system(problem, scheme).m_lhs
         width = implicit.width
-        assert width == min(solver._BAND, nx // 2)
+        assert width == min(max(solver._BAND, scheme.m), nx // 2)
         for offset in range(-width, width + 1):  # offset = i - j
             stored = implicit.near[width + offset]
             columns = slice(max(0, -offset), nx + 1 - max(0, offset))
@@ -767,6 +794,16 @@ class TestStabilityProbe:
         assert 0 < err.step < 400
         assert err.t == pytest.approx(err.step * problem.tau)
         assert err.sup_norm > BLOWUP_THRESHOLD
+
+    def test_unshifted_operator_probe_on_a_large_grid_is_dense(self, monkeypatch):
+        # a short probe at N = 2561 takes a dense path for a tuple other than
+        # the default, where GMRES stalls, and reports a ProbeResult
+        problem = table2_problem(1.5, nx=2560)
+        scheme = wsld_scheme(4, 1.5, shifts=0)
+        assert solver._step_path(2561, 10, scheme) == "getrs"
+        assert solver._step_path(2561, 10, wsld_scheme(4, 1.5)) == "matrix-free"
+        probe = stability_probe(problem, scheme, tau_over_h=1.0, n_steps=10)
+        assert probe.steps_completed == 10
 
     def test_zero_data_trivially_bounded(self):
         problem = DiffusionProblem(
