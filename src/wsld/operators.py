@@ -241,27 +241,14 @@ def apply_operator(
     if not np.all(np.isfinite(u)):
         raise ValueError("u must be finite at every node")
     size = _fft_size(2 * n + 1)
-    return h ** (-scheme.alpha) * _fft_product(
-        np.fft.rfft(scheme.phi(n + m), size), u, m, size)
-
-
-def _fft_product(spectrum: np.ndarray, u: np.ndarray, m: int,
-                 size: int) -> np.ndarray:
-    """Product of the Toeplitz matrix ``A[i, j] = phi_{i-j+m}`` with ``u``.
-
-    ``spectrum`` is ``np.fft.rfft(phi, size)`` with ``size >= 2n + 1`` for
-    ``n + 1 = u.size`` nodes, so one spectrum serves every product on that
-    grid.  The full convolution of ``phi`` with ``u`` is taken by FFT; its
-    entries ``m..m+n`` are the product, unscaled.
-    """
+    spectrum = np.fft.rfft(scheme.phi(n + m), size)
     product = np.fft.rfft(u, size)
     np.multiply(spectrum, product, out=product)
-    # a spectrum passed as a temporary is freed here, before the inverse
-    # transform allocates its output
+    # free the spectrum before the inverse transform allocates its output
     del spectrum
     full = np.fft.irfft(product, size)
     del product
-    return full[m : m + u.size]
+    return h ** (-scheme.alpha) * full[m : m + n + 1]
 
 
 def _fft_size(minimum: int) -> int:

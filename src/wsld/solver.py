@@ -28,19 +28,23 @@ and solves with ``M-`` by one of three paths.
   step is one BLAS ``gemv``, ``U^{n+1} = 2 M-^{-1} (U^n + (tau/2) F) - U^n``.
 * matrix-free: no N x N array is formed.  Each step solves ``M- W = rhs``
   by right-preconditioned GMRES, warm-started from the last step's ``W``.
-  The mat-vec is the band ``|i - j| <= b`` of ``M-`` (BLAS ``gbmv``;
-  ``b = 32``, or the scheme's shift ``m`` if larger) plus the far field of
-  the Toeplitz operator by FFT; the band, LU-factored once by LAPACK
-  ``gbtrf``, is the preconditioner.  Memory is O(N (b + restart)).
+  ``M- = B - cF`` splits into the band ``B``, ``|i - j| <= b`` (``b = 32``,
+  or the scheme's shift ``m`` if larger), and the far field ``F`` of the
+  Toeplitz operator, applied by FFT.  ``B``, LU-factored once by LAPACK
+  ``gbtrf``, is the preconditioner, so an iteration applies
+  ``M- B^{-1} v = v - cF(B^{-1} v)``: one ``gbtrs`` and one real FFT pair
+  (two inverse transforms when the problem carries no ``kappa``).  Memory
+  is O(N (b + restart)).
 
 The path is the cheapest for the run's size ``N`` and step count ``nt`` by
 kernel times measured on one BLAS thread (:data:`_KERNEL_US`); the
 matrix-free path is offered for the default shift tuple only.  On that
-table the inversion pays back after about 0.6N, 1.5N, 3.1N, 2.6N and 4.9N
+table the inversion pays back after about 0.65N, 2.2N, 2.8N, 5.7N and 7.3N
 steps at N = 161, 641, 1281, 1921 and 2561.  The matrix-free path wins
 short runs on large grids, where the factorization dominates (20 steps
-from N = 1620 on, at most 27 steps at N = 1921 and 41 at N = 2561), and
-loses long ones, where one GMRES solve costs 3 to 10 ``getrs`` steps.
+from N = 811 on, at most 40 steps at N = 1281, 61 at N = 1921 and 87 at
+N = 2561), and loses long ones, where one GMRES solve costs 2.3 ``getrs``
+steps at N = 2561 and 6 at N = 641.
 With the proven-stable shift tuple the spatial operator is negative definite
 and the stepping is unconditionally stable; with a plain unshifted operator it
 visibly blows up (see :func:`stability_probe`).
@@ -55,6 +59,7 @@ those names up on the module at each call, so a patch takes effect.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -62,8 +67,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .coefficients import _is_integer
-from .operators import (DEFAULT_SHIFTS, WsldScheme, _band, _fft_product, _fft_size,
-                        assemble_left)
+from .operators import DEFAULT_SHIFTS, WsldScheme, _band, _fft_size, assemble_left
 
 __all__ = [
     "Grid1D",
@@ -143,8 +147,8 @@ class DiffusionProblem:
     finite and nonnegative, and the initial data and the forcing at the first
     half step ``tau/2`` finite.  ``kappa`` optionally records the constant
     ratio ``d_minus = kappa*d_plus`` assumed by the unconditional-stability
-    result; when given, the sampled coefficients are checked against it
-    exactly.
+    result; when given, it must be a finite real number >= 0 (not a bool),
+    and the sampled coefficients are checked against it exactly.
     """
 
     alpha: float
@@ -164,6 +168,11 @@ class DiffusionProblem:
             raise ValueError("nt must be an integer >= 1")
         if not (self.horizon > 0 and math.isfinite(self.horizon)):
             raise ValueError("need a finite horizon > 0")
+        kappa = self.kappa
+        if kappa is not None and (isinstance(kappa, bool)
+                                  or not isinstance(kappa, numbers.Real)
+                                  or not (math.isfinite(kappa) and kappa >= 0)):
+            raise ValueError(f"kappa must be a finite real number >= 0, got {kappa!r}")
         x = self.grid.nodes()
         dp = np.asarray(self.d_plus(x), dtype=float)
         dm = np.asarray(self.d_minus(x), dtype=float)
@@ -373,18 +382,29 @@ def _cn_band(band: np.ndarray, dp: np.ndarray, dm: np.ndarray, c: float,
 
 
 class _MatrixFree:
-    """``M- W = rhs`` without an N x N array: GMRES on a band-plus-FFT mat-vec.
+    """``M- W = rhs`` without an N x N array: band-preconditioned GMRES.
 
-    ``M- = B - c (D+ A_far + D- A_far^T)``: ``B`` is the band
-    ``|i - j| <= b`` of ``M-`` with its identity Dirichlet rows, applied by
-    BLAS ``gbmv``; ``A_far`` is the Toeplitz operator whose coefficients
-    ``phi_k``, ``|k - m| <= b``, are set to zero, applied by one FFT product for
-    ``A_far w`` and one for ``A_far^T w`` from a spectrum taken once.  The far
-    terms are zero on the Dirichlet rows.  Keeping the near coefficients out
-    of the FFT keeps its rounding, relative to the largest coefficients, out
-    of the product.  A second copy of ``B``, LU-factored once by LAPACK
-    ``gbtrf``, is the right preconditioner, applied by ``gbtrs``.  Memory is
-    O(N (b + restart)).
+    ``M- = B - cF`` with ``F = D+ A_far + D- A_far^T``: ``B`` is the band
+    ``|i - j| <= b`` of ``M-`` with its identity Dirichlet rows, and
+    ``A_far`` is the Toeplitz operator whose coefficients ``phi_k``,
+    ``|k - m| <= b``, are set to zero.  Keeping the near coefficients out of
+    the FFT keeps its rounding, relative to the largest coefficients, out of
+    the product.  ``B``, LU-factored once by LAPACK ``gbtrf``, is the right
+    preconditioner, so GMRES runs on ``M- B^{-1} v = v - cF(B^{-1} v)``: one
+    ``gbtrs`` and one ``F`` per iteration, and no product with ``B``.  The
+    full mat-vec, ``B`` by BLAS ``gbmv`` minus ``cF``, serves only the true
+    residual.
+
+    ``F`` takes one real FFT of ``w``.  The two-sided sequence
+    ``a_d = phi_{d+m}`` of ``A_far`` (``A_far[i, j] = a_{i-j}``) sits in a
+    circulant of length ``L >= 2n + 1``, so that its product with ``w``
+    keeps no wrap-around in the ``n + 1`` outputs; ``A_far^T`` is its
+    circular reversal, whose spectrum is the conjugate.  With a constant
+    ratio ``d_minus = kappa d_plus``, ``F w = D+ (A_far + kappa A_far^T) w``
+    takes one inverse FFT from the single spectrum of ``a + kappa
+    reverse(a)``; otherwise ``F`` takes two.  The spectra are taken once,
+    with ``c`` and the coefficient samples, zero on the Dirichlet rows,
+    folded into their weights.  Memory is O(N (b + restart)).
     """
 
     def __init__(self, problem: DiffusionProblem, scheme: WsldScheme) -> None:
@@ -405,26 +425,44 @@ class _MatrixFree:
                 "band of the implicit Crank-Nicolson matrix is singular")
         self._gbmv, = sla.get_blas_funcs(("gbmv",), (self.near,))
         phi = band[n - m:]  # phi_0..phi_{n+m}
-        far = phi.copy()
-        far[max(0, m - width): m + width + 1] = 0.0  # the band's phi_k
         self._fft = _fft_size(2 * n + 1)
-        self._spectrum = np.fft.rfft(far, self._fft)
-        self._m = m
-        self._dp, self._dm = dp.copy(), dm.copy()
-        self._dp[[0, -1]] = self._dm[[0, -1]] = 0.0
-        self._c = c
+        circulant = np.zeros(self._fft)  # circulant[d mod L] = a_d
+        circulant[: n + 1] = phi[m:]
+        circulant[self._fft - m:] = phi[:m]
+        near = np.arange(-width, width + 1)  # the band's d = i - j
+        circulant[near[near >= -m]] = 0.0
+        spectrum = np.fft.rfft(circulant)
+        weight, weight_t = c * dp, c * dm
+        weight[[0, -1]] = weight_t[[0, -1]] = 0.0
+        # the problem checked the ratio when it was built; its fields may
+        # have been reassigned since, so check it again
+        kappa = None if problem.kappa is None else float(problem.kappa)
+        if kappa is not None and np.array_equal(dm, kappa * dp):
+            spectrum += kappa * spectrum.conj()
+            self._far = [(weight, spectrum)]
+        else:
+            self._far = [(weight, spectrum), (weight_t, spectrum.conj())]
         # ||M-||_1 and ||M-||_inf are at most this, so ||M-||_2 is too
         self._norm = 1.0 + c * (dp.max() + dm.max()) * float(np.abs(phi).sum())
         self._basis = np.empty((_RESTART + 1, n + 1))
 
+    def _far_field(self, w: np.ndarray) -> np.ndarray:
+        """``cF w``: one forward real FFT and one inverse per spectrum."""
+        spectrum = np.fft.rfft(w, self._fft)
+        y = np.zeros(w.size)
+        for weight, kernel in self._far:
+            y += weight * np.fft.irfft(kernel * spectrum, self._fft)[: w.size]
+        return y
+
     def matvec(self, w: np.ndarray) -> np.ndarray:
         size, width = w.size, self.width
         y = self._gbmv(size, size, width, width, 1.0, self.near, w)
-        far = self._dp * _fft_product(self._spectrum, w, self._m, self._fft)
-        far += self._dm * _fft_product(self._spectrum, w[::-1], self._m, self._fft)[::-1]
-        far *= self._c
-        y -= far
+        y -= self._far_field(w)
         return y
+
+    def _operator(self, v: np.ndarray) -> np.ndarray:
+        """``M- B^{-1} v = v - cF(B^{-1} v)``, the operator GMRES iterates on."""
+        return v - self._far_field(self._precondition(v))
 
     def _precondition(self, v: np.ndarray) -> np.ndarray:
         z, info = self._gbtrs(self._lu, self.width, self.width, v, self._piv)
@@ -472,10 +510,10 @@ class _MatrixFree:
     def _cycle(self, w, residual, beta, target, budget):
         """One GMRES cycle of at most ``min(_RESTART, budget)`` iterations.
 
-        Arnoldi on ``M- P^{-1}`` with classical Gram-Schmidt run twice, and
-        Givens rotations that keep the Hessenberg matrix triangular, so
-        ``|g[k]|`` is the residual estimate after ``k`` iterations.  Returns
-        the new iterate, that estimate and ``k``.
+        Arnoldi on ``M- B^{-1}`` (:meth:`_operator`) with classical
+        Gram-Schmidt run twice, and Givens rotations that keep the Hessenberg
+        matrix triangular, so ``|g[k]|`` is the residual estimate after ``k``
+        iterations.  Returns the new iterate, that estimate and ``k``.
         """
         basis = self._basis
         limit = min(_RESTART, budget)
@@ -485,7 +523,7 @@ class _MatrixFree:
         g = [beta] + [0.0] * limit
         cos, sin = [], []
         for j in range(limit):
-            v = self.matvec(self._precondition(basis[j]))
+            v = self._operator(basis[j])
             q = basis[: j + 1]
             h = q @ v
             v -= h @ q
@@ -515,21 +553,23 @@ class _MatrixFree:
 
 
 #: Kernel times in microseconds on ``N`` unknowns, BLAS on one thread (2-core
-#: x86-64 box, numpy 2.4.6, scipy 1.17.1), min of 3 to 15 runs.  Columns:
-#: ``N``; fill and ``getrf`` of ``M-`` (:func:`assemble_cn_system`); ``getri``;
-#: one ``getrs`` step, ``2 getrs(rhs) - U``; one ``gemv`` step; the
-#: matrix-free set-up; one matrix-free step, forcing included, the slowest of
-#: alpha in {1.2, 1.5, 1.9} on the Table 2 problem.
+#: x86-64 box, numpy 2.4.6, scipy 1.17.1), the least of three sessions, each
+#: the min of 3 to 200 runs.  Columns: ``N``; fill and ``getrf`` of ``M-``
+#: (:func:`assemble_cn_system`); ``getri``; one ``getrs`` step,
+#: ``2 getrs(rhs) - U``; one ``gemv`` step; the matrix-free set-up; one
+#: matrix-free step, forcing included, at ``nt = 20``.  The dense columns are
+#: taken at alpha = 1.5, the matrix-free ones at the slowest of alpha in
+#: {1.2, 1.5, 1.9}, all on the Table 2 problem.
 _KERNEL_US = np.array([
-    (21, 330, 5.2, 2.5, 1.25, 280, 520),
-    (41, 370, 22, 3.1, 2.3, 300, 360),
-    (81, 760, 110, 7.4, 3.3, 700, 570),
-    (161, 1160, 620, 15, 8.2, 820, 590),
-    (321, 4140, 4570, 36, 25, 1340, 1450),
-    (641, 20200, 41700, 220, 177, 1900, 2200),
-    (1281, 89600, 377000, 810, 714, 2900, 7090),
-    (1921, 217000, 1427000, 2700, 2410, 4500, 10500),
-    (2561, 478000, 3545000, 5330, 5050, 6300, 16700),
+    (21, 242, 4.36, 2.06, 1.06, 237, 157),
+    (41, 281, 15, 2.65, 1.18, 474, 163),
+    (81, 353, 69.8, 4.22, 2.01, 369, 197),
+    (161, 757, 410, 8.51, 4.58, 519, 285),
+    (321, 2130, 3100, 22.8, 16.1, 696, 472),
+    (641, 11000, 29000, 138, 117, 1050, 847),
+    (1281, 60100, 276000, 583, 505, 1750, 2040),
+    (1921, 160000, 976000, 1310, 1220, 2510, 3880),
+    (2561, 324000, 2620000, 2930, 2790, 3250, 6610),
 ])
 
 
@@ -599,8 +639,9 @@ def cn_solve(problem: DiffusionProblem, scheme: WsldScheme) -> SolveResult:
     * ``gemv``: the factors are inverted once (LAPACK ``getri``, into a new
       array, so ``CnSystem.lu`` stays the factors) and each step is one BLAS
       ``gemv`` that writes ``2 M-^{-1} rhs - U^n`` over ``U^n``;
-    * matrix-free: GMRES on a band-plus-FFT mat-vec, preconditioned by the
-      LU factors of the band, with no N x N array.  A GMRES solve that does
+    * matrix-free: GMRES preconditioned by the LU factors of the band of
+      ``M-``, iterating on the band solve plus an FFT product with the far
+      field, with no N x N array.  A GMRES solve that does
       not converge within its iteration cap, or whose true residual exceeds
       the stopping target plus the mat-vec's rounding floor, raises
       ``RuntimeError`` naming the step, the iterations and the residual.

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -225,6 +226,28 @@ class TestProblemValidation:
                 source=lambda x, t: np.zeros_like(x),
                 initial=np.zeros_like, horizon=1.0, nt=4, kappa=2.0)
 
+    @pytest.mark.parametrize("kappa", [
+        -1.0, True, "2", np.nan, np.inf, 2j, np.bool_(True)],
+        ids=["negative", "bool", "string", "nan", "inf", "complex", "numpy-bool"])
+    def test_kappa_must_be_a_finite_nonnegative_real(self, kappa):
+        # the zero coefficients satisfy d_minus == kappa * d_plus for -1 and
+        # True, and "2" made numpy raise UFuncTypeError
+        with pytest.raises(ValueError, match="kappa must be a finite real number >= 0"):
+            DiffusionProblem(
+                alpha=1.5, grid=Grid1D(0.0, 1.0, 8),
+                d_plus=np.zeros_like, d_minus=np.zeros_like,
+                source=lambda x, t: np.zeros_like(x),
+                initial=np.zeros_like, horizon=1.0, nt=4, kappa=kappa)
+
+    @pytest.mark.parametrize("kappa", [0, 0.0, np.float32(2.0), np.int64(3)])
+    def test_real_kappa_accepted(self, kappa):
+        problem = DiffusionProblem(
+            alpha=1.5, grid=Grid1D(0.0, 1.0, 8),
+            d_plus=np.ones_like, d_minus=lambda x: kappa * np.ones_like(x),
+            source=lambda x, t: np.zeros_like(x),
+            initial=np.zeros_like, horizon=1.0, nt=4, kappa=kappa)
+        assert problem.kappa == kappa
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_nonfinite_coefficient_rejected(self, value):
         with pytest.raises(ValueError, match="finite"):
@@ -412,6 +435,23 @@ class TestCrankNicolson:
             errors.append(np.abs(u - table2_exact(problem.grid.nodes(), 1.0)).max())
         slope = np.polyfit(np.log(taus), np.log(errors), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.3)
+
+
+def _problem_without_kappa(alpha, nx, nt):
+    """The Table 2 problem with ``d_minus = 1.5 + cos 3x``: no constant ratio."""
+    return replace(table2_problem(alpha, nx=nx, nt=nt),
+                   d_minus=lambda x: 1.5 + np.cos(3 * x), kappa=None)
+
+
+def _problem_with_stale_kappa(alpha, nx, nt):
+    """The Table 2 problem with ``d_minus`` reassigned after ``kappa`` was checked.
+
+    Its ``kappa = 2`` is stale, so the matrix-free path must not fuse the far
+    fields of ``A`` and ``A^T`` by it.
+    """
+    problem = table2_problem(alpha, nx=nx, nt=nt)
+    problem.d_minus = lambda x: 1.5 + np.cos(3 * x)
+    return problem
 
 
 def _force_path(monkeypatch, path):
@@ -709,17 +749,80 @@ class TestMatrixFree:
         u = cn_solve(problem, scheme).u
         assert np.abs(u - dense).max() <= 1e-9 * np.abs(dense).max()
 
-    @pytest.mark.parametrize("nx,shifts", [(60, 40), (200, 40), (200, None)])
-    def test_matvec_is_the_dense_product(self, nx, shifts):
+    @pytest.mark.parametrize("alpha,bound", [(1.2, 1e-10), (1.5, 1e-10), (1.9, 1e-8)])
+    def test_agrees_with_the_dense_solve_without_kappa(self, monkeypatch, alpha, bound):
+        # no constant ratio: the far field takes one inverse FFT for D+ A_far
+        # and one for D- A_far^T
+        problem = _problem_without_kappa(alpha, nx=1280, nt=20)
+        scheme = wsld_scheme(4, alpha)
+        _force_path(monkeypatch, "getrs")
+        dense = cn_solve(problem, scheme).u
+        _force_path(monkeypatch, "matrix-free")
+        u = cn_solve(problem, scheme).u
+        assert np.abs(u - dense).max() <= bound * np.abs(dense).max()
+
+    @pytest.mark.parametrize("make_problem,nx,shifts", [
+        (table2_problem, 60, 40), (table2_problem, 200, 40), (table2_problem, 200, None),
+        (_problem_without_kappa, 60, 40), (_problem_without_kappa, 200, None),
+        (_problem_with_stale_kappa, 200, None)],
+        ids=["60-40", "200-40", "200-None", "60-40-no-kappa", "200-None-no-kappa",
+             "200-None-stale-kappa"])
+    def test_matvec_is_the_dense_product(self, make_problem, nx, shifts):
         # at nx = 60 the band is b = 30 < m = 40, so phi_0..phi_9 lie below
         # its lower edge (i - j < -b), in the far field
-        problem = table2_problem(1.5, nx=nx, nt=4)
+        problem = make_problem(1.5, nx=nx, nt=4)
         scheme = wsld_scheme(3 if shifts else 4, 1.5, shifts=shifts)
         implicit = solver._MatrixFree(problem, scheme)
         w = np.random.default_rng(7).standard_normal(nx + 1)
         expected = assemble_cn_system(problem, scheme).m_lhs @ w
         np.testing.assert_allclose(implicit.matvec(w), expected, rtol=0,
                                    atol=1e-13 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("make_problem", [table2_problem, _problem_without_kappa],
+                             ids=["kappa", "no-kappa"])
+    @pytest.mark.parametrize("nx,shifts", [(60, 40), (200, None)])
+    def test_arnoldi_operator_is_the_preconditioned_matrix(self, make_problem, nx, shifts):
+        # GMRES iterates on v - cF(B^-1 v), which is M- B^-1 v because the
+        # preconditioner B is the band of M- and M- = B - cF.  The two differ
+        # by the residual of the band solve, so the bound is relative to the
+        # largest sum max_i sum_j |M-[i, j] z_j| of the product's terms
+        problem = make_problem(1.5, nx=nx, nt=4)
+        scheme = wsld_scheme(3 if shifts else 4, 1.5, shifts=shifts)
+        implicit = solver._MatrixFree(problem, scheme)
+        v = np.random.default_rng(11).standard_normal(nx + 1)
+        z = implicit._precondition(v)
+        m_lhs = assemble_cn_system(problem, scheme).m_lhs
+        scale = (np.abs(m_lhs) @ np.abs(z)).max()
+        np.testing.assert_allclose(implicit._operator(v), m_lhs @ z, rtol=0,
+                                   atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("make_problem,inverse_ffts", [
+        (table2_problem, 1), (_problem_without_kappa, 2)], ids=["kappa", "no-kappa"])
+    def test_one_iteration_is_one_band_solve_and_one_fft_pair(
+            self, monkeypatch, make_problem, inverse_ffts):
+        # a cycle of k iterations makes k + 1 gbtrs calls (the last maps the
+        # Krylov combination back to W) and no gbmv; each iteration takes
+        # one rfft, and one irfft per spectrum of the far field
+        problem = make_problem(1.5, nx=200, nt=4)
+        implicit = solver._MatrixFree(problem, wsld_scheme(4, 1.5))
+        calls = {"gbtrs": 0, "gbmv": 0, "rfft": 0, "irfft": 0}
+
+        def counted(name, function):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return call
+
+        implicit._gbtrs = counted("gbtrs", implicit._gbtrs)
+        implicit._gbmv = counted("gbmv", implicit._gbmv)
+        monkeypatch.setattr(np.fft, "rfft", counted("rfft", np.fft.rfft))
+        monkeypatch.setattr(np.fft, "irfft", counted("irfft", np.fft.irfft))
+        residual = np.random.default_rng(3).standard_normal(201)
+        beta = float(np.linalg.norm(residual))
+        _, _, taken = implicit._cycle(np.zeros(201), residual, beta, 0.0, 3)
+        assert taken == 3
+        assert calls == {"gbtrs": taken + 1, "gbmv": 0, "rfft": taken,
+                         "irfft": inverse_ffts * taken}
 
     def test_agrees_with_the_dense_solve_for_a_shift_past_the_band(self, monkeypatch):
         # m = 40 > 32: the band widens to m, keeping phi_0.. out of the far field
