@@ -27,24 +27,29 @@ and solves with ``M-`` by one of three paths.
 * ``gemv``: the same factors are inverted once (LAPACK ``getri``) and each
   step is one BLAS ``gemv``, ``U^{n+1} = 2 M-^{-1} (U^n + (tau/2) F) - U^n``.
 * matrix-free: no N x N array is formed.  Each step solves ``M- W = rhs``
-  by right-preconditioned GMRES, warm-started from the last step's ``W``.
+  by right-preconditioned GMRES, started from the combination of earlier
+  steps' solutions whose image is nearest ``rhs``.
   ``M- = B - cF`` splits into the band ``B``, ``|i - j| <= b`` (``b = 32``,
   or the scheme's shift ``m`` if larger), and the far field ``F`` of the
   Toeplitz operator, applied by FFT.  ``B``, LU-factored once by LAPACK
   ``gbtrf``, is the preconditioner, so an iteration applies
   ``M- B^{-1} v = v - cF(B^{-1} v)``: one ``gbtrs`` and one real FFT pair
-  (two inverse transforms when the problem carries no ``kappa``).  Memory
-  is O(N (b + restart)).
+  (two inverse transforms when the problem carries no ``kappa``).  The
+  start projects ``rhs`` onto the images ``M- W_k`` of up to 20 stored
+  solutions at O(N) dot products each, and takes about 40% fewer
+  iterations than a start from the last ``W`` alone.  Memory is
+  O(N (b + restart + 20)).
 
 The path is the cheapest for the run's size ``N`` and step count ``nt`` by
 kernel times measured on one BLAS thread (:data:`_KERNEL_US`); the
 matrix-free path is offered for the default shift tuple only.  On that
-table the inversion pays back after about 0.65N, 2.2N, 2.8N, 5.7N and 7.3N
-steps at N = 161, 641, 1281, 1921 and 2561.  The matrix-free path wins
-short runs on large grids, where the factorization dominates (20 steps
-from N = 811 on, at most 40 steps at N = 1281, 61 at N = 1921 and 87 at
-N = 2561), and loses long ones, where one GMRES solve costs 2.3 ``getrs``
-steps at N = 2561 and 6 at N = 641.
+table the inversion pays back after about 0.6N, 1.5N, 3.5N, 1.2N and 5.1N
+steps at N = 161, 641, 1281, 1921 and 2561 (the ``getrs`` and ``gemv``
+steps differ by little more than the spread between sessions there).  The
+matrix-free path wins short runs on large grids, where the factorization
+dominates (20 steps from N = 674 on, at most 66 steps at N = 1281, 112 at
+N = 1921 and 109 at N = 2561), and loses long ones, where one GMRES solve
+costs 1.9 ``getrs`` steps at N = 2561 and 4.8 at N = 641.
 With the proven-stable shift tuple the spatial operator is negative definite
 and the stepping is unconditionally stable; with a plain unshifted operator it
 visibly blows up (see :func:`stability_probe`).
@@ -106,11 +111,23 @@ BLOWUP_THRESHOLD = 1e10
 _BAND = 32
 #: GMRES restart length: Krylov vectors held at once by the matrix-free path.
 _RESTART = 40
+#: Converged steps whose solutions the matrix-free path projects each new
+#: right side onto; the store restarts when full.
+_STORE = 20
+#: An image whose part outside the stored ones is at most this fraction of
+#: its norm adds no pair to the store: zero, or within four orders of the
+#: rounding, a few ``eps``, that Gram-Schmidt leaves of an image already
+#: stored.
+_NEGLIGIBLE = 1e-12
 #: GMRES iterations allowed per time step before the solve fails.
 _MAX_ITERATIONS = 200
 #: GMRES stops when its recursive residual estimate is at most this times
-#: ``||rhs||``.
-_GMRES_TOL = 1e-12
+#: ``||rhs||``.  A start projected from past solutions lands each solve near
+#: this target, not orders of magnitude below it as a start from the last
+#: ``W`` alone did on small grids, and near a steady state the steps'
+#: residuals add up: at 1e-12, 200 steps at nx = 40 drifted to 7e-12 of
+#: the LU path's result.
+_GMRES_TOL = 1e-13
 #: The true residual after convergence may exceed the stopping target by the
 #: rounding of one mat-vec, at most this many ``eps ||M-|| ||W||``.
 _RESIDUAL_FLOOR = 100.0
@@ -404,7 +421,15 @@ class _MatrixFree:
     takes one inverse FFT from the single spectrum of ``a + kappa
     reverse(a)``; otherwise ``F`` takes two.  The spectra are taken once,
     with ``c`` and the coefficient samples, zero on the Dirichlet rows,
-    folded into their weights.  Memory is O(N (b + restart)).
+    folded into their weights.
+
+    Every step solves with the same ``M-``, so :meth:`solve` starts GMRES
+    from the best combination of earlier steps' solutions.  A store of up to
+    ``_STORE`` converged pairs holds an orthonormal basis ``Q`` of their
+    images ``M- W_k`` and the matching solutions ``Z``, ``M- Z = Q``; the
+    guess ``Z (Q^T rhs)`` costs O(N K) dot products for ``K`` pairs, and no
+    band solve or FFT (Fischer, CMAME 163, 1998).  Memory is
+    O(N (b + restart + store)).
     """
 
     def __init__(self, problem: DiffusionProblem, scheme: WsldScheme) -> None:
@@ -445,6 +470,10 @@ class _MatrixFree:
         # ||M-||_1 and ||M-||_inf are at most this, so ||M-||_2 is too
         self._norm = 1.0 + c * (dp.max() + dm.max()) * float(np.abs(phi).sum())
         self._basis = np.empty((_RESTART + 1, n + 1))
+        # rows 0.._stored-1: orthonormal images Q and solutions Z, M- Z = Q
+        self._images = np.empty((_STORE, n + 1))
+        self._solutions = np.empty((_STORE, n + 1))
+        self._stored = 0
 
     def _far_field(self, w: np.ndarray) -> np.ndarray:
         """``cF w``: one forward real FFT and one inverse per spectrum."""
@@ -471,16 +500,31 @@ class _MatrixFree:
         return z
 
     def solve(self, rhs: np.ndarray, w: np.ndarray, step: int) -> np.ndarray:
-        """``W`` with ``M- W = rhs``, by restarted GMRES from the guess ``w``.
+        """``W`` with ``M- W = rhs``, by restarted GMRES from a projected guess.
+
+        The guess is ``Z (Q^T rhs)``: the combination of the stored solutions
+        whose image is the orthogonal projection of ``rhs`` onto the stored
+        images, so of all such combinations it leaves the least residual.
+        The last step's ``W`` is among them, so the guess is no worse than
+        that warm start up to rounding.  Before any pair is stored the guess
+        is ``w``.
 
         GMRES stops when its recursive residual estimate is at most
         ``_GMRES_TOL ||rhs||``.  The true residual is then checked once
         against that target plus the rounding floor of the mat-vec; past the
         bound, or past ``_MAX_ITERATIONS``, it raises ``RuntimeError`` naming
         ``step``.  A right side that is not finite returns a ``W`` that is
-        not finite, which the step's sup-norm check reports.
+        not finite, which the step's sup-norm check reports.  A converged
+        ``W`` and its image ``rhs - residual``, the right side less the true
+        residual just checked, join the store (:meth:`_store`) at no further
+        mat-vec.
         """
         target = _GMRES_TOL * float(np.linalg.norm(rhs))
+        if not math.isfinite(target):
+            return w + rhs
+        k = self._stored
+        if k:
+            w = (self._images[:k] @ rhs) @ self._solutions[:k]
         iterations, converged = 0, False
         while True:
             residual = rhs - self.matvec(w)
@@ -505,7 +549,34 @@ class _MatrixFree:
                 f"GMRES failed at step {step}: after {iterations} iterations "
                 f"the true residual is {beta:.3e}, past the bound "
                 f"{target + floor:.3e}")
+        self._store(rhs - residual, w)
         return w
+
+    def _store(self, image: np.ndarray, w: np.ndarray) -> None:
+        """Add the pair ``M- W = image`` to the store, orthonormalising the image.
+
+        The image is orthogonalised against the stored ones by classical
+        Gram-Schmidt run twice, and the solution takes the same combination,
+        so ``M- Z = Q`` holds to rounding.  An image left zero or negligible
+        next to its norm before orthogonalisation is skipped, since its
+        direction is already stored or lost to rounding.  A full store
+        restarts with this pair alone.
+        """
+        if self._stored == _STORE:
+            self._stored = 0
+        q = self._images[: self._stored]
+        z = self._solutions[: self._stored]
+        before = float(np.linalg.norm(image))
+        for _ in range(2):
+            h = q @ image
+            image = image - h @ q
+            w = w - h @ z
+        norm = float(np.linalg.norm(image))
+        if not norm > _NEGLIGIBLE * before:
+            return
+        np.divide(image, norm, out=self._images[self._stored])
+        np.divide(w, norm, out=self._solutions[self._stored])
+        self._stored += 1
 
     def _cycle(self, w, residual, beta, target, budget):
         """One GMRES cycle of at most ``min(_RESTART, budget)`` iterations.
@@ -557,19 +628,21 @@ class _MatrixFree:
 #: the min of 3 to 200 runs.  Columns: ``N``; fill and ``getrf`` of ``M-``
 #: (:func:`assemble_cn_system`); ``getri``; one ``getrs`` step,
 #: ``2 getrs(rhs) - U``; one ``gemv`` step; the matrix-free set-up; one
-#: matrix-free step, forcing included, at ``nt = 20``.  The dense columns are
+#: matrix-free step, forcing included, at ``nt = 20`` (with the projected
+#: start, so the mean of one solve from the initial data and 19 from the
+#: store).  The dense columns are
 #: taken at alpha = 1.5, the matrix-free ones at the slowest of alpha in
 #: {1.2, 1.5, 1.9}, all on the Table 2 problem.
 _KERNEL_US = np.array([
-    (21, 242, 4.36, 2.06, 1.06, 237, 157),
-    (41, 281, 15, 2.65, 1.18, 474, 163),
-    (81, 353, 69.8, 4.22, 2.01, 369, 197),
-    (161, 757, 410, 8.51, 4.58, 519, 285),
-    (321, 2130, 3100, 22.8, 16.1, 696, 472),
-    (641, 11000, 29000, 138, 117, 1050, 847),
-    (1281, 60100, 276000, 583, 505, 1750, 2040),
-    (1921, 160000, 976000, 1310, 1220, 2510, 3880),
-    (2561, 324000, 2620000, 2930, 2790, 3250, 6610),
+    (21, 289, 6.74, 2.39, 1.36, 297, 275),
+    (41, 316, 16.3, 2.91, 1.41, 464, 249),
+    (81, 415, 72.4, 7.21, 3.25, 410, 230),
+    (161, 786, 409, 10.6, 6.36, 611, 290),
+    (321, 2510, 3360, 29.9, 20.3, 1060, 453),
+    (641, 12700, 34100, 165, 130, 1200, 794),
+    (1281, 88300, 333000, 720, 646, 3280, 1990),
+    (1921, 190000, 1300000, 2060, 1500, 3940, 3720),
+    (2561, 394000, 3280000, 3790, 3540, 5670, 7330),
 ])
 
 
@@ -641,7 +714,9 @@ def cn_solve(problem: DiffusionProblem, scheme: WsldScheme) -> SolveResult:
       ``gemv`` that writes ``2 M-^{-1} rhs - U^n`` over ``U^n``;
     * matrix-free: GMRES preconditioned by the LU factors of the band of
       ``M-``, iterating on the band solve plus an FFT product with the far
-      field, with no N x N array.  A GMRES solve that does
+      field, with no N x N array.  Each GMRES solve starts from the
+      combination of earlier steps' solutions that best fits its right side
+      (the first, from the initial data).  A GMRES solve that does
       not converge within its iteration cap, or whose true residual exceeds
       the stopping target plus the mat-vec's rounding floor, raises
       ``RuntimeError`` naming the step, the iterations and the residual.
@@ -674,7 +749,7 @@ def cn_solve(problem: DiffusionProblem, scheme: WsldScheme) -> SolveResult:
     tau = problem.tau
     # a copy: the gemv step writes U^{n+1} over U^n in place
     u = np.array(problem.initial(x), dtype=float)
-    w = u  # the first GMRES guess; later ones are the last step's W
+    w = u  # the first GMRES guess; later ones are projected from the store
     sup = float(np.abs(u).max())
     for n in range(problem.nt):
         t_half = (n + 0.5) * tau

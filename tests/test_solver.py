@@ -358,19 +358,22 @@ class TestCrankNicolson:
         assert peak <= 1.25 * (nx + 1) ** 2 * 8
 
     def test_matrix_free_peak_memory(self, monkeypatch):
-        # the band twice, the Krylov basis and O(N) vectors: O(N (b + restart))
+        # the band twice, the Krylov basis, the store of past solutions and
+        # their images, and O(N) vectors: O(N (b + restart + store)); the
+        # longer run fills the store and restarts it
         nx = 2560
         _force_path(monkeypatch, "matrix-free")
-        problem = table2_problem(1.5, nx=nx, nt=2)
         scheme = wsld_scheme(4, 1.5)
-        tracemalloc.start()
-        try:
-            cn_solve(problem, scheme)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * (nx + 1) * 8 * (solver._BAND + solver._RESTART)
-        assert peak <= 0.15 * (nx + 1) ** 2 * 8
+        for nt in (2, solver._STORE + 2):
+            problem = table2_problem(1.5, nx=nx, nt=nt)
+            tracemalloc.start()
+            try:
+                cn_solve(problem, scheme)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * (nx + 1) * 8 * (solver._BAND + solver._RESTART)
+            assert peak <= 0.15 * (nx + 1) ** 2 * 8
 
     def test_grid_too_small(self):
         # the default tuple reaches m = 3 columns past the diagonal
@@ -739,7 +742,7 @@ class TestMatrixFree:
         assert np.abs(u - dense).max() <= bound * np.abs(dense).max()
 
     def test_agrees_with_the_dense_solve_at_one_step(self, monkeypatch):
-        # the largest step, tau = 1, on the large-grid size: 28 iterations
+        # the largest step, tau = 1, on the large-grid size: 29 iterations
         problem = table2_problem(1.5, nx=2560, nt=1)
         scheme = wsld_scheme(4, 1.5)
         assert solver._step_path(2561, 1, scheme) == "matrix-free"
@@ -823,6 +826,113 @@ class TestMatrixFree:
         assert taken == 3
         assert calls == {"gbtrs": taken + 1, "gbmv": 0, "rfft": taken,
                          "irfft": inverse_ffts * taken}
+
+    def test_zero_phase_then_forcing_agrees_with_the_dense_solve(self, monkeypatch):
+        # until t = 0.5 every right side and W are zero, so each image is zero
+        # and adds no pair to the store; then the forcing switches on
+        base = table2_problem(1.5, nx=1280, nt=20)
+        forcing = base.source
+
+        def source(x, t):
+            return forcing(x, t) if t > 0.5 else np.zeros_like(x)
+
+        problem = replace(base, source=source, initial=np.zeros_like)
+        scheme = wsld_scheme(4, 1.5)
+        _force_path(monkeypatch, "getrs")
+        dense = cn_solve(problem, scheme).u
+        _force_path(monkeypatch, "matrix-free")
+        u = cn_solve(problem, scheme).u
+        assert np.all(np.isfinite(u)) and np.abs(dense).max() > 0
+        assert np.abs(u - dense).max() <= 1e-10 * np.abs(dense).max()
+
+    def test_only_converged_solves_are_stored(self, monkeypatch):
+        problem = table2_problem(1.5, nx=200, nt=4)
+        implicit = solver._MatrixFree(problem, wsld_scheme(4, 1.5))
+        rng = np.random.default_rng(5)
+        rhs = rng.standard_normal(201)
+        w = implicit.solve(rhs, np.zeros(201), 1)
+        assert implicit._stored == 1
+        bad = rhs.copy()
+        bad[7] = np.nan
+        assert not np.all(np.isfinite(implicit.solve(bad, w, 2)))
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_MAX_ITERATIONS", 0)
+            with pytest.raises(RuntimeError, match="did not converge at step 3"):
+                implicit.solve(rng.standard_normal(201), w, 3)
+        assert implicit._stored == 1
+        again = implicit.solve(2.0 * rhs, w, 4)
+        np.testing.assert_allclose(again, 2.0 * w, rtol=0, atol=1e-10 * np.abs(w).max())
+
+    def test_right_side_in_the_span_of_stored_images_takes_no_iteration(
+            self, monkeypatch):
+        # a stored pair holds M- Z = Q to the rounding of one mat-vec, about
+        # eps ||M-|| ||W||; c = tau/(2 h^alpha) = 1.25 keeps it below the target
+        problem = table2_problem(1.5, nx=200, nt=400)
+        implicit = solver._MatrixFree(problem, wsld_scheme(4, 1.5))
+        rng = np.random.default_rng(13)
+        w = np.zeros(201)
+        for step in range(1, 4):
+            w = implicit.solve(rng.standard_normal(201), w, step)
+        assert implicit._stored == 3
+        taken = []
+        cycle = implicit._cycle
+
+        def counted(*args):
+            result = cycle(*args)
+            taken.append(result[2])
+            return result
+
+        monkeypatch.setattr(implicit, "_cycle", counted)
+        rhs = np.array([0.7, -1.3, 0.2]) @ implicit._images[:3]
+        w = implicit.solve(rhs, w, 4)
+        assert taken == []
+        m_lhs = assemble_cn_system(problem, wsld_scheme(4, 1.5)).m_lhs
+        assert np.linalg.norm(rhs - m_lhs @ w) <= solver._GMRES_TOL * np.linalg.norm(rhs)
+
+    def test_projected_guess_is_no_worse_than_the_warm_start(self, monkeypatch):
+        # each step's first mat-vec is on the guess; the warm start is the
+        # last step's W, which cn_solve passes in
+        problem = table2_problem(1.5, nx=1280, nt=20)
+        scheme = wsld_scheme(4, 1.5)
+        implicit = solver._MatrixFree(problem, scheme)
+        monkeypatch.setattr(solver, "_MatrixFree", lambda *args: implicit)
+        _force_path(monkeypatch, "matrix-free")
+        matvec, solve = implicit.matvec, implicit.solve
+        products, residuals = [], []
+
+        def spy_matvec(w):
+            products.append(matvec(w))
+            return products[-1]
+
+        def spy_solve(rhs, w, step):
+            warm = np.linalg.norm(rhs - matvec(w))
+            products.clear()
+            result = solve(rhs, w, step)
+            residuals.append((np.linalg.norm(rhs - products[0]), warm))
+            return result
+
+        implicit.matvec, implicit.solve = spy_matvec, spy_solve
+        cn_solve(problem, scheme)
+        assert len(residuals) == 20
+        assert residuals[0][0] == residuals[0][1]  # nothing stored yet
+        for guess, warm in residuals[1:]:
+            assert guess <= warm
+
+    def test_projected_start_halves_the_iterations(self, monkeypatch):
+        # a start from the last step's W alone took 432 iterations here to a
+        # target of 1e-12 ||rhs||, and 470 to the present 1e-13
+        _force_path(monkeypatch, "matrix-free")
+        taken = []
+        cycle = solver._MatrixFree._cycle
+
+        def counted(self, *args):
+            result = cycle(self, *args)
+            taken.append(result[2])
+            return result
+
+        monkeypatch.setattr(solver._MatrixFree, "_cycle", counted)
+        cn_solve(table2_problem(1.5, nx=1280, nt=40), wsld_scheme(4, 1.5))
+        assert sum(taken) <= 432 // 2
 
     def test_agrees_with_the_dense_solve_for_a_shift_past_the_band(self, monkeypatch):
         # m = 40 > 32: the band widens to m, keeping phi_0.. out of the far field
