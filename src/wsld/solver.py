@@ -24,8 +24,11 @@ and solves with ``M-`` by one of three paths.
 * ``getrs``: ``M-`` is written from O(N) data (the Toeplitz band of ``phi``
   values and the coefficient samples) into one N x N array, LU-factored
   there once, and each step is one LAPACK ``getrs`` call.
-* ``gemv``: the same factors are inverted once (LAPACK ``getri``) and each
-  step is one BLAS ``gemv``, ``U^{n+1} = 2 M-^{-1} (U^n + (tau/2) F) - U^n``.
+* ``gemv``, the inverse path: ``M-`` is written the same way and inverted
+  once by ``numpy.linalg.inv``; the inverse is doubled in place (exactly)
+  and ``M-`` dropped, so the steps hold one N x N array, and each step is
+  one product and one subtraction,
+  ``U^{n+1} = (2 M-^{-1}) (U^n + (tau/2) F) - U^n``.
 * matrix-free: no N x N array is formed.  Each step solves ``M- W = rhs``
   by right-preconditioned GMRES, started from the combination of earlier
   steps' solutions whose image is nearest ``rhs``.
@@ -43,22 +46,25 @@ and solves with ``M-`` by one of three paths.
 The path is the cheapest for the run's size ``N`` and step count ``nt`` by
 kernel times measured on one BLAS thread (:data:`_KERNEL_US`); the
 matrix-free path is offered for the default shift tuple only.  On that
-table the inversion pays back after about 0.6N, 1.5N, 3.5N, 1.2N and 5.1N
-steps at N = 161, 641, 1281, 1921 and 2561 (the ``getrs`` and ``gemv``
-steps differ by little more than the spread between sessions there).  The
-matrix-free path wins short runs on large grids, where the factorization
-dominates (20 steps from N = 674 on, at most 66 steps at N = 1281, 112 at
-N = 1921 and 109 at N = 2561), and loses long ones, where one GMRES solve
-costs 1.9 ``getrs`` steps at N = 2561 and 4.8 at N = 641.
+table the inversion pays back after about 1.1N, 2.8N, 2.4N, 2.3N and 1.2N
+steps at N = 161, 641, 1281, 1921 and 2561: it costs 2 to 4 factorizations,
+and from N = 641 on an inverse step saves only 6% to 11% of a ``getrs``
+step.  The matrix-free path wins short runs on large grids, where the
+factorization dominates (20 steps from N = 658 on, at most 48 steps at
+N = 1281, 85 at N = 1921 and 101 at N = 2561), and loses long ones, where
+one GMRES solve costs 1.9 ``getrs`` steps at N = 2561 and 5 at N = 641.
 With the proven-stable shift tuple the spatial operator is negative definite
 and the stepping is unconditionally stable; with a plain unshifted operator it
 visibly blows up (see :func:`stability_probe`).
 
-``scipy.linalg`` is imported by the first factorization, not with the module,
-so ``import wsld`` and every layer that factors nothing need numpy only.  The
-attribute ``solver.sla`` still resolves to ``scipy.linalg`` (loading it), for
-callers that patch its ``lu_factor`` and ``lu_solve``; the functions here look
-those names up on the module at each call, so a patch takes effect.
+``scipy.linalg`` is imported, not with the module, only where numpy has no
+routine: by the LU factors the ``getrs`` path, :func:`assemble_cn_system` and
+:func:`solve_steady` reuse, and by the band LU of the matrix-free path.  So
+``import wsld``, every layer that factors nothing, and the inverse path,
+which every Table 2 solve takes, need numpy only.  The attribute
+``solver.sla`` still resolves to ``scipy.linalg`` (loading it), for callers
+that patch its ``lu_factor`` and ``lu_solve``; the functions here look those
+names up on the module at each call, so a patch takes effect.
 """
 
 from __future__ import annotations
@@ -310,6 +316,8 @@ class CnSystem:
 
 #: Columns per block of the ``D- A^T`` term: the temporary holds this many.
 _BLOCK = 64
+#: Message of the error a singular implicit matrix raises on every dense path.
+_SINGULAR = "implicit Crank-Nicolson matrix is singular"
 
 
 def _cn_matrix(band: np.ndarray, dp: np.ndarray, dm: np.ndarray,
@@ -370,8 +378,31 @@ def assemble_cn_system(problem: DiffusionProblem, scheme: WsldScheme) -> CnSyste
 
     lu, piv = sla.lu_factor(_cn_matrix(band, dp, dm, c), overwrite_a=True)
     if not np.all(np.isfinite(lu)) or np.any(np.diag(lu) == 0.0):
-        raise np.linalg.LinAlgError("implicit Crank-Nicolson matrix is singular")
+        raise np.linalg.LinAlgError(_SINGULAR)
     return CnSystem(band=band, d_plus=dp, d_minus=dm, c=c, lu=(lu, piv))
+
+
+def _twice_inverse(problem: DiffusionProblem, scheme: WsldScheme) -> np.ndarray:
+    """``2 M-^{-1}``, from one ``numpy.linalg.inv`` of ``M-``.
+
+    ``M-`` is filled as for :func:`assemble_cn_system`, inverted by LAPACK
+    ``gesv`` on the identity in numpy's own LAPACK, and freed on return; the
+    doubling is exact.  While ``inv`` runs it holds about four N x N arrays
+    (``M-``, its working copy, the identity and the result), where ``getrf``
+    plus ``getri`` held two.  The errors are those of
+    :func:`assemble_cn_system`: ``ValueError`` on a non-finite entry of
+    ``M-`` (coefficients reassigned after the problem checked them), and
+    ``numpy.linalg.LinAlgError`` on a singular ``M-``.
+    """
+    matrix = np.asarray_chkfinite(_cn_matrix(*_cn_data(problem, scheme)))
+    try:
+        twice = np.linalg.inv(matrix)
+    except np.linalg.LinAlgError:
+        raise np.linalg.LinAlgError(_SINGULAR) from None
+    if not np.all(np.isfinite(twice)):
+        raise np.linalg.LinAlgError(_SINGULAR)
+    twice *= 2.0
+    return twice
 
 
 def _cn_band(band: np.ndarray, dp: np.ndarray, dm: np.ndarray, c: float,
@@ -626,23 +657,29 @@ class _MatrixFree:
 #: Kernel times in microseconds on ``N`` unknowns, BLAS on one thread (2-core
 #: x86-64 box, numpy 2.4.6, scipy 1.17.1), the least of three sessions, each
 #: the min of 3 to 200 runs.  Columns: ``N``; fill and ``getrf`` of ``M-``
-#: (:func:`assemble_cn_system`); ``getri``; one ``getrs`` step,
-#: ``2 getrs(rhs) - U``; one ``gemv`` step; the matrix-free set-up; one
-#: matrix-free step, forcing included, at ``nt = 20`` (with the projected
-#: start, so the mean of one solve from the initial data and 19 from the
-#: store).  The dense columns are
-#: taken at alpha = 1.5, the matrix-free ones at the slowest of alpha in
-#: {1.2, 1.5, 1.9}, all on the Table 2 problem.
+#: (:func:`assemble_cn_system`); fill and inversion of ``M-``
+#: (:func:`_twice_inverse`); one ``getrs`` step, ``2 getrs(rhs) - U``; one
+#: inverse step; the matrix-free set-up; one matrix-free step, forcing
+#: included, at ``nt = 20`` (with the projected start, so the mean of one
+#: solve from the initial data and 19 from the store).  The four dense
+#: columns come from one set of sessions, in which the factorization and
+#: the inversion alternate run by run, and the two steps block by block in
+#: one loop.  Both steps read the N x N array once, so at large ``N`` their
+#: times differ by less than the spread between sessions; the inverse step
+#: is therefore the ``getrs`` step times the median over the sessions of
+#: their ratio.  The matrix-free columns come from an earlier set.  The
+#: dense columns are taken at alpha = 1.5, the matrix-free ones at the
+#: slowest of alpha in {1.2, 1.5, 1.9}, all on the Table 2 problem.
 _KERNEL_US = np.array([
-    (21, 289, 6.74, 2.39, 1.36, 297, 275),
-    (41, 316, 16.3, 2.91, 1.41, 464, 249),
-    (81, 415, 72.4, 7.21, 3.25, 410, 230),
-    (161, 786, 409, 10.6, 6.36, 611, 290),
-    (321, 2510, 3360, 29.9, 20.3, 1060, 453),
-    (641, 12700, 34100, 165, 130, 1200, 794),
-    (1281, 88300, 333000, 720, 646, 3280, 1990),
-    (1921, 190000, 1300000, 2060, 1500, 3940, 3720),
-    (2561, 394000, 3280000, 3790, 3540, 5670, 7330),
+    (21, 279, 278, 2.93, 2.4, 297, 275),
+    (41, 321, 346, 3.59, 2.66, 464, 249),
+    (81, 419, 555, 5.27, 3.02, 410, 230),
+    (161, 883, 1730, 10.7, 5.9, 611, 290),
+    (321, 3030, 9110, 27.5, 17.1, 1060, 453),
+    (641, 13500, 44000, 159, 142, 1200, 794),
+    (1281, 67000, 239000, 665, 608, 3280, 1990),
+    (1921, 186000, 631000, 1580, 1480, 3940, 3720),
+    (2561, 357000, 1450000, 3880, 3510, 5670, 7330),
 ])
 
 
@@ -650,7 +687,7 @@ def _step_path(size: int, nt: int, scheme: WsldScheme) -> str:
     """The cheapest step path for ``nt`` steps of ``scheme`` on ``size`` unknowns.
 
     ``"getrs"`` costs a factorization plus ``nt`` ``getrs`` steps, ``"gemv"``
-    adds one ``getri`` and takes ``nt`` ``gemv`` steps, and ``"matrix-free"``
+    one inversion plus ``nt`` inverse steps, and ``"matrix-free"``
     costs its set-up plus ``nt`` GMRES solves.  Each kernel time is read from
     :data:`_KERNEL_US` by piecewise-linear interpolation in ``log N``,
     ``log t``, extended past either end along the nearest segment.
@@ -665,9 +702,9 @@ def _step_path(size: int, nt: int, scheme: WsldScheme) -> str:
     x = math.log(size)
     i = min(max(int(np.searchsorted(logs[:, 0], x)), 1), len(logs) - 1)
     lo, hi = logs[i - 1], logs[i]
-    _, factor, getri, getrs, gemv, setup, gmres = np.exp(
+    _, factor, inverse, getrs, gemv, setup, gmres = np.exp(
         lo + (x - lo[0]) / (hi[0] - lo[0]) * (hi - lo))
-    totals = {"getrs": factor + nt * getrs, "gemv": factor + getri + nt * gemv}
+    totals = {"getrs": factor + nt * getrs, "gemv": inverse + nt * gemv}
     if scheme.shifts == DEFAULT_SHIFTS:
         totals["matrix-free"] = setup + nt * gmres
     return min(totals, key=totals.get)
@@ -709,9 +746,11 @@ def cn_solve(problem: DiffusionProblem, scheme: WsldScheme) -> SolveResult:
     * ``getrs``: ``M-`` is factored once and each step calls LAPACK
       ``getrs`` on the factors (the routine behind ``scipy.linalg.lu_solve``,
       without its per-call wrapper);
-    * ``gemv``: the factors are inverted once (LAPACK ``getri``, into a new
-      array, so ``CnSystem.lu`` stays the factors) and each step is one BLAS
-      ``gemv`` that writes ``2 M-^{-1} rhs - U^n`` over ``U^n``;
+    * ``gemv``, the inverse path: ``M-`` is inverted once by
+      ``numpy.linalg.inv``, the inverse is doubled in place and ``M-``
+      dropped, and each step is one product ``(2 M-^{-1}) rhs`` into a
+      buffer and one subtraction that writes ``U^{n+1}`` over ``U^n``; no
+      ``scipy.linalg`` routine runs, so this path never loads it;
     * matrix-free: GMRES preconditioned by the LU factors of the band of
       ``M-``, iterating on the band solve plus an FFT product with the far
       field, with no N x N array.  Each GMRES solve starts from the
@@ -730,33 +769,40 @@ def cn_solve(problem: DiffusionProblem, scheme: WsldScheme) -> SolveResult:
     its time and the norm.
     """
     path = _step_path(problem.grid.nx + 1, problem.nt, scheme)
-    if path == "matrix-free":
-        implicit = _MatrixFree(problem, scheme)
-    else:
+    if path == "gemv":
+        twice = _twice_inverse(problem, scheme)
+    elif path == "getrs":
         import scipy.linalg as sla
 
         lu, piv = assemble_cn_system(problem, scheme).lu
-        if path == "gemv":
-            getri, = sla.get_lapack_funcs(("getri",), (lu,))
-            inverse, info = getri(lu, piv)  # a new Fortran array; lu is kept
-            if info != 0:
-                raise ValueError(f"LAPACK getri failed with info = {info}")
-            gemv, = sla.get_blas_funcs(("gemv",), (inverse,))
-        else:
-            getrs, = sla.get_lapack_funcs(("getrs",), (lu,))
+        getrs, = sla.get_lapack_funcs(("getrs",), (lu,))
+    else:
+        implicit = _MatrixFree(problem, scheme)
     grid = problem.grid
     x = grid.nodes()
     tau = problem.tau
-    # a copy: the gemv step writes U^{n+1} over U^n in place
+    # a copy: the inverse step writes U^{n+1} over U^n in place
     u = np.array(problem.initial(x), dtype=float)
     w = u  # the first GMRES guess; later ones are projected from the store
+    rhs, product = np.empty_like(u), np.empty_like(u)
     sup = float(np.abs(u).max())
     for n in range(problem.nt):
         t_half = (n + 0.5) * tau
-        rhs = u + 0.5 * tau * problem.source(x, t_half)
+        np.multiply(problem.source(x, t_half), 0.5 * tau, out=rhs)
+        rhs += u
         rhs[0], rhs[-1] = 0.5 * u[0], 0.5 * u[-1]
         if path == "gemv":
-            u = gemv(2.0, inverse, rhs, beta=-1.0, y=u, overwrite_y=True)
+            # numpy checks the product's floating-point flags, and a forcing
+            # that is not finite makes inf - inf there: such a right side
+            # takes the product quietly, and the sup-norm check below reports
+            # the step.  A finite one past 1e154 overflows this test (numpy
+            # warns) and blows up the same way.
+            if math.isfinite(rhs.dot(rhs)):
+                np.dot(twice, rhs, out=product)
+            else:
+                with np.errstate(invalid="ignore", over="ignore"):
+                    np.dot(twice, rhs, out=product)
+            np.subtract(product, u, out=u)
         else:
             if path == "getrs":
                 w, info = getrs(lu, piv, rhs, overwrite_b=True)

@@ -94,6 +94,17 @@ def test_matrix_free_solve_loads_no_scipy_sparse():
     assert proc.stdout.strip() == ""
 
 
+def test_table2_sweep_loads_no_scipy_linalg():
+    # every run_table2 solve inverts M- with numpy.linalg; scipy.linalg would
+    # add about 26 MiB to the sweep's resident memory
+    probe = ("import sys, wsld\n"
+             "wsld.run_table2(nus=(4,), alphas=(1.5,), resolutions=(5, 10))\n"
+             "print(' '.join(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'linalg']))")
+    proc = _run_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
+
+
 STARTUP_PROBE = """
 import contextlib, io, sys
 import numpy as np
@@ -114,6 +125,8 @@ for argv in (["coeffs", "--nu", "4", "--alpha", "1.5", "--count", "16"],
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
         assert wsld.cli.main(argv) == 0, argv
+assert wsld.solver._step_path(17, 64, scheme) == "gemv"
+wsld.cn_solve(wsld.table2_problem(1.5, nx=16, nt=64), scheme)
 print(" ".join(m for m in sys.modules if m.split(".")[:2] == ["scipy", "linalg"]))
 wsld.solve_steady(wsld.wsld_scheme(4, 1.5, shifts=0), np.ones(33),
                   wsld.Grid1D(0.0, 1.0, 32), bc=(0.0, 0.0))
@@ -125,8 +138,8 @@ assert wsld.solver.sla is scipy.linalg
 
 def test_only_a_factorization_loads_scipy_linalg():
     # scipy.linalg costs a fresh process about 0.2 s and 26 MiB; the
-    # coefficient, operator and spectral layers and the commands built on
-    # them factor nothing, so they must not pay for it
+    # coefficient, operator and spectral layers, the commands built on them
+    # and the inverse step path factor nothing, so they must not pay for it
     proc = _run_python("-c", STARTUP_PROBE)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""

@@ -375,6 +375,33 @@ class TestCrankNicolson:
             assert peak <= 8 * (nx + 1) * 8 * (solver._BAND + solver._RESTART)
             assert peak <= 0.15 * (nx + 1) ** 2 * 8
 
+    @pytest.mark.parametrize("path", ["getrs", "gemv"],
+                             ids=["getrs-path", "inverse-path"])
+    @pytest.mark.parametrize("defect", ["zero-row", "nan-coefficient"])
+    # scipy.linalg.lu_factor also warns of the zero pivot
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_singular_implicit_matrix_raises(self, monkeypatch, path, defect):
+        _force_path(monkeypatch, path)
+        problem = table2_problem(1.5, nx=20, nt=40)
+        if defect == "zero-row":
+            fill = solver._cn_matrix
+
+            def singular(*args):
+                matrix = fill(*args)
+                matrix[5] = 0.0
+                return matrix
+
+            monkeypatch.setattr(solver, "_cn_matrix", singular)
+            error = np.linalg.LinAlgError
+            message = "implicit Crank-Nicolson matrix is singular"
+        else:
+            # reassigned after the problem checked its coefficients; the
+            # message is scipy.linalg.lu_factor's
+            problem.d_plus = lambda x: np.full_like(x, np.nan)
+            error, message = ValueError, "array must not contain infs or NaNs"
+        with pytest.raises(error, match=f"^{message}$"):
+            cn_solve(problem, wsld_scheme(4, 1.5))
+
     def test_grid_too_small(self):
         # the default tuple reaches m = 3 columns past the diagonal
         problem = table2_problem(1.5, nx=2, nt=1)
@@ -589,8 +616,8 @@ class TestStepLoop:
                         reason="longdouble is plain double on this platform")
     @pytest.mark.parametrize("alpha,nx,nt", [(1.96, 320, 40), (1.5, 480, 10)])
     def test_error_against_extended_precision_oracle(self, monkeypatch, alpha, nx, nt):
-        # the dense step path these runs take, the lu_solve reference loop and
-        # the matrix-free path all solve the same scheme to the same bound
+        # the getrs path, the lu_solve reference loop and the matrix-free path
+        # all solve the same scheme to the same bound
         problem = table2_problem(alpha, nx=nx, nt=nt)
         scheme = wsld_scheme(4, alpha)
         oracle = _cn_longdouble(problem, scheme)
@@ -598,7 +625,7 @@ class TestStepLoop:
         def relative_error(u):
             return float(np.abs(u - oracle).max() / np.abs(oracle).max())
 
-        assert solver._step_path(nx + 1, nt, scheme) != "matrix-free"
+        _force_path(monkeypatch, "getrs")
         assert relative_error(cn_solve(problem, scheme).u) <= 2e-11
         assert relative_error(_cn_reference(problem, scheme)) <= 2e-11
         _force_path(monkeypatch, "matrix-free")
@@ -630,29 +657,38 @@ class TestStepLoop:
         (640, 20, "getrs"), (40, 400, "gemv"), (2560, 20, "matrix-free")])
     def test_inverts_only_long_runs(self, monkeypatch, nx, nt, path):
         # the measured kernel costs pick the path: 20 steps at nx = 640 do not
-        # pay for getri; 20 steps at nx = 2560, as in the large-grid benchmark,
-        # do not pay for the dense factorization at all
+        # pay for the inverse; 20 steps at nx = 2560, as in the large-grid
+        # benchmark, do not pay for the dense factorization at all.  The
+        # inverse comes from numpy.linalg and asks scipy.linalg for nothing.
         requested = []
-        get_lapack_funcs, lu_factor = sla.get_lapack_funcs, sla.lu_factor
 
-        def spy(names, *args, **kwargs):
-            requested.extend([names] if isinstance(names, str) else names)
-            return get_lapack_funcs(names, *args, **kwargs)
+        def spy(module, name, label=None):
+            function = getattr(module, name)
 
-        def factor_spy(*args, **kwargs):
-            requested.append("getrf")
-            return lu_factor(*args, **kwargs)
+            def wrapper(*args, **kwargs):
+                if label is None:  # get_lapack_funcs or get_blas_funcs
+                    names = args[0]
+                    requested.extend([names] if isinstance(names, str) else names)
+                else:
+                    requested.append(label)
+                return function(*args, **kwargs)
 
-        monkeypatch.setattr(sla, "get_lapack_funcs", spy)
-        monkeypatch.setattr(sla, "lu_factor", factor_spy)
+            monkeypatch.setattr(module, name, wrapper)
+
+        spy(sla, "get_lapack_funcs")
+        spy(sla, "get_blas_funcs")
+        spy(sla, "lu_factor", "getrf")
+        spy(np.linalg, "inv", "inv")
         scheme = wsld_scheme(4, 1.5)
         assert solver._step_path(nx + 1, nt, scheme) == path
         cn_solve(table2_problem(1.5, nx=nx, nt=nt), scheme)
-        dense = path != "matrix-free"
-        assert requested.count("getrf") == requested.count("getrs") + requested.count(
-            "getri") == (1 if dense else 0)
-        assert requested.count("getri") == (1 if path == "gemv" else 0)
-        assert requested.count("gbtrf") == requested.count("gbtrs") == (0 if dense else 1)
+        assert requested.count("getrf") == requested.count("getrs") == (
+            1 if path == "getrs" else 0)
+        assert requested.count("inv") == (1 if path == "gemv" else 0)
+        assert requested.count("gbtrf") == requested.count("gbtrs") == (
+            1 if path == "matrix-free" else 0)
+        if path == "gemv":
+            assert requested == ["inv"]
 
     def test_table2_runs_keep_the_inverse_path(self):
         # run_table2 steps nt = nx^2/4 >= 2N on N = nx + 1 <= 161 unknowns
@@ -706,6 +742,9 @@ class TestStepLoop:
         (20, 50, "matrix-free"),
     ], ids=["1", "20", "39", "1-nt100", "20-nt100", "39-nt100", "20-matrix-free"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    # and warns of nothing: an infinite forcing makes inf - inf in the inverse
+    # path's product, whose floating-point flags numpy checks
+    @pytest.mark.filterwarnings("error")
     def test_nonfinite_forcing_mid_run_reports_its_step(self, monkeypatch, value,
                                                         position, nt, path):
         _force_path(monkeypatch, path)
