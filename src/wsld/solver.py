@@ -45,14 +45,23 @@ and solves with ``M-`` by one of three paths.
 
 The path is the cheapest for the run's size ``N`` and step count ``nt`` by
 kernel times measured on one BLAS thread (:data:`_KERNEL_US`); the
-matrix-free path is offered for the default shift tuple only.  On that
-table the inversion pays back after about 1.1N, 2.8N, 2.4N, 2.3N and 1.2N
-steps at N = 161, 641, 1281, 1921 and 2561: it costs 2 to 4 factorizations,
-and from N = 641 on an inverse step saves only 6% to 11% of a ``getrs``
-step.  The matrix-free path wins short runs on large grids, where the
-factorization dominates (20 steps from N = 658 on, at most 48 steps at
-N = 1281, 85 at N = 1921 and 101 at N = 2561), and loses long ones, where
-one GMRES solve costs 1.9 ``getrs`` steps at N = 2561 and 5 at N = 641.
+matrix-free path is offered for the default shift tuple only, and the
+inverse path up to N = 1281 only.  On that table the inversion pays back
+after about 1.1N, 2.8N and 2.4N steps at N = 161, 641 and 1281: it costs
+2 to 4 factorizations, and from N = 641 on an inverse step saves only 6% to
+11% of a ``getrs`` step.  Past N = 1281 it would pay back too (2.3N and
+1.2N steps at N = 1921 and 2561), but ``numpy.linalg.inv`` holds about
+four N x N arrays, twice the peak of the factorization.  The matrix-free
+path wins short runs on large grids, where the factorization dominates
+(20 steps from N = 658 on, at most 48 steps at N = 1281, 85 at N = 1921
+and 101 at N = 2561), and loses long ones, where one GMRES solve costs 1.9
+``getrs`` steps at N = 2561 and 5 at N = 641.
+All three paths share one step loop, which advances in blocks of steps so
+that the work around the solve is done once per block: the forcing of a
+block's steps is sampled into one array and scaled at once, and the sup
+norms of its states are taken at once.  A block holds
+``max(1, 4096 // N)`` steps, so from N = 2049 on it is one step.
+
 With the proven-stable shift tuple the spatial operator is negative definite
 and the stepping is unconditionally stable; with a plain unshifted operator it
 visibly blows up (see :func:`stability_probe`).
@@ -189,7 +198,8 @@ class DiffusionProblem:
             raise ValueError("diffusion problems need alpha in (1, 2)")
         if not _is_integer(self.nt) or self.nt < 1:
             raise ValueError("nt must be an integer >= 1")
-        if not (self.horizon > 0 and math.isfinite(self.horizon)):
+        if isinstance(self.horizon, bool) or not (
+                self.horizon > 0 and math.isfinite(self.horizon)):
             raise ValueError("need a finite horizon > 0")
         kappa = self.kappa
         if kappa is not None and (isinstance(kappa, bool)
@@ -316,6 +326,11 @@ class CnSystem:
 
 #: Columns per block of the ``D- A^T`` term: the temporary holds this many.
 _BLOCK = 64
+#: Entries per array of a block of time steps: :func:`cn_solve` advances
+#: ``max(1, _STEP_BLOCK // N)`` steps per block, so its two block arrays
+#: hold about 32 KiB each up to N = 2048, and from N = 2049 on a block is
+#: one step.
+_STEP_BLOCK = 4096
 #: Message of the error a singular implicit matrix raises on every dense path.
 _SINGULAR = "implicit Crank-Nicolson matrix is singular"
 
@@ -682,6 +697,12 @@ _KERNEL_US = np.array([
     (2561, 357000, 1450000, 3880, 3510, 5670, 7330),
 ])
 
+#: Most unknowns the inverse path is offered for.  ``numpy.linalg.inv``
+#: holds about four N x N arrays where a factorization holds one: at
+#: N = 2561, 5122 steps peaked at 239.5 MiB on the inverse path against
+#: 122 MiB with ``getrs``, which took 23.6 to 23.8 s against 19.0 to 21.7 s.
+_INVERSE_MAX_SIZE = 1281
+
 
 def _step_path(size: int, nt: int, scheme: WsldScheme) -> str:
     """The cheapest step path for ``nt`` steps of ``scheme`` on ``size`` unknowns.
@@ -696,7 +717,9 @@ def _step_path(size: int, nt: int, scheme: WsldScheme) -> str:
     operator has every eigenvalue in the left half plane; its GMRES counts
     were measured there.  Other tuples carry no such bound: with the
     unshifted operator at N = 2561, GMRES stalls at a residual of 6e-3 of
-    ``||rhs||`` after 200 iterations.
+    ``||rhs||`` after 200 iterations.  ``"gemv"`` is offered up to
+    :data:`_INVERSE_MAX_SIZE` unknowns only: past it the inversion would
+    hold four N x N arrays, twice the peak of the factorization.
     """
     logs = np.log(_KERNEL_US)
     x = math.log(size)
@@ -704,7 +727,9 @@ def _step_path(size: int, nt: int, scheme: WsldScheme) -> str:
     lo, hi = logs[i - 1], logs[i]
     _, factor, inverse, getrs, gemv, setup, gmres = np.exp(
         lo + (x - lo[0]) / (hi[0] - lo[0]) * (hi - lo))
-    totals = {"getrs": factor + nt * getrs, "gemv": inverse + nt * gemv}
+    totals = {"getrs": factor + nt * getrs}
+    if size <= _INVERSE_MAX_SIZE:
+        totals["gemv"] = inverse + nt * gemv
     if scheme.shifts == DEFAULT_SHIFTS:
         totals["matrix-free"] = setup + nt * gmres
     return min(totals, key=totals.get)
@@ -732,6 +757,41 @@ class InstabilityError(RuntimeError):
         self.sup_norm = sup_norm
 
 
+def _twice_solver(path: str, problem: DiffusionProblem, scheme: WsldScheme,
+                  guess: np.ndarray):
+    """Set up ``path`` and return its step ``solve(rhs, out, step)``.
+
+    The step writes ``2W`` into ``out``, ``W`` the solution of ``M- W = rhs``,
+    and may overwrite ``rhs``.  ``guess`` is the first GMRES guess of the
+    matrix-free path, read by its first solve only.
+    """
+    if path == "gemv":
+        twice = _twice_inverse(problem, scheme)
+
+        def solve(rhs, out, step):
+            np.dot(twice, rhs, out=out)
+    elif path == "getrs":
+        import scipy.linalg as sla
+
+        lu, piv = assemble_cn_system(problem, scheme).lu
+        getrs, = sla.get_lapack_funcs(("getrs",), (lu,))
+
+        def solve(rhs, out, step):
+            w, info = getrs(lu, piv, rhs, overwrite_b=True)
+            if info != 0:
+                raise ValueError(f"illegal value in argument {-info} of LAPACK getrs")
+            np.multiply(w, 2.0, out=out)
+    else:
+        implicit = _MatrixFree(problem, scheme)
+        w = guess  # later guesses are projected from the store
+
+        def solve(rhs, out, step):
+            nonlocal w
+            w = implicit.solve(rhs, w, step)
+            np.multiply(w, 2.0, out=out)
+    return solve
+
+
 def cn_solve(problem: DiffusionProblem, scheme: WsldScheme) -> SolveResult:
     """Advance the Crank-Nicolson scheme to ``t = horizon``.
 
@@ -748,9 +808,9 @@ def cn_solve(problem: DiffusionProblem, scheme: WsldScheme) -> SolveResult:
       without its per-call wrapper);
     * ``gemv``, the inverse path: ``M-`` is inverted once by
       ``numpy.linalg.inv``, the inverse is doubled in place and ``M-``
-      dropped, and each step is one product ``(2 M-^{-1}) rhs`` into a
-      buffer and one subtraction that writes ``U^{n+1}`` over ``U^n``; no
-      ``scipy.linalg`` routine runs, so this path never loads it;
+      dropped, and each step is one product ``(2 M-^{-1}) rhs`` and one
+      subtraction; no ``scipy.linalg`` routine runs, so this path never
+      loads it;
     * matrix-free: GMRES preconditioned by the LU factors of the band of
       ``M-``, iterating on the band solve plus an FFT product with the far
       field, with no N x N array.  Each GMRES solve starts from the
@@ -760,63 +820,66 @@ def cn_solve(problem: DiffusionProblem, scheme: WsldScheme) -> SolveResult:
       the stopping target plus the mat-vec's rounding floor, raises
       ``RuntimeError`` naming the step, the iterations and the residual.
 
+    The steps advance in blocks of ``max(1, 4096 // N)`` (fewer in the
+    last block).  A block first samples the forcing of each of its
+    steps, in step order, into one array and scales it by ``tau/2``; then
+    it steps, writing each ``U^{n+1}`` into the next row of a state array;
+    then it takes every step's sup norm at once.  So the source may be
+    called for steps past a failing one, up to the end of its block.  The
+    results are bitwise those of checking each step as it is taken.
+
     The initial data are copied first, so the array ``problem.initial``
     returns is never written.  The boundary entries of the right-hand side
     are ``U^n/2``, which the identity rows map to ``U^{n+1} = 0`` there; that
     zero is then written exactly.  A step whose sup norm exceeds
     ``BLOWUP_THRESHOLD`` or is not finite, including one whose forcing is not
     finite, aborts with :class:`InstabilityError`, which carries the step,
-    its time and the norm.
+    its time and the norm.  The first failure in step order is raised: an
+    exception from the source or the solve at a later step of the same
+    block gives way to a blow-up before it.
     """
-    path = _step_path(problem.grid.nx + 1, problem.nt, scheme)
-    if path == "gemv":
-        twice = _twice_inverse(problem, scheme)
-    elif path == "getrs":
-        import scipy.linalg as sla
-
-        lu, piv = assemble_cn_system(problem, scheme).lu
-        getrs, = sla.get_lapack_funcs(("getrs",), (lu,))
-    else:
-        implicit = _MatrixFree(problem, scheme)
-    grid = problem.grid
-    x = grid.nodes()
-    tau = problem.tau
-    # a copy: the inverse step writes U^{n+1} over U^n in place
-    u = np.array(problem.initial(x), dtype=float)
-    w = u  # the first GMRES guess; later ones are projected from the store
-    rhs, product = np.empty_like(u), np.empty_like(u)
-    sup = float(np.abs(u).max())
-    for n in range(problem.nt):
-        t_half = (n + 0.5) * tau
-        np.multiply(problem.source(x, t_half), 0.5 * tau, out=rhs)
-        rhs += u
-        rhs[0], rhs[-1] = 0.5 * u[0], 0.5 * u[-1]
-        if path == "gemv":
-            # numpy checks the product's floating-point flags, and a forcing
-            # that is not finite makes inf - inf there: such a right side
-            # takes the product quietly, and the sup-norm check below reports
-            # the step.  A finite one past 1e154 overflows this test (numpy
-            # warns) and blows up the same way.
-            if math.isfinite(rhs.dot(rhs)):
-                np.dot(twice, rhs, out=product)
-            else:
-                with np.errstate(invalid="ignore", over="ignore"):
-                    np.dot(twice, rhs, out=product)
-            np.subtract(product, u, out=u)
-        else:
-            if path == "getrs":
-                w, info = getrs(lu, piv, rhs, overwrite_b=True)
-                if info != 0:
-                    raise ValueError(f"illegal value in argument {-info} of LAPACK getrs")
-            else:
-                w = implicit.solve(rhs, w, n + 1)
-            u = 2.0 * w - u
-        u[0] = u[-1] = 0.0
-        step_sup = float(np.abs(u).max())
-        if not step_sup <= BLOWUP_THRESHOLD:  # also catches NaN
-            raise InstabilityError(n + 1, (n + 1) * tau, step_sup)
-        sup = max(sup, step_sup)
-    return SolveResult(u=u, steps=problem.nt, sup_norm=sup)
+    size, nt, tau = problem.grid.nx + 1, problem.nt, problem.tau
+    x, source = problem.grid.nodes(), problem.source
+    rows = max(1, min(nt, _STEP_BLOCK // size))
+    forcing = np.empty((rows, size))  # each step's right side is built in its row
+    states = np.empty((rows + 1, size))  # U^n of the block's steps, then U^{n+1}
+    states[0] = problem.initial(x)
+    solve = _twice_solver(_step_path(size, nt, scheme), problem, scheme, states[0])
+    sup = float(np.abs(states[0]).max())
+    forcing_rows, state_rows = list(forcing), list(states)
+    done = 0
+    while done < nt:
+        count, failure = min(rows, nt - done), None
+        try:
+            for k in range(count):
+                np.copyto(forcing_rows[k], source(x, (done + k + 0.5) * tau))
+        except Exception as exc:  # raised after the steps before it are checked
+            count, failure = k, exc
+        forcing[:count] *= 0.5 * tau
+        # a right side that is not finite makes inf - inf in the products;
+        # the sup-norm check reports its step, so the stepping is quiet
+        with np.errstate(invalid="ignore", over="ignore"):
+            try:
+                for k in range(count):
+                    rhs, u, out = forcing_rows[k], state_rows[k], state_rows[k + 1]
+                    rhs += u
+                    rhs[0], rhs[-1] = 0.5 * u[0], 0.5 * u[-1]
+                    solve(rhs, out, done + k + 1)
+                    out -= u
+                    out[0] = out[-1] = 0.0
+            except Exception as exc:
+                count, failure = k, exc
+        norms = np.abs(states[1: count + 1], out=forcing[:count]).max(axis=1)
+        blown = np.flatnonzero(~(norms <= BLOWUP_THRESHOLD))  # also catches NaN
+        if blown.size:
+            step = done + int(blown[0]) + 1
+            raise InstabilityError(step, step * tau, float(norms[blown[0]]))
+        if failure is not None:
+            raise failure
+        sup = max(sup, float(norms.max()))
+        done += count
+        states[0] = states[count]
+    return SolveResult(u=states[0].copy(), steps=nt, sup_norm=sup)
 
 
 @dataclass(frozen=True)
@@ -836,14 +899,18 @@ def stability_probe(
 ) -> ProbeResult:
     """Run ``n_steps`` with the aggressive step ``tau = tau_over_h * h``.
 
-    Reports the running sup norm; crossing ``BLOWUP_THRESHOLD`` stops the run
-    and marks it unbounded, with the step at which it blew up in
-    ``steps_completed``.  With the negative-definite default tuple the sup
-    norm stays of the order of the solution scale for any ratio; the
-    unshifted operator diverges within tens of steps.  ``tau_over_h`` must be
+    Reports the running sup norm; crossing ``BLOWUP_THRESHOLD`` marks the run
+    unbounded, with the first step at which it blew up in
+    ``steps_completed`` and that step's sup norm.  The run stops at the end
+    of the block of steps holding that step (see :func:`cn_solve`): the
+    steps after it in the block are taken quietly, with no floating-point
+    warning, and change nothing reported.  With the negative-definite
+    default tuple the sup norm stays of the order of the solution scale for
+    any ratio; the unshifted operator diverges within tens of steps.  ``tau_over_h`` must be
     finite and positive, and ``n_steps`` an integer >= 1.
     """
-    if not (math.isfinite(tau_over_h) and tau_over_h > 0):
+    if isinstance(tau_over_h, bool) or not (math.isfinite(tau_over_h)
+                                            and tau_over_h > 0):
         raise ValueError(f"tau_over_h must be finite and positive, got {tau_over_h!r}")
     if not _is_integer(n_steps) or n_steps < 1:
         raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
@@ -883,8 +950,9 @@ def _table2_source(alpha: float) -> Callable[[np.ndarray, float], np.ndarray]:
     The fractional powers depend on ``x`` alone: they are computed once per
     node array, in a one-entry cache keyed by the shape and the bytes of the
     last ``x`` (so ``-0.0`` and ``0.0`` are different keys).  Each call
-    multiplies in the order of the unfactored formula, so the samples are
-    bitwise those of evaluating it in full.
+    multiplies in the order of the unfactored formula,
+    ``(cos x^4) (2-x)^4 - (x^alpha sin) bracket``, in place in two new
+    arrays, so the samples are bitwise those of evaluating it in full.
     """
     g = math.gamma
     c = [g(9) / g(9 - alpha), 8 * g(8) / g(8 - alpha), 24 * g(7) / g(7 - alpha),
@@ -907,7 +975,12 @@ def _table2_source(alpha: float) -> Callable[[np.ndarray, float], np.ndarray]:
             )
             entry = cache = (key, x ** 4, y ** 4, x ** alpha, bracket)
         _, x4, y4, xa, bracket = entry
-        return math.cos(t + 1.0) * x4 * y4 - xa * math.sin(t + 1.0) * bracket
+        out = np.multiply(x4, math.cos(t + 1.0))
+        out *= y4
+        part = np.multiply(xa, math.sin(t + 1.0))
+        part *= bracket
+        out -= part
+        return out
 
     return f
 

@@ -273,7 +273,7 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match=match):
             DiffusionProblem(**data)
 
-    @pytest.mark.parametrize("horizon", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("horizon", [np.nan, np.inf, 0.0, -1.0, True])
     def test_horizon_must_be_finite_and_positive(self, horizon):
         with pytest.raises(ValueError, match="finite horizon"):
             DiffusionProblem(
@@ -508,6 +508,46 @@ def _cn_reference(problem, scheme):
     return u
 
 
+def _cn_per_step(problem, scheme, path):
+    """The Crank-Nicolson loop of :func:`cn_solve`, one step at a time.
+
+    Each step samples the forcing, solves on ``path`` and checks the sup norm
+    before the next, as ``cn_solve`` did before it stepped in blocks.
+    Returns ``(u, sup_norm)`` or raises the step's :class:`InstabilityError`.
+    """
+    x, tau = problem.grid.nodes(), problem.tau
+    u = np.array(problem.initial(x), dtype=float)
+    if path == "gemv":
+        twice = solver._twice_inverse(problem, scheme)
+
+        def twice_solution(rhs, step):
+            return twice @ rhs
+    elif path == "getrs":
+        lu = assemble_cn_system(problem, scheme).lu
+
+        def twice_solution(rhs, step):
+            return 2.0 * sla.lu_solve(lu, rhs, check_finite=False)
+    else:
+        implicit, w = solver._MatrixFree(problem, scheme), u
+
+        def twice_solution(rhs, step):
+            nonlocal w
+            w = implicit.solve(rhs, w, step)
+            return 2.0 * w
+    sup = float(np.abs(u).max())
+    for n in range(problem.nt):
+        rhs = problem.source(x, (n + 0.5) * tau) * (0.5 * tau) + u
+        rhs[0], rhs[-1] = 0.5 * u[0], 0.5 * u[-1]
+        with np.errstate(invalid="ignore", over="ignore"):
+            u = twice_solution(rhs, n + 1) - u
+        u[0] = u[-1] = 0.0
+        step_sup = float(np.abs(u).max())
+        if not step_sup <= BLOWUP_THRESHOLD:
+            raise InstabilityError(n + 1, (n + 1) * tau, step_sup)
+        sup = max(sup, step_sup)
+    return u, sup
+
+
 def _cn_matrices_unfactored(problem, scheme, dtype=float):
     """Reference ``M- = I - cS`` and ``M+ = I + cS``, each formed in full.
 
@@ -577,6 +617,14 @@ def _unfactored_problem():
         d_plus=lambda x: x ** 1.3, d_minus=lambda x: 0.5 * x ** 1.3,
         source=lambda x, t: np.sin(3 * x * (t + 1)),
         initial=lambda x: x * (2.0 - x), horizon=0.5, nt=200, kappa=0.5)
+
+
+def _nonzero_boundary_problem(nt):
+    problem = _unfactored_problem()
+    problem.initial = expression("one", problem.alpha)
+    problem.horizon *= nt / problem.nt
+    problem.nt = nt
+    return problem
 
 
 def _table2_forcing_unfactored(alpha, x, t):
@@ -690,6 +738,14 @@ class TestStepLoop:
         if path == "gemv":
             assert requested == ["inv"]
 
+    def test_large_grids_are_not_inverted(self):
+        # at N = 2561 the inversion would peak at about twice the memory of
+        # the factorization; up to N = 1281 long runs still invert
+        scheme = wsld_scheme(4, 1.5)
+        assert solver._step_path(2561, 5122, scheme) == "getrs"
+        assert solver._step_path(2561, 10 ** 6, scheme) == "getrs"
+        assert solver._step_path(solver._INVERSE_MAX_SIZE, 10 ** 6, scheme) == "gemv"
+
     def test_table2_runs_keep_the_inverse_path(self):
         # run_table2 steps nt = nx^2/4 >= 2N on N = nx + 1 <= 161 unknowns
         for nx in (20, 40, 80, 160):
@@ -698,16 +754,9 @@ class TestStepLoop:
 
     @pytest.mark.parametrize("nt", [1, 200])
     def test_nonzero_boundary_data_are_zeroed(self, nt):
-        def make_problem():
-            problem = _unfactored_problem()
-            problem.initial = expression("one", problem.alpha)
-            problem.horizon *= nt / problem.nt
-            problem.nt = nt
-            return problem
-
         scheme = wsld_scheme(4, 1.3)
-        u = cn_solve(make_problem(), scheme).u
-        reference = _cn_reference(make_problem(), scheme)
+        u = cn_solve(_nonzero_boundary_problem(nt), scheme).u
+        reference = _cn_reference(_nonzero_boundary_problem(nt), scheme)
         assert u[0] == u[-1] == 0.0
         assert np.abs(u - reference).max() <= 1e-12 * np.abs(reference).max()
 
@@ -764,6 +813,81 @@ class TestStepLoop:
         assert err.step == bad_step
         assert err.t == bad_step * problem.tau
         assert not np.isfinite(err.sup_norm)
+
+
+_PATHS = ["getrs", "gemv", "matrix-free"]
+
+
+class TestBlockStepping:
+    @pytest.mark.parametrize("make_problem", [
+        lambda: table2_problem(1.5, nx=40, nt=137),
+        lambda: table2_problem(1.9, nx=160, nt=61),
+        lambda: _nonzero_boundary_problem(137),
+    ], ids=["table2-nx40", "table2-nx160", "no-kappa-nonzero-boundary"])
+    @pytest.mark.parametrize("path", _PATHS)
+    def test_bitwise_the_per_step_loop(self, monkeypatch, make_problem, path):
+        _force_path(monkeypatch, path)
+        problem = make_problem()
+        rows = solver._STEP_BLOCK // (problem.grid.nx + 1)
+        assert problem.nt > rows and problem.nt % rows  # a last, shorter block
+        scheme = wsld_scheme(4, problem.alpha)
+        result = cn_solve(problem, scheme)
+        u, sup = _cn_per_step(make_problem(), scheme, path)
+        assert result.u.tobytes() == u.tobytes()
+        assert result.sup_norm == sup and result.steps == problem.nt
+
+    @pytest.mark.parametrize("path", _PATHS)
+    def test_source_sampled_once_per_step_in_order(self, monkeypatch, path):
+        _force_path(monkeypatch, path)
+        problem = table2_problem(1.5, nx=160, nt=61)
+        finite_source, times = problem.source, []
+
+        def source(x, t):
+            times.append(t)
+            return finite_source(x, t)
+
+        problem.source = source
+        cn_solve(problem, wsld_scheme(4, 1.5))
+        expected = [(n + 0.5) * problem.tau for n in range(problem.nt)]
+        assert np.array(times).tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("blown", [True, False], ids=["after-blowup", "alone"])
+    @pytest.mark.parametrize("failing", ["source", "gmres"])
+    @pytest.mark.filterwarnings("error")
+    def test_later_exception_gives_way_to_an_earlier_blowup(
+            self, monkeypatch, failing, blown):
+        # steps bad and bad + 2 fall in the first block of 99 steps
+        _force_path(monkeypatch, "matrix-free" if failing == "gmres" else "gemv")
+        problem = table2_problem(1.5, nx=40, nt=100)
+        finite_source, bad = problem.source, 7
+
+        def source(x, t):
+            step = round(t / problem.tau + 0.5)
+            if failing == "source" and step == bad + 2:
+                raise KeyError("source failed")
+            f = finite_source(x, t)
+            if blown and step == bad:
+                f[20] = np.nan
+            return f
+
+        solve = solver._MatrixFree.solve
+
+        def failing_solve(self, rhs, w, step):
+            if step == bad + 2:
+                raise RuntimeError(f"GMRES did not converge at step {step}")
+            return solve(self, rhs, w, step)
+
+        problem.source = source
+        monkeypatch.setattr(solver._MatrixFree, "solve", failing_solve)
+        expected = InstabilityError if blown else (
+            KeyError if failing == "source" else RuntimeError)
+        with pytest.raises(expected) as info:
+            cn_solve(problem, wsld_scheme(4, 1.5))
+        if blown:
+            assert info.value.step == bad and info.value.t == bad * problem.tau
+            assert math.isnan(info.value.sup_norm)
+        else:
+            assert type(info.value) is expected
 
 
 class TestMatrixFree:
@@ -1047,6 +1171,22 @@ class TestStabilityProbe:
         assert err.t == pytest.approx(err.step * problem.tau)
         assert err.sup_norm > BLOWUP_THRESHOLD
 
+    @pytest.mark.parametrize("path", ["gemv", "getrs"])
+    @pytest.mark.filterwarnings("error")
+    def test_blowup_inside_a_block_matches_the_per_step_loop(self, monkeypatch, path):
+        # the steps after the blow-up in its block are taken, quietly, and
+        # change nothing the probe reports
+        _force_path(monkeypatch, path)
+        problem, scheme = table2_problem(1.5, nx=80), wsld_scheme(4, 1.5, shifts=0)
+        probe = stability_probe(problem, scheme, tau_over_h=10.0, n_steps=400)
+        tau = 10.0 * problem.grid.h
+        with pytest.raises(InstabilityError) as info:
+            _cn_per_step(replace(problem, horizon=tau * 400, nt=400), scheme, path)
+        assert info.value.step % (solver._STEP_BLOCK // 81)  # not a block's last
+        assert not probe.bounded
+        assert probe.steps_completed == info.value.step
+        assert probe.sup_norm == info.value.sup_norm
+
     def test_unshifted_operator_probe_on_a_large_grid_is_dense(self, monkeypatch):
         # a short probe at N = 2561 takes a dense path for a tuple other than
         # the default, where GMRES stalls, and reports a ProbeResult
@@ -1068,7 +1208,7 @@ class TestStabilityProbe:
         assert probe.bounded
         assert probe.sup_norm == 0.0
 
-    @pytest.mark.parametrize("ratio", [math.nan, -1.0, 0.0, math.inf])
+    @pytest.mark.parametrize("ratio", [math.nan, -1.0, 0.0, math.inf, True])
     def test_ratio_must_be_finite_and_positive(self, ratio):
         # checked before the horizon tau_over_h * h * n_steps is formed
         with pytest.raises(ValueError, match="tau_over_h must be finite and positive"):
