@@ -43,19 +43,10 @@ and solves with ``M-`` by one of three paths.
   iterations than a start from the last ``W`` alone.  Memory is
   O(N (b + restart + 20)).
 
-The path is the cheapest for the run's size ``N`` and step count ``nt`` by
-kernel times measured on one BLAS thread (:data:`_KERNEL_US`); the
-matrix-free path is offered for the default shift tuple only, and the
-inverse path up to N = 1281 only.  On that table the inversion pays back
-after about 1.1N, 2.8N and 2.4N steps at N = 161, 641 and 1281: it costs
-2 to 4 factorizations, and from N = 641 on an inverse step saves only 6% to
-11% of a ``getrs`` step.  Past N = 1281 it would pay back too (2.3N and
-1.2N steps at N = 1921 and 2561), but ``numpy.linalg.inv`` holds about
-four N x N arrays, twice the peak of the factorization.  The matrix-free
-path wins short runs on large grids, where the factorization dominates
-(20 steps from N = 658 on, at most 48 steps at N = 1281, 85 at N = 1921
-and 101 at N = 2561), and loses long ones, where one GMRES solve costs 1.9
-``getrs`` steps at N = 2561 and 5 at N = 641.
+:func:`_step_path` picks the path from the run's size ``N`` and step count
+``nt`` by three constants: the default shift tuple goes matrix-free past
+N = 1281 and for runs of at most ``(N / 162)^2`` steps; up to N = 1281,
+runs of at least 2N steps take the inverse path, and the rest ``getrs``.
 All three paths share one step loop, which advances in blocks of steps so
 that the work around the solve is done once per block: the forcing of a
 block's steps is sampled into one array and scaled at once, and the sup
@@ -125,7 +116,9 @@ BLOWUP_THRESHOLD = 1e10
 #: scheme's shift ``m`` past it).
 _BAND = 32
 #: GMRES restart length: Krylov vectors held at once by the matrix-free path.
-_RESTART = 40
+#: A solve at nx = 10240 and tau = 0.2 takes 70-74 iterations; restarted
+#: every 40, it stalled short of the target within the iteration cap.
+_RESTART = 80
 #: Converged steps whose solutions the matrix-free path projects each new
 #: right side onto; the store restarts when full.
 _STORE = 20
@@ -669,70 +662,50 @@ class _MatrixFree:
         return w + self._precondition(y @ basis[:k]), abs(g[k]), k
 
 
-#: Kernel times in microseconds on ``N`` unknowns, BLAS on one thread (2-core
-#: x86-64 box, numpy 2.4.6, scipy 1.17.1), the least of three sessions, each
-#: the min of 3 to 200 runs.  Columns: ``N``; fill and ``getrf`` of ``M-``
-#: (:func:`assemble_cn_system`); fill and inversion of ``M-``
-#: (:func:`_twice_inverse`); one ``getrs`` step, ``2 getrs(rhs) - U``; one
-#: inverse step; the matrix-free set-up; one matrix-free step, forcing
-#: included, at ``nt = 20`` (with the projected start, so the mean of one
-#: solve from the initial data and 19 from the store).  The four dense
-#: columns come from one set of sessions, in which the factorization and
-#: the inversion alternate run by run, and the two steps block by block in
-#: one loop.  Both steps read the N x N array once, so at large ``N`` their
-#: times differ by less than the spread between sessions; the inverse step
-#: is therefore the ``getrs`` step times the median over the sessions of
-#: their ratio.  The matrix-free columns come from an earlier set.  The
-#: dense columns are taken at alpha = 1.5, the matrix-free ones at the
-#: slowest of alpha in {1.2, 1.5, 1.9}, all on the Table 2 problem.
-_KERNEL_US = np.array([
-    (21, 279, 278, 2.93, 2.4, 297, 275),
-    (41, 321, 346, 3.59, 2.66, 464, 249),
-    (81, 419, 555, 5.27, 3.02, 410, 230),
-    (161, 883, 1730, 10.7, 5.9, 611, 290),
-    (321, 3030, 9110, 27.5, 17.1, 1060, 453),
-    (641, 13500, 44000, 159, 142, 1200, 794),
-    (1281, 67000, 239000, 665, 608, 3280, 1990),
-    (1921, 186000, 631000, 1580, 1480, 3940, 3720),
-    (2561, 357000, 1450000, 3880, 3510, 5670, 7330),
-])
-
-#: Most unknowns the inverse path is offered for.  ``numpy.linalg.inv``
-#: holds about four N x N arrays where a factorization holds one: at
-#: N = 2561, 5122 steps peaked at 239.5 MiB on the inverse path against
-#: 122 MiB with ``getrs``, which took 23.6 to 23.8 s against 19.0 to 21.7 s.
-_INVERSE_MAX_SIZE = 1281
+#: Most unknowns a dense path is chosen for where another is offered: past
+#: it the default shift tuple goes matrix-free, and no tuple is inverted.
+#: ``numpy.linalg.inv`` holds about four N x N arrays where a factorization
+#: holds one: at N = 2561, 5122 steps peaked at 239.5 MiB on the inverse
+#: path against 122 MiB with ``getrs``.
+_DENSE_MAX_SIZE = 1281
+#: Short runs of the default shift tuple go matrix-free while
+#: ``nt <= (N / _SHORT_RUN_SCALE)^2``: the factorization they skip costs
+#: O(N^3) and a GMRES iteration O(N (b + log N)), so the steps one
+#: factorization outweighs grow about like ``N^2``.
+_SHORT_RUN_SCALE = 162
+#: Runs of at least this many steps per unknown invert ``M-`` once.
+_INVERT_STEPS_PER_ROW = 2
 
 
 def _step_path(size: int, nt: int, scheme: WsldScheme) -> str:
-    """The cheapest step path for ``nt`` steps of ``scheme`` on ``size`` unknowns.
+    """The step path for ``nt`` steps of ``scheme`` on ``size`` unknowns.
 
-    ``"getrs"`` costs a factorization plus ``nt`` ``getrs`` steps, ``"gemv"``
-    one inversion plus ``nt`` inverse steps, and ``"matrix-free"``
-    costs its set-up plus ``nt`` GMRES solves.  Each kernel time is read from
-    :data:`_KERNEL_US` by piecewise-linear interpolation in ``log N``,
-    ``log t``, extended past either end along the nearest segment.
+    ``"matrix-free"`` for the default shift tuple past
+    :data:`_DENSE_MAX_SIZE` unknowns, and for ``nt <= (N / 162)^2`` below
+    it; ``"gemv"`` for ``nt >= 2N`` up to :data:`_DENSE_MAX_SIZE`;
+    ``"getrs"`` for the rest.  A longer run at the same ``N`` has a smaller
+    ``tau``, so ``M-`` is closer to ``I`` and its GMRES solves are easier
+    than those of the short runs the rule already sends to GMRES.
+
+    The constants come from paired timings of the forced paths (Table 2
+    problem, alpha in {1.1, 1.9}, one BLAS thread, 2-core x86-64 box).
+    Matrix-free against ``getrs``: 0.10-0.78x from N = 1601 on at 100 to
+    2N steps; 0.46-0.72x at (1281, 50) and 0.54-0.70x at (861, 28); 1.05-1.12x
+    at (481, 9), and 1.19-1.34x at (161, 1), where 162 keeps ``getrs``.
+    The inverse path against ``getrs`` at 2N steps: 0.90-1.04x from N = 641
+    to 1281.
 
     ``"matrix-free"`` is offered for the default shift tuple only, whose
-    operator has every eigenvalue in the left half plane; its GMRES counts
-    were measured there.  Other tuples carry no such bound: with the
-    unshifted operator at N = 2561, GMRES stalls at a residual of 6e-3 of
-    ``||rhs||`` after 200 iterations.  ``"gemv"`` is offered up to
-    :data:`_INVERSE_MAX_SIZE` unknowns only: past it the inversion would
-    hold four N x N arrays, twice the peak of the factorization.
+    operator has every eigenvalue in the left half plane.  Other tuples
+    carry no such bound: with the unshifted operator at N = 2561, GMRES
+    stalls at a residual of 6e-3 of ``||rhs||`` after 200 iterations.
     """
-    logs = np.log(_KERNEL_US)
-    x = math.log(size)
-    i = min(max(int(np.searchsorted(logs[:, 0], x)), 1), len(logs) - 1)
-    lo, hi = logs[i - 1], logs[i]
-    _, factor, inverse, getrs, gemv, setup, gmres = np.exp(
-        lo + (x - lo[0]) / (hi[0] - lo[0]) * (hi - lo))
-    totals = {"getrs": factor + nt * getrs}
-    if size <= _INVERSE_MAX_SIZE:
-        totals["gemv"] = inverse + nt * gemv
-    if scheme.shifts == DEFAULT_SHIFTS:
-        totals["matrix-free"] = setup + nt * gmres
-    return min(totals, key=totals.get)
+    if scheme.shifts == DEFAULT_SHIFTS and (
+            size > _DENSE_MAX_SIZE or nt * _SHORT_RUN_SCALE ** 2 <= size ** 2):
+        return "matrix-free"
+    if size <= _DENSE_MAX_SIZE and nt >= _INVERT_STEPS_PER_ROW * size:
+        return "gemv"
+    return "getrs"
 
 
 @dataclass(frozen=True)
@@ -798,27 +771,12 @@ def cn_solve(problem: DiffusionProblem, scheme: WsldScheme) -> SolveResult:
     Each step samples the forcing ``F`` at the half step ``t_{n+1/2}``,
     solves ``M- W = U^n + (tau/2) F`` and sets ``U^{n+1} = 2W - U^n``.  This
     is the step ``M- U^{n+1} = M+ U^n + tau F`` with ``M+ = 2I - M-``.  The
-    solve takes one of three paths, the cheapest for ``nt`` steps on
-    ``N = nx + 1`` unknowns by measured kernel times, with the matrix-free
-    path for the default shift tuple only (see the module docstring); no
-    argument selects it:
-
-    * ``getrs``: ``M-`` is factored once and each step calls LAPACK
-      ``getrs`` on the factors (the routine behind ``scipy.linalg.lu_solve``,
-      without its per-call wrapper);
-    * ``gemv``, the inverse path: ``M-`` is inverted once by
-      ``numpy.linalg.inv``, the inverse is doubled in place and ``M-``
-      dropped, and each step is one product ``(2 M-^{-1}) rhs`` and one
-      subtraction; no ``scipy.linalg`` routine runs, so this path never
-      loads it;
-    * matrix-free: GMRES preconditioned by the LU factors of the band of
-      ``M-``, iterating on the band solve plus an FFT product with the far
-      field, with no N x N array.  Each GMRES solve starts from the
-      combination of earlier steps' solutions that best fits its right side
-      (the first, from the initial data).  A GMRES solve that does
-      not converge within its iteration cap, or whose true residual exceeds
-      the stopping target plus the mat-vec's rounding floor, raises
-      ``RuntimeError`` naming the step, the iterations and the residual.
+    solve takes the ``getrs``, inverse or matrix-free path of the module
+    docstring, which :func:`_step_path` picks from ``nt`` and
+    ``N = nx + 1``; no argument selects it.  A matrix-free GMRES solve that
+    does not converge within its iteration cap, or whose true residual
+    exceeds the stopping target plus the mat-vec's rounding floor, raises
+    ``RuntimeError`` naming the step, the iterations and the residual.
 
     The steps advance in blocks of ``max(1, 4096 // N)`` (fewer in the
     last block).  A block first samples the forcing of each of its

@@ -1,5 +1,5 @@
-"""Property tests of shift weights, assembly, application and Crank-Nicolson
-stability over drawn schemes."""
+"""Property tests of shift weights, assembly, application, Crank-Nicolson
+stability and the step-path rule over drawn schemes."""
 
 import warnings
 
@@ -10,6 +10,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from wsld.operators import apply_operator, assemble_left, wsld_scheme  # noqa: E402
+from wsld import solver  # noqa: E402
+from wsld.operators import DEFAULT_SHIFTS  # noqa: E402
 from wsld.solver import DiffusionProblem, Grid1D, cn_solve  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
@@ -97,3 +99,41 @@ def test_crank_nicolson_sup_norm_stays_bounded(nu, alpha, kappa, tau_over_h, nx)
     u0 = problem.initial(grid.nodes())
     result = cn_solve(problem, wsld_scheme(nu, alpha))
     assert result.sup_norm <= 2.0 * np.abs(u0).max()
+
+
+# the rule reads nothing but integers, so many cheap examples, drawn on a
+# log scale to reach both sides of every constant
+RULE = settings(PROPERTY, max_examples=200)
+
+
+def log_uniform(low, high):
+    """Integers in ``[2^low, 2^(high + 1)]``, about uniform in their log."""
+    return st.integers(low, high).flatmap(lambda k: st.integers(2 ** k, 2 ** (k + 1)))
+
+
+sizes = log_uniform(2, 20)
+step_counts = log_uniform(0, 26)
+
+
+@RULE
+@given(sizes, sizes, step_counts)
+def test_matrix_free_is_monotone_in_size(size, other, nt):
+    # at a fixed step count, a larger grid never leaves the matrix-free path
+    small, large = sorted((size, other))
+    scheme = wsld_scheme(4, 1.5)
+    if solver._step_path(small, nt, scheme) == "matrix-free":
+        assert solver._step_path(large, nt, scheme) == "matrix-free"
+
+
+@RULE
+@given(st.one_of(st.sampled_from([3, 4]).map(lambda nu: wsld_scheme(nu, 1.5)),
+                schemes()), sizes, step_counts)
+def test_step_path_keeps_its_bounds(scheme, size, nt):
+    # no inverse, and its four N x N arrays, past the dense cap; no GMRES
+    # for an operator without the default tuple's stability
+    path = solver._step_path(size, nt, scheme)
+    assert path in ("getrs", "gemv", "matrix-free")
+    if size > solver._DENSE_MAX_SIZE:
+        assert path != "gemv"
+    if scheme.shifts != DEFAULT_SHIFTS:
+        assert path != "matrix-free"

@@ -704,10 +704,11 @@ class TestStepLoop:
     @pytest.mark.parametrize("nx,nt,path", [
         (640, 20, "getrs"), (40, 400, "gemv"), (2560, 20, "matrix-free")])
     def test_inverts_only_long_runs(self, monkeypatch, nx, nt, path):
-        # the measured kernel costs pick the path: 20 steps at nx = 640 do not
-        # pay for the inverse; 20 steps at nx = 2560, as in the large-grid
-        # benchmark, do not pay for the dense factorization at all.  The
-        # inverse comes from numpy.linalg and asks scipy.linalg for nothing.
+        # the step-path rule picks the path: 20 steps at nx = 640 are too few
+        # for the inverse (2N) and too many for matrix-free ((N/162)^2 = 15);
+        # 20 steps at nx = 2560, as in the large-grid benchmark, go
+        # matrix-free, as does every run past N = 1281.  The inverse comes
+        # from numpy.linalg and asks scipy.linalg for nothing.
         requested = []
 
         def spy(module, name, label=None):
@@ -740,11 +741,35 @@ class TestStepLoop:
 
     def test_large_grids_are_not_inverted(self):
         # at N = 2561 the inversion would peak at about twice the memory of
-        # the factorization; up to N = 1281 long runs still invert
-        scheme = wsld_scheme(4, 1.5)
-        assert solver._step_path(2561, 5122, scheme) == "getrs"
-        assert solver._step_path(2561, 10 ** 6, scheme) == "getrs"
-        assert solver._step_path(solver._INVERSE_MAX_SIZE, 10 ** 6, scheme) == "gemv"
+        # the factorization: the default tuple goes matrix-free there, and
+        # other tuples factor; up to N = 1281 long runs still invert
+        scheme, unshifted = wsld_scheme(4, 1.5), wsld_scheme(4, 1.5, shifts=0)
+        for nt in (5122, 10 ** 6):
+            assert solver._step_path(2561, nt, scheme) == "matrix-free"
+            assert solver._step_path(2561, nt, unshifted) == "getrs"
+        assert solver._step_path(solver._DENSE_MAX_SIZE, 10 ** 6, scheme) == "gemv"
+
+    @pytest.mark.parametrize("nx,nt,path,unshifted_path", [
+        # run_table2 (nt = nx^2 / 4 >= 2N), the start-up probe, large-grid
+        (20, 100, "gemv", "gemv"), (40, 400, "gemv", "gemv"),
+        (80, 1600, "gemv", "gemv"), (160, 6400, "gemv", "gemv"),
+        (16, 64, "gemv", "gemv"), (2560, 20, "matrix-free", "getrs"),
+        # a single step is cheaper to factor up to about N = 200
+        (160, 1, "getrs", "getrs"), (320, 1, "matrix-free", "getrs"),
+        (640, 20, "getrs", "getrs"), (860, 28, "matrix-free", "getrs"),
+        (1280, 50, "matrix-free", "getrs"), (1280, 100, "getrs", "getrs"),
+        # long desk-scale runs invert once
+        (640, 1281, "getrs", "getrs"), (640, 1282, "gemv", "gemv"),
+        (1280, 2562, "gemv", "gemv"),
+        # past N = 1281 the default tuple never factors
+        (1600, 100, "matrix-free", "getrs"), (1600, 400, "matrix-free", "getrs"),
+        (1600, 3202, "matrix-free", "getrs"), (1920, 100, "matrix-free", "getrs"),
+        (1920, 400, "matrix-free", "getrs"), (1920, 3842, "matrix-free", "getrs"),
+        (2560, 5122, "matrix-free", "getrs"),
+    ])
+    def test_step_path_table(self, nx, nt, path, unshifted_path):
+        assert solver._step_path(nx + 1, nt, wsld_scheme(4, 1.5)) == path
+        assert solver._step_path(nx + 1, nt, wsld_scheme(4, 1.5, shifts=0)) == unshifted_path
 
     def test_table2_runs_keep_the_inverse_path(self):
         # run_table2 steps nt = nx^2/4 >= 2N on N = nx + 1 <= 161 unknowns
@@ -903,6 +928,16 @@ class TestMatrixFree:
         _force_path(monkeypatch, "matrix-free")
         u = cn_solve(problem, scheme).u
         assert np.abs(u - dense).max() <= bound * np.abs(dense).max()
+
+    def test_converges_on_ten_thousand_unknowns(self):
+        # five steps of tau = 0.2 at nx = 10240 take 70-74 iterations per
+        # solve, past a restart of 40, where GMRES stalled at step 3; the
+        # half-grid run, with the same tau, differs by the spatial error only
+        scheme = wsld_scheme(4, 1.5)
+        assert solver._step_path(10241, 5, scheme) == "matrix-free"
+        u = cn_solve(table2_problem(1.5, nx=10240, nt=5), scheme).u
+        coarse = cn_solve(table2_problem(1.5, nx=5120, nt=5), scheme).u
+        assert np.abs(u[::2] - coarse).max() <= 1e-6 * np.abs(coarse).max()
 
     def test_agrees_with_the_dense_solve_at_one_step(self, monkeypatch):
         # the largest step, tau = 1, on the large-grid size: 29 iterations
