@@ -548,6 +548,50 @@ def _cn_per_step(problem, scheme, path):
     return u, sup
 
 
+def _plain_gmres_cycle(self, w, residual, beta, target, budget):
+    """A restarted GMRES cycle without recycling, the reference of the first.
+
+    Arnoldi on ``M- B^{-1}`` with classical Gram-Schmidt run twice, in a
+    basis of its own, and Givens rotations, each in the operation order of
+    :meth:`solver._MatrixFree._cycle`.
+    """
+    limit = min(solver._RESTART, budget)
+    basis = np.empty((limit + 1, w.size))
+    basis[0] = residual
+    basis[0] /= beta
+    tri = np.zeros((limit, limit))
+    g = [beta] + [0.0] * limit
+    cos, sin = [], []
+    for j in range(limit):
+        v = self._operator(basis[j])
+        q = basis[: j + 1]
+        h = q @ v
+        v -= h @ q
+        again = q @ v
+        v -= again @ q
+        h += again
+        norm = float(np.linalg.norm(v))
+        col = h.tolist()
+        for i in range(j):
+            col[i], col[i + 1] = (cos[i] * col[i] + sin[i] * col[i + 1],
+                                  cos[i] * col[i + 1] - sin[i] * col[i])
+        rho = math.hypot(col[j], norm)
+        cos.append(col[j] / rho)
+        sin.append(norm / rho)
+        col[j] = rho
+        tri[: j + 1, j] = col
+        g[j + 1] = -sin[j] * g[j]
+        g[j] *= cos[j]
+        k = j + 1
+        if abs(g[k]) <= target or norm == 0.0:
+            break
+        np.divide(v, norm, out=basis[k])
+    y = np.array(g[:k])
+    for i in range(k - 1, -1, -1):
+        y[i] = (y[i] - tri[i, i + 1: k] @ y[i + 1:]) / tri[i, i]
+    return w + self._precondition(y @ basis[:k]), abs(g[k]), k
+
+
 def _cn_matrices_unfactored(problem, scheme, dtype=float):
     """Reference ``M- = I - cS`` and ``M+ = I + cS``, each formed in full.
 
@@ -1063,8 +1107,10 @@ class TestMatrixFree:
 
     def test_right_side_in_the_span_of_stored_images_takes_no_iteration(
             self, monkeypatch):
-        # a stored pair holds M- Z = Q to the rounding of one mat-vec, about
-        # eps ||M-|| ||W||; c = tau/(2 h^alpha) = 1.25 keeps it below the target
+        # three random right sides have far-apart images, so R is well
+        # conditioned and the lift of a combination of the stored images
+        # maps onto it to about eps ||M-|| ||W||, the rounding of a mat-vec;
+        # c = tau/(2 h^alpha) = 1.25 keeps that below the target
         problem = table2_problem(1.5, nx=200, nt=400)
         implicit = solver._MatrixFree(problem, wsld_scheme(4, 1.5))
         rng = np.random.default_rng(13)
@@ -1086,6 +1132,21 @@ class TestMatrixFree:
         assert taken == []
         m_lhs = assemble_cn_system(problem, wsld_scheme(4, 1.5)).m_lhs
         assert np.linalg.norm(rhs - m_lhs @ w) <= solver._GMRES_TOL * np.linalg.norm(rhs)
+
+    def test_cycle_lifts_a_residual_in_the_span_of_stored_images(self):
+        # the cycle's projection leaves nothing outside span Q, so it takes
+        # no Arnoldi step and returns w plus the lift of the projection
+        problem = table2_problem(1.5, nx=200, nt=400)
+        implicit = solver._MatrixFree(problem, wsld_scheme(4, 1.5))
+        rng = np.random.default_rng(13)
+        w = np.zeros(201)
+        for step in range(1, 4):
+            w = implicit.solve(rng.standard_normal(201), w, step)
+        residual = np.array([0.7, -1.3, 0.2]) @ implicit._images[:3]
+        update, estimate, taken = implicit._cycle(w, residual, 1.0, 1e-12, 10)
+        assert taken == 0 and estimate <= 1e-12
+        m_lhs = assemble_cn_system(problem, wsld_scheme(4, 1.5)).m_lhs
+        np.testing.assert_allclose(m_lhs @ (update - w), residual, rtol=0, atol=1e-13)
 
     def test_projected_guess_is_no_worse_than_the_warm_start(self, monkeypatch):
         # each step's first mat-vec is on the guess; the warm start is the
@@ -1131,6 +1192,106 @@ class TestMatrixFree:
         monkeypatch.setattr(solver._MatrixFree, "_cycle", counted)
         cn_solve(table2_problem(1.5, nx=1280, nt=40), wsld_scheme(4, 1.5))
         assert sum(taken) <= 432 // 2
+
+    def test_recycling_pins_the_iteration_count(self, monkeypatch):
+        # the large-grid shape: GMRES with the projected start alone took
+        # 86 + 247 + 246 = 579 iterations; recycling the store in every
+        # cycle, seeded with harmonic Ritz pairs, takes 60 + 111 + 94 = 265
+        taken = []
+        cycle = solver._MatrixFree._cycle
+
+        def counted(self, *args):
+            result = cycle(self, *args)
+            taken.append(result[2])
+            return result
+
+        monkeypatch.setattr(solver._MatrixFree, "_cycle", counted)
+        for alpha in (1.1, 1.5, 1.9):
+            scheme = wsld_scheme(4, alpha)
+            assert solver._step_path(2561, 20, scheme) == "matrix-free"
+            cn_solve(table2_problem(alpha, nx=2560, nt=20), scheme)
+        assert sum(taken) <= 320
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.6, 1.9])
+    def test_lift_maps_onto_the_projection_of_each_right_side(self, monkeypatch, alpha):
+        # M- lift(a) = Q a holds only as well as R^-1 a is bounded: for
+        # a = e_k, pair by pair, the error grows past 1 at nx = 2560, but for
+        # the projection a = Q^T r of each step's right side r it stays
+        # below 1e-9 ||r|| (7.5e-10 at alpha = 1.9)
+        problem = table2_problem(alpha, nx=2560, nt=20)
+        scheme = wsld_scheme(4, alpha)
+        implicit = solver._MatrixFree(problem, scheme)
+        monkeypatch.setattr(solver, "_MatrixFree", lambda *args: implicit)
+        _force_path(monkeypatch, "matrix-free")
+        solve, errors = implicit.solve, []
+
+        def spy_solve(rhs, w, step):
+            k = implicit._stored
+            if k:
+                projection = implicit._images[:k] @ rhs
+                image = implicit.matvec(implicit._lift(projection))
+                errors.append(np.linalg.norm(image - projection @ implicit._images[:k])
+                              / np.linalg.norm(rhs))
+            return solve(rhs, w, step)
+
+        implicit.solve = spy_solve
+        cn_solve(problem, scheme)
+        assert len(errors) == 19 and implicit._ritz == solver._RITZ
+        assert max(errors) <= 1e-9
+
+    def test_one_step_is_plain_gmres_bitwise(self, monkeypatch):
+        # nothing is stored before the run's first cycle, so a one-step run
+        # (29 iterations in one cycle) is that of GMRES without recycling
+        problem = table2_problem(1.5, nx=2560, nt=1)
+        scheme = wsld_scheme(4, 1.5)
+        _force_path(monkeypatch, "matrix-free")
+        u = cn_solve(problem, scheme).u
+        monkeypatch.setattr(solver._MatrixFree, "_cycle", _plain_gmres_cycle)
+        np.testing.assert_array_equal(u, cn_solve(problem, scheme).u)
+
+    @pytest.mark.parametrize("nx,nt,failing,ritz", [
+        (1280, 20, None, solver._RITZ), (1280, 20, "solve", 0), (1280, 20, "eig", 0),
+        (200, 400, None, 0)], ids=["seeded", "solve-fails", "eig-fails", "short-cycle"])
+    def test_first_cycle_seeds_the_ritz_pairs_or_nothing(self, monkeypatch, nx, nt,
+                                                          failing, ritz):
+        # a first cycle of 14 iterations seeds _RITZ pairs; one of 4 (c = 1.25
+        # at nx = 200) seeds none, nor does one whose eigenproblem cannot be
+        # set up or solved, and the run is then GMRES from the projected start
+        problem = table2_problem(1.5, nx=nx, nt=nt)
+        scheme = wsld_scheme(4, 1.5)
+        _force_path(monkeypatch, "getrs")
+        dense = cn_solve(problem, scheme).u
+        implicit = solver._MatrixFree(problem, scheme)
+        monkeypatch.setattr(solver, "_MatrixFree", lambda *args: implicit)
+        _force_path(monkeypatch, "matrix-free")
+        if failing is not None:
+            def fail(*args, **kwargs):
+                raise np.linalg.LinAlgError("patched")
+
+            monkeypatch.setattr(np.linalg, failing, fail)
+        u = cn_solve(problem, scheme).u
+        assert implicit._ritz == ritz and implicit._stored > ritz
+        assert np.abs(u - dense).max() <= 1e-10 * np.abs(dense).max()
+
+    def test_breakdown_in_the_first_cycle_seeds_nothing(self):
+        # M- acts on the first ten unknowns as a cyclic shift (and B = I), so
+        # from e_0 Arnoldi meets an exact breakdown, h_{11,10} = 0, after 10
+        # iterations, more than _RITZ, with the exact solution e_9
+        problem = table2_problem(1.5, nx=200, nt=4)
+        implicit = solver._MatrixFree(problem, wsld_scheme(4, 1.5))
+
+        def shift(v):
+            out = v.copy()
+            out[:10] = np.roll(v[:10], 1)
+            return out
+
+        implicit._operator = implicit.matvec = shift
+        implicit._precondition = np.copy
+        rhs = np.zeros(201)
+        rhs[0] = 1.0
+        w = implicit.solve(rhs, np.zeros(201), 1)
+        assert implicit._ritz == 0 and implicit._stored == 1
+        np.testing.assert_allclose(w, np.roll(rhs, 9), rtol=0, atol=1e-15)
 
     def test_agrees_with_the_dense_solve_for_a_shift_past_the_band(self, monkeypatch):
         # m = 40 > 32: the band widens to m, keeping phi_0.. out of the far field
