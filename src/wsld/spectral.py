@@ -14,9 +14,10 @@ Three independent diagnostics of operator quality:
   and its spectrum splits into two half-size symmetric problems (Cantoni &
   Butler, Linear Algebra Appl. 13, 1976); the probe solves those.
 
-The generating function splits into an alpha-free basis (``|x|``, ``|R|``,
-``x/2 - pi/2 + arg R``, ``2 sin(x/2)``) and a per-alpha row; a scan builds
-the basis once and evaluates one row per alpha.
+The generating function splits into an alpha-free basis (``|R|``,
+``x/2 - pi/2 + arg R``, ``2 sin(x/2)`` and the product ``s x`` for each
+distinct shift ``s``) and a per-alpha row, which takes one cosine per
+distinct shift; a scan builds the basis once and evaluates one row per alpha.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .coefficients import residual_polynomial
 from .operators import ShiftsLike, WsldScheme, wsld_scheme
@@ -93,29 +95,41 @@ def scheme_symmetric_genfn(scheme: WsldScheme, x) -> np.ndarray:
     ``f`` is even and the closed form needs a nonnegative power base, so it
     is evaluated at ``|x|``; it vanishes at ``x = 0``.
     """
-    return _genfn_row(scheme, _genfn_basis(scheme.nu, x))
+    return _genfn_row(scheme, _genfn_basis(scheme, x))
 
 
-def _genfn_basis(nu: int, x) -> tuple[np.ndarray, ...]:
-    """The alpha-free factors of the generating function at ``|x|``.
+_Basis = tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, np.ndarray]]
 
-    Returns ``(|x|, |R|, x/2 - pi/2 + arg R, 2 sin(x/2))`` with ``R`` the
-    residual polynomial at ``e^{i|x|}``.
+
+def _genfn_basis(scheme: WsldScheme, x) -> _Basis:
+    """The alpha-free factors of ``scheme``'s generating function at ``|x|``.
+
+    Returns ``(|R|, x/2 - pi/2 + arg R, 2 sin(x/2), {s: s*x})`` with ``R``
+    the residual polynomial at ``e^{i|x|}`` and ``s`` running over the
+    distinct shifts of ``scheme``.
     """
     x = np.abs(np.asarray(x, dtype=float))
-    r = np.polyval([float(c) for c in residual_polynomial(nu)][::-1],
+    r = np.polyval([float(c) for c in residual_polynomial(scheme.nu)][::-1],
                    np.exp(1j * x))
-    return x, np.abs(r), x / 2.0 - np.pi / 2.0 + np.angle(r), 2.0 * np.sin(x / 2.0)
+    angle = x / 2.0 - np.pi / 2.0 + np.angle(r)
+    shifted = {shift: shift * x for shift in dict.fromkeys(scheme.shifts)}
+    return np.abs(r), angle, 2.0 * np.sin(x / 2.0), shifted
 
 
-def _genfn_row(scheme: WsldScheme, basis: tuple[np.ndarray, ...]) -> np.ndarray:
-    """``scheme``'s generating function on the points of :func:`_genfn_basis`."""
-    x, abs_r, angle, chord = basis
+def _genfn_row(scheme: WsldScheme, basis: _Basis) -> np.ndarray:
+    """``scheme``'s generating function on the points of :func:`_genfn_basis`.
+
+    One cosine per distinct shift; the weighted cosines are then summed over
+    the flattened pairs in walk order, so the row does not depend on how
+    often a shift repeats.
+    """
+    abs_r, angle, chord, shifted = basis
     alpha = scheme.alpha
     phase = alpha * angle
-    total = np.zeros_like(x)
+    cosines = {shift: np.cos(phase - sx) for shift, sx in shifted.items()}
+    total = np.zeros_like(angle)
     for w, shift in scheme.shift_weights():
-        total += w * np.cos(phase - shift * x)
+        total += w * cosines[shift]
     return chord ** alpha * abs_r ** alpha * total
 
 
@@ -178,7 +192,7 @@ def _genfn_rows(scheme: WsldScheme, alpha_grid, x_grid: np.ndarray):
     The alpha-free basis is built once; each row is bitwise what
     :func:`scheme_symmetric_genfn` returns at that alpha.
     """
-    basis = _genfn_basis(scheme.nu, x_grid)
+    basis = _genfn_basis(scheme, x_grid)
     for a in alpha_grid:
         yield a, _genfn_row(replace(scheme, alpha=float(a)), basis)
 
@@ -218,12 +232,18 @@ def eigen_probe(matrix: np.ndarray) -> EigenProbe:
       by ``sqrt(2) H[:k, k]`` and ``H[k, k]``;
     * the odd block ``H11 - H12 J`` of size ``k``.
 
-    Each block takes an eighth of the flops of the full eigensolve.  The
-    extremes agree with those of the full solve to round-off: the tests bound
-    the difference by ``1e-12 max|H|`` for sizes 1..512, and the largest seen
-    is ``1.2e-14 max|H|``.  Any other matrix raises ``ValueError``, since the
-    split would be wrong for it; eigensolver non-convergence surfaces as
-    ``numpy.linalg.LinAlgError``.  A non-finite entry raises ``ValueError``.
+    Both blocks are written straight into the arrays the eigensolver reads,
+    as sums and differences of two strided views of ``h``: ``H11`` is a
+    sliding window over the two-sided sequence ``h_{k-1}, ..., h_1, h_0,
+    ..., h_{k-1}`` and ``H12 J`` one over the reversed ``h``, so no index
+    array or gathered copy is formed; each entry is the same IEEE sum or
+    difference as in gathered blocks.  Each block takes an eighth of the
+    flops of the full eigensolve.  The extremes agree with those of the full
+    solve to round-off: the tests bound the difference by ``1e-12 max|H|``
+    for sizes 1..512, and the largest seen is ``1.2e-14 max|H|``.  Any other
+    matrix raises ``ValueError``, since the split would be wrong for it;
+    eigensolver non-convergence surfaces as ``numpy.linalg.LinAlgError``.  A
+    non-finite entry raises ``ValueError``.
     """
     values = np.asarray(matrix)
     if values.ndim != 2 or values.shape[0] != values.shape[1] or values.size == 0:
@@ -238,13 +258,16 @@ def eigen_probe(matrix: np.ndarray) -> EigenProbe:
                          "centrosymmetric")
     h = 0.5 * (values[:, 0] + values[0, :])
     k = n // 2
-    i = np.arange(k)
-    h11, h12j = h[np.abs(i[:, None] - i)], h[n - 1 - i[:, None] - i]
-    even = np.empty((n - k, n - k))
-    even[:k, :k] = h11 + h12j
+    even, odd = np.empty((n - k, n - k)), np.empty((k, k))
+    if k:
+        # H11[i, j] = h[|i - j|] and H12J[i, j] = h[n - 1 - i - j], as views
+        h11 = sliding_window_view(np.concatenate((h[k - 1:0:-1], h[:k])), k)[::-1]
+        h12j = sliding_window_view(h[::-1], k)[:k]
+        np.add(h11, h12j, out=even[:k, :k])
+        np.subtract(h11, h12j, out=odd)
     if n % 2:
-        even[k, :k] = even[:k, k] = np.sqrt(2.0) * h[k - i]
+        even[k, :k] = even[:k, k] = np.sqrt(2.0) * h[k:0:-1]
         even[k, k] = h[0]
-    spectra = [np.linalg.eigvalsh(block) for block in (even, h11 - h12j) if block.size]
+    spectra = [np.linalg.eigvalsh(block) for block in (even, odd) if block.size]
     return EigenProbe(lambda_min=float(min(ev[0] for ev in spectra)),
                       lambda_max=float(max(ev[-1] for ev in spectra)))

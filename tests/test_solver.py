@@ -1093,7 +1093,9 @@ class TestMatrixFree:
         rng = np.random.default_rng(5)
         rhs = rng.standard_normal(201)
         w = implicit.solve(rhs, np.zeros(201), 1)
-        assert implicit._stored == 1
+        # count the steps' pairs: a first cycle of more than _RITZ
+        # iterations also seeds the store with Ritz pairs
+        assert implicit._stored - implicit._ritz == 1
         bad = rhs.copy()
         bad[7] = np.nan
         assert not np.all(np.isfinite(implicit.solve(bad, w, 2)))
@@ -1101,7 +1103,7 @@ class TestMatrixFree:
             patch.setattr(solver, "_MAX_ITERATIONS", 0)
             with pytest.raises(RuntimeError, match="did not converge at step 3"):
                 implicit.solve(rng.standard_normal(201), w, 3)
-        assert implicit._stored == 1
+        assert implicit._stored - implicit._ritz == 1
         again = implicit.solve(2.0 * rhs, w, 4)
         np.testing.assert_allclose(again, 2.0 * w, rtol=0, atol=1e-10 * np.abs(w).max())
 

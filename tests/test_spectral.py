@@ -1,5 +1,7 @@
 """Symbol order checks, generating functions, scans, and eigenvalue probes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,22 @@ def _probe_via_full_h(a):
     if n % 2:
         even[k, :k] = even[:k, k] = np.sqrt(2.0) * h[:k, k]
         even[k, k] = h[k, k]
+    spectra = [np.linalg.eigvalsh(b) for b in (even, h11 - h12j) if b.size]
+    return min(ev[0] for ev in spectra), max(ev[-1] for ev in spectra)
+
+
+def _probe_via_gathers(a):
+    """Reference probe: both blocks gathered from ``h`` with index arrays."""
+    n = a.shape[0]
+    h = 0.5 * (a[:, 0] + a[0, :])
+    k = n // 2
+    i = np.arange(k)
+    h11, h12j = h[np.abs(i[:, None] - i)], h[n - 1 - i[:, None] - i]
+    even = np.empty((n - k, n - k))
+    even[:k, :k] = h11 + h12j
+    if n % 2:
+        even[k, :k] = even[:k, k] = np.sqrt(2.0) * h[k - i]
+        even[k, k] = h[0]
     spectra = [np.linalg.eigvalsh(b) for b in (even, h11 - h12j) if b.size]
     return min(ev[0] for ev in spectra), max(ev[-1] for ev in spectra)
 
@@ -202,6 +220,28 @@ class TestDefinitenessScan:
         assert report == expected
         assert np.signbit(report.max_value) == np.signbit(expected.max_value)
 
+    @pytest.mark.parametrize("x", [
+        default_x_grid(),
+        np.array([-3.0, 2.5, -1.0, 0.0, -0.0, 1.0, -1.0, 2.5, 1e-3, np.pi]),
+    ], ids=["default", "negative-repeated"])
+    @pytest.mark.parametrize("shifts", [(1, -1), (1, -1, 1, 2)])
+    @pytest.mark.parametrize("nu", [3, 4])
+    def test_repeated_shift_rows_are_bitwise(self, nu, shifts, x):
+        # a row takes one cosine per distinct shift; it must still be the
+        # sum over every flattened pair of the one-alpha evaluation, and the
+        # report its first maximum, sign of zero included
+        alphas = default_alpha_grid()
+        scheme = wsld_scheme(nu, alphas[0], shifts=shifts)
+        rows = [values for _, values in _genfn_rows(scheme, alphas, x)]
+        reference = np.array([_genfn_unfactored(wsld_scheme(nu, a, shifts=shifts), x)
+                              for a in alphas])
+        np.testing.assert_array_equal(np.array(rows), reference)
+        assert np.array_equal(np.signbit(rows), np.signbit(reference))
+        i, j = np.unravel_index(np.argmax(reference), reference.shape)
+        report = definiteness_scan(nu, shifts=shifts, x_grid=x)
+        assert report == ScanReport(reference[i, j], alphas[i], x[j])
+        assert np.signbit(report.max_value) == np.signbit(reference[i, j])
+
 
 class TestEigenProbe:
     def test_negative_definite_default_tuple(self):
@@ -252,6 +292,29 @@ class TestEigenProbe:
                 assert abs(probe.lambda_min - ev[0]) <= tol, (alpha, n)
                 assert abs(probe.lambda_max - ev[-1]) <= tol, (alpha, n)
                 assert (probe.lambda_max < 0) == (ev[-1] < 0), (alpha, n)
+
+    @pytest.mark.parametrize("nu,shifts", [(4, None), (3, 0)])
+    def test_views_match_gathered_blocks_bitwise(self, nu, shifts):
+        # both blocks are written from strided views of h; every section
+        # size must give the extremes of the index-gathered blocks, bit for bit
+        full = assemble_left(wsld_scheme(nu, 1.37, shifts=shifts), EIGEN_MAX_DIM - 1)
+        for n in range(1, EIGEN_MAX_DIM + 1):
+            a = full[:n, :n]
+            probe = eigen_probe(a)
+            assert (probe.lambda_min, probe.lambda_max) == _probe_via_gathers(a), n
+
+    def test_peak_memory_below_input(self):
+        # the probe forms no index array or gathered copy: its only arrays
+        # of block size are the two blocks, half the input's bytes together
+        matrix = assemble_left(wsld_scheme(4, 1.5), EIGEN_MAX_DIM - 1)
+        eigen_probe(matrix)
+        tracemalloc.start()
+        try:
+            eigen_probe(matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.75 * matrix.nbytes
 
     def test_rejects_non_toeplitz(self):
         a = np.random.default_rng(7).standard_normal((6, 6))
