@@ -18,8 +18,8 @@ Two problem families:
 The system matrix ``M- = I - cS`` (``c = tau/(2 h^alpha)``) is time
 independent.  The explicit matrix ``M+ = I + cS`` equals ``2I - M-``, so
 ``M- U^{n+1} = (2I - M-) U^n + tau F`` reads ``U^{n+1} = 2W - U^n`` with
-``M- W = U^n + (tau/2) F``: each step samples the forcing at the half step
-and solves with ``M-`` by one of three paths.
+``M- W = U^n + (tau/2) F``: each step solves with ``M-``, for the forcing
+at the half step, by one of three paths.
 
 * ``getrs``: ``M-`` is written from O(N) data (the Toeplitz band of ``phi``
   values and the coefficient samples) into one N x N array, LU-factored
@@ -41,8 +41,9 @@ and solves with ``M-`` by one of three paths.
   Ritz vectors of the run's first GMRES cycle.  A solve starts from the
   projection of ``rhs`` onto their images, and every GMRES cycle minimises
   over them as well as its Krylov space, at O(N) dot products per stored
-  pair.  Three 20-step solves at nx = 2560 take 265 iterations, against
-  579 from the projected start alone.  Memory is O(N (b + restart + 28)).
+  pair, so a solve starts no worse than from the last step's ``W`` (the
+  README gives the iterations this saves).  Memory is
+  O(N (b + restart + 28)).
 
 :func:`_step_path` picks the path from the run's size ``N`` and step count
 ``nt`` by three constants: the default shift tuple goes matrix-free past
@@ -50,9 +51,11 @@ N = 1281 and for runs of at most ``(N / 162)^2`` steps; up to N = 1281,
 runs of at least 2N steps take the inverse path, and the rest ``getrs``.
 All three paths share one step loop, which advances in blocks of steps so
 that the work around the solve is done once per block: the forcing of a
-block's steps is sampled into one array and scaled at once, and the sup
-norms of its states are taken at once.  A block holds
-``max(1, 4096 // N)`` steps, so from N = 2049 on it is one step.
+block's steps is sampled into one array (by one call, for a source that
+samples blocks, such as the Table 2 forcing), scaled at once and zeroed on
+the boundary at once, and the sup norms of its states are taken at once.
+A block holds ``max(1, 4096 // N)`` steps, so from N = 2049 on it is one
+step.
 
 With the proven-stable shift tuple the spatial operator is negative definite
 and the stepping is unconditionally stable; with a plain unshifted operator it
@@ -763,8 +766,8 @@ class _MatrixFree:
 #: Most unknowns a dense path is chosen for where another is offered: past
 #: it the default shift tuple goes matrix-free, and no tuple is inverted.
 #: ``numpy.linalg.inv`` holds about four N x N arrays where a factorization
-#: holds one: at N = 2561, 5122 steps peaked at 239.5 MiB on the inverse
-#: path against 122 MiB with ``getrs``.
+#: holds one, so past it the inverse path would peak at about twice the
+#: memory of ``getrs`` (the README gives the measured peaks).
 _DENSE_MAX_SIZE = 1281
 #: Short runs of the default shift tuple go matrix-free while
 #: ``nt <= (N / _SHORT_RUN_SCALE)^2``: the factorization they skip costs
@@ -785,13 +788,8 @@ def _step_path(size: int, nt: int, scheme: WsldScheme) -> str:
     ``tau``, so ``M-`` is closer to ``I`` and its GMRES solves are easier
     than those of the short runs the rule already sends to GMRES.
 
-    The constants come from paired timings of the forced paths (Table 2
-    problem, alpha in {1.1, 1.9}, one BLAS thread, 2-core x86-64 box).
-    Matrix-free against ``getrs``: 0.10-0.78x from N = 1601 on at 100 to
-    2N steps; 0.46-0.72x at (1281, 50) and 0.54-0.70x at (861, 28); 1.05-1.12x
-    at (481, 9), and 1.19-1.34x at (161, 1), where 162 keeps ``getrs``.
-    The inverse path against ``getrs`` at 2N steps: 0.90-1.04x from N = 641
-    to 1281.
+    The constants come from paired timings of the forced paths at a few
+    shapes, which the README records.
 
     ``"matrix-free"`` is offered for the default shift tuple only, whose
     operator has every eigenvalue in the left half plane.  Other tuples
@@ -863,6 +861,30 @@ def _twice_solver(path: str, problem: DiffusionProblem, scheme: WsldScheme,
     return solve
 
 
+def _sample_forcing(source, x: np.ndarray, times: list, forcing: np.ndarray):
+    """Write ``source(x, times[k])`` into ``forcing[k]``, in step order.
+
+    A source with a ``sample_block`` method (:class:`_Table2Source`) samples
+    the block in one call; if that raises, the block is sampled again one
+    time at a time.  Returns ``(count, failure)``: the rows written before
+    the first exception in step order, and that exception, or
+    ``(len(times), None)``.
+    """
+    block = getattr(source, "sample_block", None)
+    if block is not None:
+        try:
+            block(x, times, forcing[: len(times)])
+            return len(times), None
+        except Exception:
+            pass
+    for k, t in enumerate(times):
+        try:
+            np.copyto(forcing[k], source(x, t))
+        except Exception as exc:
+            return k, exc
+    return len(times), None
+
+
 def cn_solve(problem: DiffusionProblem, scheme: WsldScheme) -> SolveResult:
     """Advance the Crank-Nicolson scheme to ``t = horizon``.
 
@@ -877,22 +899,32 @@ def cn_solve(problem: DiffusionProblem, scheme: WsldScheme) -> SolveResult:
     ``RuntimeError`` naming the step, the iterations and the residual.
 
     The steps advance in blocks of ``max(1, 4096 // N)`` (fewer in the
-    last block).  A block first samples the forcing of each of its
-    steps, in step order, into one array and scales it by ``tau/2``; then
-    it steps, writing each ``U^{n+1}`` into the next row of a state array;
-    then it takes every step's sup norm at once.  So the source may be
-    called for steps past a failing one, up to the end of its block.  The
-    results are bitwise those of checking each step as it is taken.
+    last block).  A block first samples the forcing of each of its steps
+    into one array, at the times ``(n + 1/2) tau``, and scales it by
+    ``tau/2``; then it steps, writing each ``U^{n+1}`` into the next row of
+    a state array; then it takes every step's sup norm at once.  A source
+    with a ``sample_block(x, times, out)`` method, such as the Table 2
+    forcing, samples the whole block in one call, whose rows must be
+    bitwise its per-call samples; if that call raises, the block is sampled
+    again one step at a time.  Any other source is called once per step,
+    in step order.  So the source may be called for steps past a failing
+    one, up to the end of its block.  The results are bitwise those of
+    checking each step as it is taken.
 
     The initial data are copied first, so the array ``problem.initial``
     returns is never written.  The boundary entries of the right-hand side
     are ``U^n/2``, which the identity rows map to ``U^{n+1} = 0`` there; that
-    zero is then written exactly.  A step whose sup norm exceeds
-    ``BLOWUP_THRESHOLD`` or is not finite, including one whose forcing is not
-    finite, aborts with :class:`InstabilityError`, which carries the step,
-    its time and the norm.  The first failure in step order is raised: an
-    exception from the source or the solve at a later step of the same
-    block gives way to a blow-up before it.
+    zero is then written exactly.  So from step 2 on ``U^n`` is 0 there, and
+    the block zeroes the boundary entries of its scaled forcing once, which
+    leaves ``U^n + 0 = U^n/2``; step 1 writes ``U^0/2`` itself, since the
+    initial data need not vanish on the boundary.  A forcing value on a
+    boundary node is thus never used, finite or not.  A step whose sup norm
+    exceeds ``BLOWUP_THRESHOLD`` or is not finite, including one whose
+    forcing is not finite at an interior node, aborts with
+    :class:`InstabilityError`, which carries the step, its time and the
+    norm.  The first failure in step order is raised: an exception from
+    the source or the solve at a later step of the same block gives way to
+    a blow-up before it.
     """
     size, nt, tau = problem.grid.nx + 1, problem.nt, problem.tau
     x, source = problem.grid.nodes(), problem.source
@@ -905,13 +937,12 @@ def cn_solve(problem: DiffusionProblem, scheme: WsldScheme) -> SolveResult:
     forcing_rows, state_rows = list(forcing), list(states)
     done = 0
     while done < nt:
-        count, failure = min(rows, nt - done), None
-        try:
-            for k in range(count):
-                np.copyto(forcing_rows[k], source(x, (done + k + 0.5) * tau))
-        except Exception as exc:  # raised after the steps before it are checked
-            count, failure = k, exc
+        times = [(done + k + 0.5) * tau for k in range(min(rows, nt - done))]
+        # an exception is raised after the steps before it are checked
+        count, failure = _sample_forcing(source, x, times, forcing)
         forcing[:count] *= 0.5 * tau
+        # the right side is U^n/2 on the boundary: U^n is 0 there after step 1
+        forcing[:count, 0] = forcing[:count, -1] = 0.0
         # a right side that is not finite makes inf - inf in the products;
         # the sup-norm check reports its step, so the stepping is quiet
         with np.errstate(invalid="ignore", over="ignore"):
@@ -919,8 +950,10 @@ def cn_solve(problem: DiffusionProblem, scheme: WsldScheme) -> SolveResult:
                 for k in range(count):
                     rhs, u, out = forcing_rows[k], state_rows[k], state_rows[k + 1]
                     rhs += u
-                    rhs[0], rhs[-1] = 0.5 * u[0], 0.5 * u[-1]
-                    solve(rhs, out, done + k + 1)
+                    step = done + k + 1
+                    if step == 1:
+                        rhs[0], rhs[-1] = 0.5 * u[0], 0.5 * u[-1]
+                    solve(rhs, out, step)
                     out -= u
                     out[0] = out[-1] = 0.0
             except Exception as exc:
@@ -1000,28 +1033,33 @@ def table2_exact(x: np.ndarray, t: float) -> np.ndarray:
     return math.sin(t + 1.0) * x ** 4 * (2.0 - x) ** 4
 
 
-def _table2_source(alpha: float) -> Callable[[np.ndarray, float], np.ndarray]:
+class _Table2Source:
     """Forcing of the Table 2 problem, ``f(x, t)``.
 
     The fractional powers depend on ``x`` alone: they are computed once per
     node array, in a one-entry cache keyed by the shape and the bytes of the
-    last ``x`` (so ``-0.0`` and ``0.0`` are different keys).  Each call
+    last ``x`` (so ``-0.0`` and ``0.0`` are different keys).  A sample
     multiplies in the order of the unfactored formula,
-    ``(cos x^4) (2-x)^4 - (x^alpha sin) bracket``, in place in two new
-    arrays, so the samples are bitwise those of evaluating it in full.
+    ``(x^4 cos) (2-x)^4 - (x^alpha sin) bracket``, with ``math.cos`` and
+    ``math.sin`` of ``t + 1``, so it is bitwise that formula evaluated in
+    full.  :meth:`sample_block` takes the samples at several times in one
+    pass of 2-D broadcasts; each of its rows is bitwise the call's sample.
     """
-    g = math.gamma
-    c = [g(9) / g(9 - alpha), 8 * g(8) / g(8 - alpha), 24 * g(7) / g(7 - alpha),
-         32 * g(6) / g(6 - alpha), 16 * g(5) / g(5 - alpha)]
-    cache = None  # (key, x**4, (2-x)**4, x**alpha, bracket), replaced as a whole
 
-    def f(x: np.ndarray, t: float) -> np.ndarray:
-        nonlocal cache
-        x = np.asarray(x, dtype=float)
+    def __init__(self, alpha: float) -> None:
+        g = math.gamma
+        self._alpha = alpha
+        self._c = [g(9) / g(9 - alpha), 8 * g(8) / g(8 - alpha),
+                   24 * g(7) / g(7 - alpha), 32 * g(6) / g(6 - alpha),
+                   16 * g(5) / g(5 - alpha)]
+        self._cache = None  # (key, x**4, (2-x)**4, x**alpha, bracket), replaced as a whole
+
+    def _factors(self, x: np.ndarray):
+        """``(x^4, (2-x)^4, x^alpha, bracket)`` of the node array ``x``, cached."""
         key = (x.shape, x.tobytes())
-        entry = cache
+        entry = self._cache
         if entry is None or entry[0] != key:
-            y = 2.0 - x
+            alpha, c, y = self._alpha, self._c, 2.0 - x
             bracket = (
                 c[0] * (x ** (8 - alpha) + 2 * y ** (8 - alpha))
                 - c[1] * (x ** (7 - alpha) + 2 * y ** (7 - alpha))
@@ -1029,16 +1067,36 @@ def _table2_source(alpha: float) -> Callable[[np.ndarray, float], np.ndarray]:
                 - c[3] * (x ** (5 - alpha) + 2 * y ** (5 - alpha))
                 + c[4] * (x ** (4 - alpha) + 2 * y ** (4 - alpha))
             )
-            entry = cache = (key, x ** 4, y ** 4, x ** alpha, bracket)
-        _, x4, y4, xa, bracket = entry
-        out = np.multiply(x4, math.cos(t + 1.0))
+            entry = self._cache = (key, x ** 4, y ** 4, x ** alpha, bracket)
+        return entry[1:]
+
+    def __call__(self, x: np.ndarray, t: float) -> np.ndarray:
+        return self._sample(x, math.cos(t + 1.0), math.sin(t + 1.0), None)
+
+    def sample_block(self, x: np.ndarray, times, out: np.ndarray) -> np.ndarray:
+        """Write ``f(x, times[k])`` into ``out[k]`` for each ``k``; return ``out``.
+
+        ``out`` has shape ``(len(times),) + x.shape``.  Each row takes the
+        operations of :meth:`__call__` in the same order, so it is bitwise
+        that call's sample; a block of one time costs one sample.
+        """
+        if len(times) == 1:
+            self._sample(x, math.cos(times[0] + 1.0), math.sin(times[0] + 1.0), out[0])
+            return out
+        column = (-1,) + (1,) * np.ndim(x)
+        cos = np.array([math.cos(t + 1.0) for t in times]).reshape(column)
+        sin = np.array([math.sin(t + 1.0) for t in times]).reshape(column)
+        return self._sample(x, cos, sin, out)
+
+    def _sample(self, x, cos, sin, out):
+        """``(x^4 cos) (2-x)^4 - (x^alpha sin) bracket``, into ``out`` if given."""
+        x4, y4, xa, bracket = self._factors(np.asarray(x, dtype=float))
+        out = np.multiply(x4, cos, out=out)
         out *= y4
-        part = np.multiply(xa, math.sin(t + 1.0))
+        part = np.multiply(xa, sin)
         part *= bracket
         out -= part
         return out
-
-    return f
 
 
 def table2_problem(alpha: float, nx: int, nt: int | None = None) -> DiffusionProblem:
@@ -1056,7 +1114,7 @@ def table2_problem(alpha: float, nx: int, nt: int | None = None) -> DiffusionPro
         grid=grid,
         d_plus=lambda x: np.asarray(x, dtype=float) ** alpha,
         d_minus=lambda x: 2.0 * np.asarray(x, dtype=float) ** alpha,
-        source=_table2_source(alpha),
+        source=_Table2Source(alpha),
         initial=lambda x: table2_exact(x, 0.0),
         horizon=1.0,
         nt=nt,
@@ -1072,7 +1130,7 @@ _EXPRESSIONS: dict[str, Callable[[float], Callable]] = {
     "one": lambda alpha: (lambda x: np.ones_like(np.asarray(x, dtype=float))),
     "x^8": lambda alpha: table1_exact,
     "table1_source": table1_source,
-    "table2_forcing": _table2_source,
+    "table2_forcing": _Table2Source,
     "table2_initial": lambda alpha: (lambda x: table2_exact(x, 0.0)),
     "zero_source": lambda alpha: (lambda x, t: np.zeros_like(np.asarray(x, dtype=float))),
 }

@@ -834,6 +834,13 @@ class TestStepLoop:
         source = expression("table2_forcing", alpha)
 
         def check(x, t):
+            # the block sampler sees each new x first, so it switches the cache
+            for times in ([t, t + 0.25, 3.0 * t + 0.1], [t]):
+                rows = source.sample_block(x, times, np.empty((len(times),) + x.shape))
+                for row, time in zip(rows, times):
+                    assert row.tobytes() == source(x, time).tobytes()
+                    assert row.tobytes() == _table2_forcing_unfactored(
+                        alpha, x, time).tobytes()
             got = source(x, t)
             fresh = expression("table2_forcing", alpha)(x.copy(), t)
             np.testing.assert_array_equal(got, fresh)
@@ -892,7 +899,11 @@ class TestBlockStepping:
         lambda: table2_problem(1.5, nx=40, nt=137),
         lambda: table2_problem(1.9, nx=160, nt=61),
         lambda: _nonzero_boundary_problem(137),
-    ], ids=["table2-nx40", "table2-nx160", "no-kappa-nonzero-boundary"])
+        # the block-sampled Table 2 forcing under nonzero initial boundary data
+        lambda: replace(table2_problem(1.5, nx=40, nt=137),
+                        initial=expression("one", 1.5)),
+    ], ids=["table2-nx40", "table2-nx160", "no-kappa-nonzero-boundary",
+            "table2-nonzero-boundary"])
     @pytest.mark.parametrize("path", _PATHS)
     def test_bitwise_the_per_step_loop(self, monkeypatch, make_problem, path):
         _force_path(monkeypatch, path)
@@ -957,6 +968,66 @@ class TestBlockStepping:
             assert math.isnan(info.value.sup_norm)
         else:
             assert type(info.value) is expected
+
+    @pytest.mark.parametrize("fault", ["raises-after-blowup", "raises-alone",
+                                       "nan", "inf"])
+    @pytest.mark.parametrize("path", _PATHS)
+    @pytest.mark.filterwarnings("error")
+    def test_block_sampler_failure_reports_as_a_plain_source(self, monkeypatch,
+                                                              fault, path):
+        # steps bad and bad + 2 fall in the first block of 99 steps; the
+        # block sampler fails there, and the source sampled one step at a
+        # time fails as the plain sources of the two tests above
+        _force_path(monkeypatch, path)
+        problem = table2_problem(1.5, nx=40, nt=100)
+        tau, bad, blocks = problem.tau, 7, []
+
+        class Source(solver._Table2Source):
+            def __call__(self, x, t):
+                step = round(t / tau + 0.5)
+                if fault.startswith("raises") and step == bad + 2:
+                    raise KeyError("source failed")
+                f = super().__call__(x, t)
+                if fault == "raises-after-blowup" and step == bad:
+                    f[20] = np.nan
+                return f
+
+            def sample_block(self, x, times, out):
+                blocks.append(len(times))
+                for k, t in enumerate(times):
+                    out[k] = super().__call__(x, t)
+                    step = round(t / tau + 0.5)
+                    if fault.startswith("raises") and step == bad + 2:
+                        raise ValueError("block sampler failed")
+                    if step == bad and fault in ("nan", "inf"):
+                        out[k, 20] = float(fault)
+                return out
+
+        problem.source = Source(1.5)
+        expected = KeyError if fault == "raises-alone" else InstabilityError
+        with pytest.raises(expected) as info:
+            cn_solve(problem, wsld_scheme(4, 1.5))
+        assert blocks == [99]
+        if expected is InstabilityError:
+            assert info.value.step == bad and info.value.t == bad * tau
+            assert not np.isfinite(info.value.sup_norm)
+        else:
+            assert type(info.value) is KeyError
+
+    def test_table2_forcing_is_sampled_by_blocks(self, monkeypatch):
+        # a refactor that falls back to sampling one step at a time fails here
+        calls = []
+        per_call = solver._Table2Source.__call__
+
+        def counted(self, x, t):
+            calls.append(t)
+            return per_call(self, x, t)
+
+        monkeypatch.setattr(solver._Table2Source, "__call__", counted)
+        problem = table2_problem(1.5, nx=160)
+        assert calls == [problem.tau / 2]  # the problem's construction check
+        cn_solve(problem, wsld_scheme(4, 1.5))
+        assert calls == [problem.tau / 2]
 
 
 class TestMatrixFree:
