@@ -23,8 +23,6 @@ from .operators import (
     WsldScheme,
     apply_operator,
     assemble_left,
-    weights2,
-    weights4,
     wsld_scheme,
 )
 from .spectral import (
@@ -66,8 +64,6 @@ __all__ = [
     "lubich_coeffs",
     # operators
     "DEFAULT_SHIFTS",
-    "weights2",
-    "weights4",
     "WsldScheme",
     "wsld_scheme",
     "assemble_left",

@@ -216,8 +216,8 @@ def compare_to_reference(
                          f"of {len(report.errors)} rows")
     failures = []
     for h, got, want in zip(report.hs, report.errors, reference):
-        rel = abs(got - want) / abs(want)
-        if not rel <= rtol:  # a NaN reference fails too
+        rel = abs(got - want) / abs(want) if want else math.inf
+        if not rel <= rtol:  # a NaN or zero reference fails too
             failures.append(
                 f"h={h:.4e}: error {got:.4e} vs reference {want:.4e} "
                 f"(rel {rel:.2%} > {rtol:.0%})"

@@ -32,8 +32,6 @@ from .coefficients import _check_alpha, _check_nu, _is_integer, lubich_coeffs
 
 __all__ = [
     "DEFAULT_SHIFTS",
-    "weights2",
-    "weights4",
     "WsldScheme",
     "wsld_scheme",
     "assemble_left",
@@ -47,30 +45,26 @@ __all__ = [
 DEFAULT_SHIFTS = (1, -1, 1, 2, 1, -1, 1, 3)
 
 
-def weights2(a: int, b: int) -> tuple[float, float]:
-    """Two-term weights ``(b/(b-a), a/(a-b))`` for the values ``(a, b)``.
+def _half_weights(nu: int, alpha: float, t: Sequence[int]) -> tuple[float, float]:
+    """Weights of the two halves of 2, 4 or 8 shifts; they sum to one.
 
-    They sum to one and cancel one error term.  The second-order level applies
-    them to a shift pair ``(p, q)``; the third-order level to the products
-    ``(pq, rs)`` of two shift pairs.
+    Two shifts ``(p, q)`` or two pairs with products ``(pq, rs)`` take the
+    exact two-term rule ``(b/(b-a), a/(a-b))`` of those values ``(a, b)``,
+    which cancels one error term.  Two quadruples take the quotient of their
+    leading (third-order) error constants: ``pqrs (r + s - p - q) /
+    (6 (rs - pq))`` for nu = 4, minus ``alpha/4`` for nu = 3 (the other nu
+    :func:`wsld_scheme` admits at this order); one quotient evaluates both.
     """
-    if a == b:
-        raise ValueError("weighting needs distinct shifts or shift products")
-    w = Fraction(b, b - a)
-    return float(w), float(1 - w)
-
-
-def weights4(nu: int, alpha: float, shifts: Sequence[int]) -> tuple[float, float]:
-    """Fourth-order weights that cancel the error constants of the two quadruples.
-
-    The leading (third-order) error constant of a quadruple ``(p, q, r, s)``
-    is ``pqrs (r + s - p - q) / (6 (rs - pq))`` for nu = 4, minus ``alpha/4``
-    for nu = 3 (the other nu :func:`wsld_scheme` admits at this order); one
-    quotient evaluates both.
-    """
+    if len(t) < 8:
+        half = len(t) // 2
+        a, b = math.prod(t[:half]), math.prod(t[half:])
+        if a == b:
+            raise ValueError("weighting needs distinct shifts or shift products")
+        w = Fraction(b, b - a)
+        return float(w), float(1 - w)
     alpha_term = 3 * alpha if nu == 3 else 0.0
     free, consts = [], []
-    for p, q, r, s in (shifts[:4], shifts[4:]):
+    for p, q, r, s in (t[:4], t[4:]):
         if p * q == r * s:
             raise ValueError("weighting needs distinct shifts or shift products")
         num, den = p * q * r * s * (r + s - p - q), r * s - p * q
@@ -115,20 +109,18 @@ class WsldScheme:
         """Flatten the weight hierarchy into ``(product weight, shift)`` pairs.
 
         One walk over halves: the 8 shifts split into two quadruples weighted
-        by :func:`weights4`, each quadruple into two pairs and each pair into
-        two shifts, both weighted by :func:`weights2` (of the pair products,
-        then of the shifts).  The outer weight is multiplied first, so a
-        product is formed as ``(w4 * w3) * w2``.  The products telescope:
-        weights at each level sum to one, so the returned weights also do.
+        by their error constants, each quadruple into two pairs weighted by
+        one exact two-term rule of the pair products ``(pq, rs)``, and each
+        pair into two shifts weighted by the same rule of the shifts.  The
+        outer weight is multiplied first, so a product is formed as
+        ``(w4 * w3) * w2``.  The products telescope: weights at each level sum
+        to one, so the returned weights also do.
         """
         def walk(t: tuple[int, ...], outer: float) -> list[tuple[float, int]]:
             if len(t) == 1:
                 return [(outer, t[0])]
             half = len(t) // 2
-            if len(t) == 8:
-                w_a, w_b = weights4(self.nu, self.alpha, t)
-            else:
-                w_a, w_b = weights2(math.prod(t[:half]), math.prod(t[half:]))
+            w_a, w_b = _half_weights(self.nu, self.alpha, t)
             return walk(t[:half], outer * w_a) + walk(t[half:], outer * w_b)
 
         return walk(self.shifts, 1.0)

@@ -120,14 +120,15 @@ BLOWUP_THRESHOLD = 1e10
 #: scheme's shift ``m`` past it).
 _BAND = 32
 #: GMRES restart length: Krylov vectors held at once by the matrix-free path.
-#: A solve at nx = 10240 and tau = 0.2 takes 70-74 iterations; restarted
-#: every 40, it stalled short of the target within the iteration cap.
+#: It must exceed the iterations a step takes under the band preconditioner
+#: on the largest grids run, or restarting stalls a solve short of the target
+#: within the iteration cap.
 _RESTART = 80
 #: Rows of the matrix-free path's recycle space: up to ``_RITZ`` harmonic
 #: Ritz pairs, then up to ``_STORE - _RITZ`` converged steps' pairs, which
 #: restart behind the Ritz pairs when full.  More steps' pairs in a small
-#: space condition ``R`` worse: 28 at nx = 40 brought a true residual to
-#: 0.85 of its bound, where 20 keep it at 0.2.
+#: space condition ``R`` worse, so the steps' share stays small enough that a
+#: small grid's true residual keeps well inside its bound.
 _STORE = 28
 #: Harmonic Ritz vectors of smallest ``|theta|`` that the run's first GMRES
 #: cycle, when it takes more than this many iterations, leaves in the store.
@@ -143,8 +144,8 @@ _MAX_ITERATIONS = 200
 #: ``||rhs||``.  A start projected from past solutions lands each solve near
 #: this target, not orders of magnitude below it as a start from the last
 #: ``W`` alone did on small grids, and near a steady state the steps'
-#: residuals add up: at 1e-12, 200 steps at nx = 40 drifted to 7e-12 of
-#: the LU path's result.
+#: residuals add up, so the target sits an order of magnitude below the
+#: agreement with the LU path that a long run must keep.
 _GMRES_TOL = 1e-13
 #: The true residual after convergence may exceed the stopping target by the
 #: rounding of one mat-vec, at most this many ``eps ||M-|| ||W||``.
@@ -480,14 +481,14 @@ class _MatrixFree:
     is ``Q a`` is ``lift(a) = W R^{-1} a``.  Each pair's own residual is
     that of its solve, but ``R^{-1}`` grows as the images of nearby steps
     grow alike, so ``M- lift(a) = Q a`` holds only as well as ``R^{-1} a``
-    is bounded: for the projection ``a = Q^T rhs`` of a step's right side,
-    to below 1e-9 ``||rhs||`` over 20 steps at nx = 2560.  :meth:`solve`
-    starts from ``lift(Q^T rhs)`` (Fischer, CMAME 163, 1998), and each GMRES
-    cycle minimises over ``span Q`` plus its Krylov space.  The run's first
-    cycle seeds the store with its harmonic Ritz pairs (Morgan, SIAM J. Sci.
-    Comput. 24, 2002), the approximate eigenvectors of smallest eigenvalue
-    that restarting would otherwise lose.  Memory is
-    O(N (b + restart + store)).
+    is bounded.  So the projection ``a = Q^T rhs`` of a step's right side
+    serves only as a start, and each solve still meets its own residual
+    target.  :meth:`solve` starts from ``lift(Q^T rhs)`` (Fischer, CMAME
+    163, 1998), and each GMRES cycle minimises over ``span Q`` plus its
+    Krylov space.  The run's first cycle seeds the store with its harmonic
+    Ritz pairs (Morgan, SIAM J. Sci. Comput. 24, 2002), the approximate
+    eigenvectors of smallest eigenvalue that restarting would otherwise
+    lose.  Memory is O(N (b + restart + store)).
     """
 
     def __init__(self, problem: DiffusionProblem, scheme: WsldScheme) -> None:
@@ -1078,11 +1079,8 @@ class _Table2Source:
 
         ``out`` has shape ``(len(times),) + x.shape``.  Each row takes the
         operations of :meth:`__call__` in the same order, so it is bitwise
-        that call's sample; a block of one time costs one sample.
+        that call's sample.
         """
-        if len(times) == 1:
-            self._sample(x, math.cos(times[0] + 1.0), math.sin(times[0] + 1.0), out[0])
-            return out
         column = (-1,) + (1,) * np.ndim(x)
         cos = np.array([math.cos(t + 1.0) for t in times]).reshape(column)
         sin = np.array([math.sin(t + 1.0) for t in times]).reshape(column)

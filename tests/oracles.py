@@ -1,4 +1,4 @@
-"""Closed-form root-factorization oracle for the Lubich coefficient series.
+"""Test-side references: the Lubich root factorization and the weight walk.
 
 An independent cross-check of :func:`wsld.coefficients.lubich_coeffs`.  The
 production path runs the J.C.P. Miller recurrence on the residual polynomial
@@ -10,12 +10,20 @@ binomial series of each factor in complex arithmetic.  Desk scale only.
 
 For K <= 64 and ``alpha`` in [-0.5, 1.9] it agrees with the production path
 to 2.1e-14 absolute (largest at nu = 5); the tests hold it to 1e-10.
+
+:func:`reference_shift_weights` is the weight hierarchy written out level by
+level: a two-term rule :func:`weights2` for shifts and pair products, a
+fourth-order rule :func:`weights4` for quadruples, and the walk that
+multiplies them outer weight first.  Each weight is rounded where
+:meth:`wsld.operators.WsldScheme.shift_weights` rounds it, so the tests pin
+that method to it bitwise, errors included.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -167,3 +175,49 @@ def lubich_coeffs_oracle(nu: int, alpha: float, kmax: int) -> np.ndarray:
             "root factorization is inconsistent"
         )
     return acc.real.copy()
+
+
+def weights2(a: int, b: int) -> tuple[float, float]:
+    """Two-term weights ``(b/(b-a), a/(a-b))`` for the values ``(a, b)``."""
+    if a == b:
+        raise ValueError("weighting needs distinct shifts or shift products")
+    w = Fraction(b, b - a)
+    return float(w), float(1 - w)
+
+
+def weights4(nu: int, alpha: float, shifts: Sequence[int]) -> tuple[float, float]:
+    """Fourth-order weights from the error constants of the two quadruples.
+
+    The constant of ``(p, q, r, s)`` is ``pqrs (r + s - p - q) / (6 (rs - pq))``
+    for nu = 4, minus ``alpha/4`` for nu = 3; distinctness is decided on the
+    exact nu-free parts.
+    """
+    alpha_term = 3 * alpha if nu == 3 else 0.0
+    free, consts = [], []
+    for p, q, r, s in (shifts[:4], shifts[4:]):
+        if p * q == r * s:
+            raise ValueError("weighting needs distinct shifts or shift products")
+        num, den = p * q * r * s * (r + s - p - q), r * s - p * q
+        free.append(Fraction(num, den))
+        consts.append((2 * num - alpha_term * den) / (12 * den))
+    if free[0] == free[1]:
+        raise ValueError("fourth-order weighting needs distinct error constants")
+    c, c_bar = consts
+    w = c_bar / (c_bar - c)
+    return w, 1.0 - w
+
+
+def reference_shift_weights(nu: int, alpha: float,
+                            shifts: tuple[int, ...]) -> list[tuple[float, int]]:
+    """``(product weight, shift)`` pairs, products formed as ``(w4 * w3) * w2``."""
+    def walk(t: tuple[int, ...], outer: float) -> list[tuple[float, int]]:
+        if len(t) == 1:
+            return [(outer, t[0])]
+        half = len(t) // 2
+        if len(t) == 8:
+            w_a, w_b = weights4(nu, alpha, t)
+        else:
+            w_a, w_b = weights2(math.prod(t[:half]), math.prod(t[half:]))
+        return walk(t[:half], outer * w_a) + walk(t[half:], outer * w_b)
+
+    return walk(shifts, 1.0)

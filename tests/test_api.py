@@ -32,14 +32,14 @@ def test_public_api_is_frozen():
         "lubich_coeffs", "residual_polynomial", "run_consistency", "run_table1",
         "run_table2", "solve_steady", "stability_probe", "symbol_deviation",
         "symbol_order_slope", "table1_exact", "table1_source", "table2_exact",
-        "table2_problem", "weights2", "weights4", "wsld_scheme",
+        "table2_problem", "wsld_scheme",
     ]
     assert sorted(wsld.coefficients.__all__) == [
         "generating_polynomial", "lubich_coeffs", "residual_polynomial",
     ]
     assert sorted(wsld.operators.__all__) == [
         "DEFAULT_SHIFTS", "WsldScheme", "apply_operator", "assemble_left",
-        "weights2", "weights4", "wsld_scheme",
+        "wsld_scheme",
     ]
     assert sorted(wsld.spectral.__all__) == [
         "EigenProbe", "ScanReport", "definiteness_scan", "eigen_probe",

@@ -142,12 +142,17 @@ class TestCompareToReference:
 
     def test_nan_reference_never_passes(self):
         report = ConvergenceReport(hs=[0.1, 0.05], errors=[1.0, 0.5], metadata={})
-        failures = compare_to_reference(report, [1.0, float("nan")], rtol=0.1)
-        assert len(failures) == 1
-        assert "h=5.0000e-02" in failures[0]
-        # the reference rates come from a report, which refuses the NaN
-        with pytest.raises(ValueError, match="finite"):
-            compare_to_reference(report, [1.0, float("nan")], rtol=0.1, rate_tol=0.2)
+        # a zero reference is no more a value to meet than a NaN one
+        for bad in (float("nan"), 0.0):
+            failures = compare_to_reference(report, [1.0, bad], rtol=0.1)
+            assert len(failures) == 1
+            assert "h=5.0000e-02" in failures[0]
+            # the reference rates come from a report, which refuses the entry
+            with pytest.raises(ValueError, match="finite"):
+                compare_to_reference(report, [1.0, bad], rtol=0.1, rate_tol=0.2)
+        failures = compare_to_reference(report, [0.0, 0.5], rtol=0.1)
+        assert failures == ["h=1.0000e-01: error 1.0000e+00 vs reference 0.0000e+00 "
+                            "(rel inf% > 10%)"]
 
     def test_nan_error_fails_the_suite_check(self):
         # a NaN written past the constructor's check still fails every comparison

@@ -1,5 +1,7 @@
 """Weights, combined coefficients, matrix assembly, and FFT application."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -8,59 +10,86 @@ from wsld import operators
 from wsld.coefficients import lubich_coeffs
 from wsld.operators import (
     DEFAULT_SHIFTS,
+    _half_weights,
     apply_operator,
     assemble_left,
-    weights2,
-    weights4,
     wsld_scheme,
 )
 from wsld.solver import table1_source
 
+from oracles import reference_shift_weights
+
 
 class TestWeights:
+    # _half_weights(nu, alpha, t) weights the two halves of 2, 4 or 8 shifts:
+    # the shifts of a pair or the products of two pairs by the two-term rule
+    # (weights2 in tests/oracles.py), two quadruples by their error constants
+    # (weights4 there)
     def test_weights2_examples(self):
-        assert weights2(1, -1) == (0.5, 0.5)
-        assert weights2(1, 0) == (0.0, 1.0)
-        assert weights2(1, 2) == (2.0, -1.0)
+        assert _half_weights(4, 1.5, (1, -1)) == (0.5, 0.5)
+        assert _half_weights(4, 1.5, (1, 0)) == (0.0, 1.0)
+        assert _half_weights(4, 1.5, (1, 2)) == (2.0, -1.0)
 
     def test_weights2_rejects_equal_shifts(self):
         with pytest.raises(ValueError):
-            weights2(2, 2)
+            _half_weights(4, 1.5, (2, 2))
 
     def test_weights2_on_pair_products(self):
         # the third-order level weights two pairs by their products pq, rs
-        wa, wb = weights2(1 * -1, 1 * 2)
+        wa, wb = _half_weights(4, 1.5, (1, -1, 1, 2))
         assert (wa, wb) == pytest.approx((2 / 3, 1 / 3))
-        assert weights2(1 * -1, 1 * 3) == pytest.approx((3 / 4, 1 / 4))
+        assert _half_weights(4, 1.5, (1, -1, 1, 3)) == pytest.approx((3 / 4, 1 / 4))
         # degenerate pq = 0 collapses onto the first pair
-        assert weights2(1 * 0, 1 * 2) == (1.0, 0.0)
+        assert _half_weights(4, 1.5, (1, 0, 1, 2)) == (1.0, 0.0)
 
     def test_weights2_rejects_equal_products(self):
         with pytest.raises(ValueError, match="shift products"):
-            weights2(1 * 2, 2 * 1)
+            _half_weights(4, 1.5, (1, 2, 2, 1))
         with pytest.raises(ValueError, match="shift products"):
             wsld_scheme(3, 1.5, shifts=(1, 2, 2, 1))
 
     def test_weights4_nu4_alpha_independent(self):
         for alpha in (1.1, 1.5, 1.9):
-            assert weights4(4, alpha, DEFAULT_SHIFTS) == pytest.approx((3.0, -2.0))
+            assert _half_weights(4, alpha, DEFAULT_SHIFTS) == pytest.approx((3.0, -2.0))
 
     def test_weights4_nu3_affine_in_alpha(self):
         # c = -(4+3a)/12 and c_bar = -(2+a)/4 give ((6+3a)/2, -(4+3a)/2)
         for alpha in (1.1, 1.5, 1.9):
-            got = weights4(3, alpha, DEFAULT_SHIFTS)
+            got = _half_weights(3, alpha, DEFAULT_SHIFTS)
             want = ((6 + 3 * alpha) / 2, -(4 + 3 * alpha) / 2)
             assert got == pytest.approx(want, rel=1e-14)
-        assert weights4(3, 1.5, DEFAULT_SHIFTS) == pytest.approx((5.25, -4.25))
+        assert _half_weights(3, 1.5, DEFAULT_SHIFTS) == pytest.approx((5.25, -4.25))
 
     def test_weights4_rejects_equal_constants(self):
         mirrored = (1, -1, 1, 2, 1, -1, 1, 2)
         with pytest.raises(ValueError):
-            weights4(4, 1.5, mirrored)
+            _half_weights(4, 1.5, mirrored)
         # both quadruples hold a zero shift, so c = c_bar = -alpha/4 for nu=3;
         # the two roundings of -alpha/4 differ at alpha = 1.07
         with pytest.raises(ValueError, match="distinct error constants"):
-            weights4(3, 1.07, (1, 0, -2, 2, 0, 2, 3, 1))
+            _half_weights(3, 1.07, (1, 0, -2, 2, 0, 2, 3, 1))
+
+    def test_shift_weights_bitwise_to_the_reference(self):
+        # the flattened weights, or the exception, of every tuple of 1, 2 or 4
+        # shifts in -3..3 and of seeded 8-tuples are those of the level-by-level
+        # reference, to the last bit (repr round-trips a float)
+        def outcome(fn):
+            try:
+                return repr(fn())
+            except (ValueError, ZeroDivisionError) as exc:
+                return (type(exc), str(exc))
+
+        span = range(-3, 4)
+        tuples = [t for size in (1, 2, 4) for t in itertools.product(span, repeat=size)]
+        rng = np.random.default_rng(28)
+        tuples += [tuple(int(v) for v in row) for row in rng.integers(-3, 4, (1000, 8))]
+        tuples += [tuple(int(v) for v in row) for row in rng.integers(-7, 8, (300, 8))]
+        for nu in (3, 4):
+            for alpha in (1.07, 1.37, 1.5, 1.9, -0.5):
+                for t in tuples:
+                    got = outcome(operators.WsldScheme(nu, alpha, t).shift_weights)
+                    want = outcome(lambda: reference_shift_weights(nu, alpha, t))
+                    assert got == want, (nu, alpha, t)
 
     @pytest.mark.parametrize("shifts", [
         (1, -1), (2, -3), (1, 0),
@@ -76,12 +105,9 @@ class TestWeights:
                 scheme = wsld_scheme(nu, 1.5, shifts=shifts)
             # each level partitions unity exactly
             t = scheme.shifts
-            levels = [weights2(*t[i:i + 2]) for i in range(0, len(t), 2)]
-            if len(t) >= 4:
-                levels += [weights2(t[i] * t[i + 1], t[i + 2] * t[i + 3])
-                           for i in range(0, len(t), 4)]
-            if len(t) == 8:
-                levels.append(weights4(nu, 1.5, t))
+            levels = [_half_weights(nu, 1.5, t[i:i + size])
+                      for size in (2, 4, 8) if size <= len(t)
+                      for i in range(0, len(t), size)]
             for a, b in levels:
                 assert a + b == pytest.approx(1.0, abs=1e-15)
             # the flattened level products telescope to one up to round-off
@@ -163,12 +189,12 @@ class TestScheme:
     def test_weight_table_partitions(self):
         # the level weights of the default tuple, and their flattened products
         t = DEFAULT_SHIFTS
-        for a, b in (weights2(*t[:2]), weights2(t[0] * t[1], t[2] * t[3]),
-                     weights4(4, 1.5, t)):
+        for a, b in (_half_weights(4, 1.5, t[:2]), _half_weights(4, 1.5, t[:4]),
+                     _half_weights(4, 1.5, t)):
             assert a + b == pytest.approx(1.0, abs=1e-15)
-        w4a, w4b = weights4(4, 1.5, t)
-        w3a, _ = weights2(t[0] * t[1], t[2] * t[3])
-        wp, wq = weights2(*t[:2])
+        w4a, w4b = _half_weights(4, 1.5, t)
+        w3a, _ = _half_weights(4, 1.5, t[:4])
+        wp, wq = _half_weights(4, 1.5, t[:2])
         flat = wsld_scheme(4, 1.5).shift_weights()
         assert flat[:2] == [((w4a * w3a) * wp, t[0]), ((w4a * w3a) * wq, t[1])]
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wsld.coefficients import lubich_coeffs, residual_polynomial
-from wsld.operators import assemble_left, weights2, wsld_scheme
+from wsld.operators import assemble_left, wsld_scheme
 from wsld.spectral import (
     EIGEN_MAX_DIM,
     ScanReport,
@@ -130,7 +130,7 @@ class TestGeneratingFunctions:
         kmax = 10_000
         m = max(1, abs(q))
         l = lubich_coeffs(nu, alpha, kmax + m)
-        wp, wq = weights2(1, q)
+        wp, wq = q / (q - 1), 1 / (1 - q)
         k = np.arange(kmax + 1)
         phi = np.zeros(kmax + 1)
         for w, shift in ((wp, 1), (wq, q)):
