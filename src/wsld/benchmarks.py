@@ -82,8 +82,16 @@ class ConvergenceReport:
             raise ValueError("errors must be finite and strictly positive")
 
     def rates(self) -> list[float]:
-        """Observed order ``log(e0/e1) / log(h0/h1)`` between consecutive rows."""
+        """Observed order ``log(e0/e1) / log(h0/h1)`` between consecutive rows.
+
+        Two consecutive rows with the same step size have no rate: that
+        raises ``ValueError`` naming the step size.
+        """
         hs, errors = self.hs, self.errors
+        for i in range(1, len(hs)):
+            if hs[i] == hs[i - 1]:
+                raise ValueError(f"rows {i - 1} and {i} repeat the step size "
+                                 f"h={hs[i]!r}, which leaves no rate between them")
         return [math.log(errors[i - 1] / errors[i]) / math.log(hs[i - 1] / hs[i])
                 for i in range(1, len(hs))]
 
@@ -255,7 +263,13 @@ def check_reports(suite: str, reports: Sequence[ConvergenceReport]) -> list[str]
     for report in reports:
         meta = report.metadata
         if suite == "consistency":
-            level, rate = meta["level"], report.rates()[-1]
+            level, rates = meta["level"], report.rates()
+            if not rates:
+                failures.append(f"nu={meta['nu']} level={level}: no observed order "
+                                f"to check in {len(report.errors)} row(s); a rate "
+                                "needs two")
+                continue
+            rate = rates[-1]
             if abs(rate - level) > tol["level_tol"]:
                 failures.append(
                     f"nu={meta['nu']} level={level}: finest observed order "

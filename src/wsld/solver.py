@@ -25,10 +25,16 @@ at the half step, by one of three paths.
   values and the coefficient samples) into one N x N array, LU-factored
   there once, and each step is one LAPACK ``getrs`` call.
 * ``gemv``, the inverse path: ``M-`` is written the same way and inverted
-  once by ``numpy.linalg.inv``; the inverse is doubled in place (exactly)
-  and ``M-`` dropped, so the steps hold one N x N array, and each step is
-  one product and one subtraction,
-  ``U^{n+1} = (2 M-^{-1}) (U^n + (tau/2) F) - U^n``.
+  once by ``numpy.linalg.inv``; the inverse ``G`` is doubled in place
+  (exactly) and ``M-`` dropped.  A step is
+  ``U^{n+1} = G (U^n + (tau/2) F) - U^n``, a linear recurrence with a
+  constant matrix, so the path steps spans of up to 16 blocks of 16 steps
+  by three sweeps of matrix products over the blocks' rows: the particular
+  solutions of the blocks from zero, the block starts by the block
+  propagator ``T^16`` (formed once by four squarings), and every state
+  from its block's start (see :class:`_Spans`).  So a step costs two rows
+  of a GEMM where it cost one matrix-vector product, and the steps hold
+  two N x N arrays, ``G`` and ``T^16``.
 * matrix-free: no N x N array is formed.  Each step solves ``M- W = rhs``
   by right-preconditioned GMRES that recycles a store of earlier solves.
   ``M- = B - cF`` splits into the band ``B``, ``|i - j| <= b`` (``b = 32``,
@@ -53,9 +59,11 @@ All three paths share one step loop, which advances in blocks of steps so
 that the work around the solve is done once per block: the forcing of a
 block's steps is sampled into one array (by one call, for a source that
 samples blocks, such as the Table 2 forcing), scaled at once and zeroed on
-the boundary at once, and the sup norms of its states are taken at once.
-A block holds ``max(1, 4096 // N)`` steps, so from N = 2049 on it is one
-step.
+the boundary at once, and the sup norms of its states are taken at once,
+so the first failing step is found in step order.  A block of the
+``getrs`` and matrix-free paths holds ``max(1, 4096 // N)`` steps, each
+one solve, so from N = 2049 on it is one step; a block of the inverse
+path is one span.
 
 With the proven-stable shift tuple the spatial operator is negative definite
 and the stepping is unconditionally stable; with a plain unshifted operator it
@@ -330,11 +338,18 @@ class CnSystem:
 
 #: Columns per block of the ``D- A^T`` term: the temporary holds this many.
 _BLOCK = 64
-#: Entries per array of a block of time steps: :func:`cn_solve` advances
-#: ``max(1, _STEP_BLOCK // N)`` steps per block, so its two block arrays
-#: hold about 32 KiB each up to N = 2048, and from N = 2049 on a block is
-#: one step.
+#: Entries per array of a block of time steps on the ``getrs`` and
+#: matrix-free paths: :func:`cn_solve` advances them ``max(1, _STEP_BLOCK //
+#: N)`` steps per block, so the two block arrays hold at most
+#: ``_STEP_BLOCK`` doubles each up to N = 2048, and from N = 2049 on a block
+#: is one step.
 _STEP_BLOCK = 4096
+#: Steps per block of the inverse path's spans.  A power of two: the block
+#: propagator ``T^k`` is formed by ``log2 k`` squarings.
+_SPAN_STEPS = 16
+#: Blocks per span of the inverse path: the rows of each product of a
+#: sweep.  A span's arrays hold ``(_SPAN_STEPS + 4) _SPAN_BLOCKS`` rows.
+_SPAN_BLOCKS = 16
 #: Message of the error a singular implicit matrix raises on every dense path.
 _SINGULAR = "implicit Crank-Nicolson matrix is singular"
 
@@ -402,26 +417,29 @@ def assemble_cn_system(problem: DiffusionProblem, scheme: WsldScheme) -> CnSyste
 
 
 def _twice_inverse(problem: DiffusionProblem, scheme: WsldScheme) -> np.ndarray:
-    """``2 M-^{-1}``, from one ``numpy.linalg.inv`` of ``M-``.
+    """``2 M-^{-1}`` in Fortran order, from one ``numpy.linalg.inv``.
 
-    ``M-`` is filled as for :func:`assemble_cn_system`, inverted by LAPACK
-    ``gesv`` on the identity in numpy's own LAPACK, and freed on return; the
-    doubling is exact.  While ``inv`` runs it holds about four N x N arrays
-    (``M-``, its working copy, the identity and the result), where ``getrf``
-    plus ``getri`` held two.  The errors are those of
+    ``M-`` is filled as for :func:`assemble_cn_system`, in Fortran order, so
+    its transpose is a C-ordered view; ``numpy.linalg.inv`` inverts that
+    view by LAPACK ``gesv`` on the identity, and the transpose of the result
+    is ``M-^{-1}``.  So the transpose ``2 M-^{-T}`` is C-ordered, and a
+    product of C-ordered rows with it is one GEMM with no transposed
+    operand.  ``M-`` is freed on return and the doubling is exact.  While
+    ``inv`` runs it holds about four N x N arrays (``M-``, its working
+    copy, the identity and the result).  The errors are those of
     :func:`assemble_cn_system`: ``ValueError`` on a non-finite entry of
     ``M-`` (coefficients reassigned after the problem checked them), and
     ``numpy.linalg.LinAlgError`` on a singular ``M-``.
     """
     matrix = np.asarray_chkfinite(_cn_matrix(*_cn_data(problem, scheme)))
     try:
-        twice = np.linalg.inv(matrix)
+        twice_t = np.linalg.inv(matrix.T)
     except np.linalg.LinAlgError:
         raise np.linalg.LinAlgError(_SINGULAR) from None
-    if not np.all(np.isfinite(twice)):
+    if not np.all(np.isfinite(twice_t)):
         raise np.linalg.LinAlgError(_SINGULAR)
-    twice *= 2.0
-    return twice
+    twice_t *= 2.0
+    return twice_t.T
 
 
 def _cn_band(band: np.ndarray, dp: np.ndarray, dm: np.ndarray, c: float,
@@ -827,39 +845,197 @@ class InstabilityError(RuntimeError):
         self.sup_norm = sup_norm
 
 
-def _twice_solver(path: str, problem: DiffusionProblem, scheme: WsldScheme,
-                  guess: np.ndarray):
-    """Set up ``path`` and return its step ``solve(rhs, out, step)``.
+class _PerStep:
+    """The ``getrs`` and matrix-free steps: one solve per step, in step order.
 
-    The step writes ``2W`` into ``out``, ``W`` the solution of ``M- W = rhs``,
-    and may overwrite ``rhs``.  ``guess`` is the first GMRES guess of the
-    matrix-free path, read by its first solve only.
+    A block of ``rows = max(1, _STEP_BLOCK // N)`` steps (at most ``nt``)
+    reads its scaled forcing from the rows of :attr:`forcing` and writes
+    each ``U^{n+1}`` into the next row of a state array, whose row 0 holds
+    the block's ``U^n``.  ``initial`` is also the first GMRES guess of the
+    matrix-free path.
     """
-    if path == "gemv":
-        twice = _twice_inverse(problem, scheme)
 
-        def solve(rhs, out, step):
-            np.dot(twice, rhs, out=out)
-    elif path == "getrs":
-        import scipy.linalg as sla
+    def __init__(self, path: str, problem: DiffusionProblem, scheme: WsldScheme,
+                 initial: np.ndarray) -> None:
+        size = problem.grid.nx + 1
+        self.rows = max(1, min(problem.nt, _STEP_BLOCK // size))
+        # each step's right side is built in its row of the forcing
+        self.forcing = np.empty((self.rows, size))
+        self._states = np.empty((self.rows + 1, size))
+        self.state = self._states[0]
+        self.state[...] = initial
+        self._forcing_rows, self._state_rows = list(self.forcing), list(self._states)
+        if path == "getrs":
+            import scipy.linalg as sla
 
-        lu, piv = assemble_cn_system(problem, scheme).lu
-        getrs, = sla.get_lapack_funcs(("getrs",), (lu,))
+            lu, piv = assemble_cn_system(problem, scheme).lu
+            getrs, = sla.get_lapack_funcs(("getrs",), (lu,))
 
-        def solve(rhs, out, step):
-            w, info = getrs(lu, piv, rhs, overwrite_b=True)
-            if info != 0:
-                raise ValueError(f"illegal value in argument {-info} of LAPACK getrs")
-            np.multiply(w, 2.0, out=out)
-    else:
-        implicit = _MatrixFree(problem, scheme)
-        w = guess  # later guesses are projected from the store
+            def solve(rhs, out, step):
+                w, info = getrs(lu, piv, rhs, overwrite_b=True)
+                if info != 0:
+                    raise ValueError(f"illegal value in argument {-info} of LAPACK getrs")
+                np.multiply(w, 2.0, out=out)
+        else:
+            implicit = _MatrixFree(problem, scheme)
+            w = self.state  # later guesses are projected from the store
 
-        def solve(rhs, out, step):
-            nonlocal w
-            w = implicit.solve(rhs, w, step)
-            np.multiply(w, 2.0, out=out)
-    return solve
+            def solve(rhs, out, step):
+                nonlocal w
+                w = implicit.solve(rhs, w, step)
+                np.multiply(w, 2.0, out=out)
+        self._solve = solve
+
+    def advance(self, count: int, done: int):
+        """Take the block's first ``count`` steps, after ``done`` steps.
+
+        Each step writes ``2W``, ``W`` the solution of
+        ``M- W = U^n + (tau/2) F``, and subtracts ``U^n``.  Returns the steps
+        taken and the exception that stopped them, or ``None``.
+        """
+        solve, forcing, states = self._solve, self._forcing_rows, self._state_rows
+        try:
+            for k in range(count):
+                rhs, u, out = forcing[k], states[k], states[k + 1]
+                rhs += u
+                step = done + k + 1
+                if step == 1:
+                    rhs[0], rhs[-1] = 0.5 * u[0], 0.5 * u[-1]
+                solve(rhs, out, step)
+                out -= u
+                out[0] = out[-1] = 0.0
+        except Exception as exc:
+            return k, exc
+        return count, None
+
+    def states(self, count: int) -> np.ndarray:
+        """The block's first ``count`` states, in step order."""
+        return self._states[1: count + 1]
+
+    def settle(self, count: int) -> None:
+        """Make the state after ``count`` steps the next block's ``U^n``."""
+        self.state[...] = self._states[count]
+
+
+def _block_propagator(twice_t: np.ndarray) -> np.ndarray:
+    """``(T^T)^k`` for ``T = G - I`` with its Dirichlet rows zeroed, ``k = _SPAN_STEPS``.
+
+    ``twice_t`` is ``G^T``, ``G = 2 M-^{-1}``, so ``T^T`` is ``G^T - I``
+    with its first and last columns zeroed.  It is formed in one copy of
+    ``G^T`` and squared ``log2 k`` times, each square written into the other
+    of two N x N arrays; the one not returned is freed on return.  So while
+    it runs it holds three N x N arrays with ``G^T``, and afterwards two.
+    """
+    power = twice_t.copy()
+    power.flat[:: power.shape[0] + 1] -= 1.0
+    power[:, :: power.shape[0] - 1] = 0.0
+    spare = np.empty_like(power)
+    # an unstable operator may overflow; the caller checks the result
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_SPAN_STEPS.bit_length() - 1):
+            np.matmul(power, power, out=spare)
+            power, spare = spare, power
+    return power
+
+
+def _step(u, forcing, rhs, twice_t, out):
+    """``out = Z ((u + forcing) G^T - u)`` on rows; ``out`` may be ``forcing``."""
+    np.add(u, forcing, out=rhs)
+    np.matmul(rhs, twice_t, out=out)
+    out -= u
+    out[:, :: out.shape[1] - 1] = 0.0
+    return out
+
+
+class _Spans:
+    """The inverse steps: a span of up to ``k B`` steps in ``2k`` products over ``B`` rows.
+
+    With ``G = 2 M-^{-1}`` a step is ``U^{n+1} = Z (G (U^n + f_n) - U^n)``,
+    where ``f_n = (tau/2) F`` and ``Z`` zeroes the Dirichlet entries.  From a
+    state that vanishes on the boundary this is the linear recurrence
+    ``U^{n+1} = T U^n + Z G f_n``, ``T = Z (G - I)``.  Step 1 reads ``U^0/2``
+    on the boundary, where ``U^0`` need not vanish; writing ``U^0/2`` there
+    into ``f_0`` and zero into ``U^0`` gives it the same right side.  So the
+    recurrence splits exactly into a particular part from a zero start and
+    the propagation of a start (Gander & Güttel, SIAM J. Sci. Comput. 35,
+    2013).  A span is cut into blocks of ``k = _SPAN_STEPS`` steps, at most
+    ``B = _SPAN_BLOCKS`` of them, the last padded with zero forcing, and
+    takes three sweeps:
+
+    1. particular: every block but the last takes its ``k`` steps from
+       zero, which leaves ``P_b``;
+    2. coarse: the block starts follow from ``S_{b+1} = T^k S_b + P_b``,
+       one matrix-vector product per block with ``T^k``
+       (:func:`_block_propagator`, formed once per solve);
+    3. fill: every block takes its ``k`` steps from its start, and each
+       state overwrites the forcing row it was stepped with.
+
+    The states are held as rows, so a step of a sweep is one product of all
+    its blocks' rows with the C-ordered ``G^T``.  After the fill the
+    forcing array holds the span's states in step order.  They are those of
+    the per-step loop up to the rounding of the products, which ``T^k``
+    carries from block to block.  A run of at most ``k`` steps, or one whose
+    ``T^k`` is not finite, has spans of one block, whose fill is the
+    per-step loop.  The steps hold ``G``, ``T^k`` and ``(k + 4) B`` rows of
+    N doubles.
+    """
+
+    def __init__(self, twice: np.ndarray, nt: int, initial: np.ndarray) -> None:
+        size = twice.shape[0]
+        self._twice_t = twice.T
+        power = _block_propagator(self._twice_t) if nt > _SPAN_STEPS else None
+        if power is not None and not np.isfinite(power).all():
+            power = None
+        self._power = power
+        blocks = 1 if power is None else min(_SPAN_BLOCKS, -(-nt // _SPAN_STEPS))
+        self.rows = blocks * _SPAN_STEPS
+        self.forcing = np.empty((self.rows, size))
+        # the block starts, the particular sweep's two states and a right side
+        self._starts, self._x, self._y, self._rhs = np.empty((4, blocks, size))
+        self.state = self._starts[0]
+        self.state[...] = initial
+
+    def advance(self, count: int, done: int):
+        """Take the span's first ``count`` steps, after ``done`` steps.
+
+        Returns ``(count, None)``: no step raises.
+        """
+        k, forcing, twice_t = _SPAN_STEPS, self.forcing, self._twice_t
+        size = forcing.shape[1]
+        blocks = -(-count // k)
+        forcing[count: blocks * k] = 0.0
+        if done == 0:
+            u = self.state
+            forcing[0, :: size - 1] = 0.5 * u[:: size - 1]
+            u[:: size - 1] = 0.0
+        per_block = forcing[: blocks * k].reshape(blocks, k, size)
+        starts = self._starts[:blocks]
+        if blocks > 1:
+            # particular: every block but the last from zero, into x
+            rows = slice(blocks - 1)
+            x, y, rhs = self._x[rows], self._y[rows], self._rhs[rows]
+            np.matmul(per_block[:-1, 0], twice_t, out=x)
+            x[:, :: size - 1] = 0.0
+            for j in range(1, k):
+                _step(x, per_block[:-1, j], rhs, twice_t, y)
+                x, y = y, x
+            # coarse: S_{b+1} = S_b (T^T)^k + P_b
+            for b in range(blocks - 1):
+                np.matmul(starts[b], self._power, out=starts[b + 1])
+                starts[b + 1] += x[b]
+        # fill: each state over the forcing row it is stepped with
+        u, rhs = starts, self._rhs[:blocks]
+        for j in range(k):
+            u = _step(u, per_block[:, j], rhs, twice_t, per_block[:, j])
+        return count, None
+
+    def states(self, count: int) -> np.ndarray:
+        """The span's first ``count`` states, in step order."""
+        return self.forcing[:count]
+
+    def settle(self, count: int) -> None:
+        """Make the state after ``count`` steps the next span's start."""
+        self.state[...] = self.forcing[count - 1]
 
 
 def _sample_forcing(source, x: np.ndarray, times: list, forcing: np.ndarray):
@@ -899,18 +1075,24 @@ def cn_solve(problem: DiffusionProblem, scheme: WsldScheme) -> SolveResult:
     exceeds the stopping target plus the mat-vec's rounding floor, raises
     ``RuntimeError`` naming the step, the iterations and the residual.
 
-    The steps advance in blocks of ``max(1, 4096 // N)`` (fewer in the
-    last block).  A block first samples the forcing of each of its steps
-    into one array, at the times ``(n + 1/2) tau``, and scales it by
-    ``tau/2``; then it steps, writing each ``U^{n+1}`` into the next row of
-    a state array; then it takes every step's sup norm at once.  A source
-    with a ``sample_block(x, times, out)`` method, such as the Table 2
-    forcing, samples the whole block in one call, whose rows must be
-    bitwise its per-call samples; if that call raises, the block is sampled
-    again one step at a time.  Any other source is called once per step,
-    in step order.  So the source may be called for steps past a failing
-    one, up to the end of its block.  The results are bitwise those of
-    checking each step as it is taken.
+    The steps advance in blocks: of ``max(1, 4096 // N)`` steps on the
+    ``getrs`` and matrix-free paths, and of one span of up to 256 steps on
+    the inverse path (fewer in the last block).  A block first samples the
+    forcing of each of its steps into one array, at the times
+    ``(n + 1/2) tau``, and scales it by ``tau/2``; then it steps, leaving
+    every ``U^{n+1}`` in a row of an array in step order; then it takes
+    every step's sup norm at once.  A source with a
+    ``sample_block(x, times, out)`` method, such as the Table 2 forcing,
+    samples the whole block in one call, whose rows must be bitwise its
+    per-call samples; if that call raises, the block is sampled again one
+    step at a time.  Any other source is called once per step, in step
+    order.  So the source may be called for steps past a failing one, up to
+    the end of its block.  On the ``getrs`` and matrix-free paths the
+    results are bitwise those of checking each step as it is taken.  The
+    inverse path takes its steps from the block starts of its span
+    (:class:`_Spans`), so its states are those of one product per step up
+    to the rounding of the products; every step it reports is still the
+    first failing one in step order.
 
     The initial data are copied first, so the array ``problem.initial``
     returns is never written.  The boundary entries of the right-hand side
@@ -929,16 +1111,17 @@ def cn_solve(problem: DiffusionProblem, scheme: WsldScheme) -> SolveResult:
     """
     size, nt, tau = problem.grid.nx + 1, problem.nt, problem.tau
     x, source = problem.grid.nodes(), problem.source
-    rows = max(1, min(nt, _STEP_BLOCK // size))
-    forcing = np.empty((rows, size))  # each step's right side is built in its row
-    states = np.empty((rows + 1, size))  # U^n of the block's steps, then U^{n+1}
-    states[0] = problem.initial(x)
-    solve = _twice_solver(_step_path(size, nt, scheme), problem, scheme, states[0])
-    sup = float(np.abs(states[0]).max())
-    forcing_rows, state_rows = list(forcing), list(states)
+    initial = problem.initial(x)
+    path = _step_path(size, nt, scheme)
+    if path == "gemv":
+        steps = _Spans(_twice_inverse(problem, scheme), nt, initial)
+    else:
+        steps = _PerStep(path, problem, scheme, initial)
+    forcing = steps.forcing
+    sup = float(np.abs(steps.state).max())
     done = 0
     while done < nt:
-        times = [(done + k + 0.5) * tau for k in range(min(rows, nt - done))]
+        times = [(done + k + 0.5) * tau for k in range(min(steps.rows, nt - done))]
         # an exception is raised after the steps before it are checked
         count, failure = _sample_forcing(source, x, times, forcing)
         forcing[:count] *= 0.5 * tau
@@ -947,19 +1130,11 @@ def cn_solve(problem: DiffusionProblem, scheme: WsldScheme) -> SolveResult:
         # a right side that is not finite makes inf - inf in the products;
         # the sup-norm check reports its step, so the stepping is quiet
         with np.errstate(invalid="ignore", over="ignore"):
-            try:
-                for k in range(count):
-                    rhs, u, out = forcing_rows[k], state_rows[k], state_rows[k + 1]
-                    rhs += u
-                    step = done + k + 1
-                    if step == 1:
-                        rhs[0], rhs[-1] = 0.5 * u[0], 0.5 * u[-1]
-                    solve(rhs, out, step)
-                    out -= u
-                    out[0] = out[-1] = 0.0
-            except Exception as exc:
-                count, failure = k, exc
-        norms = np.abs(states[1: count + 1], out=forcing[:count]).max(axis=1)
+            stepped, error = steps.advance(count, done)
+        if error is not None:
+            count, failure = stepped, error
+        states = steps.states(count)
+        norms = np.maximum(states.max(axis=1), -states.min(axis=1))
         blown = np.flatnonzero(~(norms <= BLOWUP_THRESHOLD))  # also catches NaN
         if blown.size:
             step = done + int(blown[0]) + 1
@@ -967,9 +1142,9 @@ def cn_solve(problem: DiffusionProblem, scheme: WsldScheme) -> SolveResult:
         if failure is not None:
             raise failure
         sup = max(sup, float(norms.max()))
+        steps.settle(count)
         done += count
-        states[0] = states[count]
-    return SolveResult(u=states[0].copy(), steps=nt, sup_norm=sup)
+    return SolveResult(u=steps.state.copy(), steps=nt, sup_norm=sup)
 
 
 @dataclass(frozen=True)
@@ -992,12 +1167,15 @@ def stability_probe(
     Reports the running sup norm; crossing ``BLOWUP_THRESHOLD`` marks the run
     unbounded, with the first step at which it blew up in
     ``steps_completed`` and that step's sup norm.  The run stops at the end
-    of the block of steps holding that step (see :func:`cn_solve`): the
-    steps after it in the block are taken quietly, with no floating-point
-    warning, and change nothing reported.  With the negative-definite
-    default tuple the sup norm stays of the order of the solution scale for
-    any ratio; the unshifted operator diverges within tens of steps.  ``tau_over_h`` must be
-    finite and positive, and ``n_steps`` an integer >= 1.
+    of the block of steps holding that step, a span on the inverse path
+    (see :func:`cn_solve`): the steps after it in the block are taken
+    quietly, with no floating-point warning, and change nothing reported.
+    On the inverse path the reported norm carries the rounding of the
+    span's products, relative to the state, so an unstable run amplifies
+    it.  With the negative-definite default tuple the sup norm stays of the
+    order of the solution scale for any ratio; the unshifted operator
+    diverges within tens of steps.  ``tau_over_h`` must be finite and
+    positive, and ``n_steps`` an integer >= 1.
     """
     if isinstance(tau_over_h, bool) or not (math.isfinite(tau_over_h)
                                             and tau_over_h > 0):

@@ -31,6 +31,16 @@ class TestRates:
         report = ConvergenceReport(hs=[0.1, 0.05, 0.025], errors=[1, 0.25, 0.0625])
         assert len(report.rates()) == 2
 
+    def test_repeated_step_size_has_no_rate(self):
+        # log(h0/h1) = 0 divided by zero
+        report = ConvergenceReport(hs=[0.1, 0.1], errors=[1.0, 0.5])
+        for method in (report.rates, report.to_csv):
+            with pytest.raises(ValueError, match=r"repeat the step size h=0\.1\b"):
+                method()
+        report = ConvergenceReport(hs=[0.1, 0.05, 0.05], errors=[1.0, 0.5, 0.25])
+        with pytest.raises(ValueError, match=r"rows 1 and 2 repeat the step size h=0\.05"):
+            report.rates()
+
 
 class TestOrderRegression:
     def test_exact_fourth_order_model(self):
@@ -153,6 +163,13 @@ class TestCompareToReference:
         failures = compare_to_reference(report, [0.0, 0.5], rtol=0.1)
         assert failures == ["h=1.0000e-01: error 1.0000e+00 vs reference 0.0000e+00 "
                             "(rel inf% > 10%)"]
+
+    def test_consistency_report_of_one_row_fails(self):
+        # its rates are empty, so the finest rate rates()[-1] did not exist
+        reports = run_consistency(nus=(3,), levels=(1, 2), resolutions=(64,))
+        assert check_reports("consistency", reports) == [
+            f"nu=3 level={level}: no observed order to check in 1 row(s); "
+            "a rate needs two" for level in (1, 2)]
 
     def test_nan_error_fails_the_suite_check(self):
         # a NaN written past the constructor's check still fails every comparison

@@ -357,6 +357,21 @@ class TestCrankNicolson:
             tracemalloc.stop()
         assert peak <= 1.25 * (nx + 1) ** 2 * 8
 
+    def test_inverse_path_peak_memory(self, monkeypatch):
+        # numpy.linalg.inv's own work arrays are not traced; then the doubled
+        # inverse G, the propagator squared between two arrays, and the
+        # steps, which hold G, T^k and a span's rows
+        nx = 1000
+        _force_path(monkeypatch, "gemv")
+        problem = table2_problem(1.5, nx=nx, nt=300)
+        tracemalloc.start()
+        try:
+            cn_solve(problem, wsld_scheme(4, 1.5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.25 * (nx + 1) ** 2 * 8
+
     def test_matrix_free_peak_memory(self, monkeypatch):
         # the band twice, the Krylov basis, the store of past solutions and
         # their images, and O(N) vectors: O(N (b + restart + store)); the
@@ -506,6 +521,25 @@ def _cn_reference(problem, scheme):
         rhs[0] = rhs[-1] = 0.0
         u = sla.lu_solve(system.lu, rhs)
     return u
+
+
+def _block_rows(path, size):
+    """Steps per block of ``path`` on ``size`` unknowns, the last block aside.
+
+    The inverse path steps spans of blocks of ``_SPAN_STEPS``; the others
+    step blocks of ``_STEP_BLOCK // N``, each one sampled at once.
+    """
+    return solver._SPAN_STEPS if path == "gemv" else solver._STEP_BLOCK // size
+
+
+def _sampled_rows(path, size, nt):
+    """Steps sampled by the first call of a block sampler on ``path``."""
+    span = solver._SPAN_STEPS * solver._SPAN_BLOCKS
+    return min(nt, span if path == "gemv" else solver._STEP_BLOCK // size)
+
+
+def _relative(got, want):
+    return float(np.abs(np.asarray(got) - want).max() / np.abs(want).max())
 
 
 def _cn_per_step(problem, scheme, path):
@@ -906,15 +940,22 @@ class TestBlockStepping:
             "table2-nonzero-boundary"])
     @pytest.mark.parametrize("path", _PATHS)
     def test_bitwise_the_per_step_loop(self, monkeypatch, make_problem, path):
+        # the inverse path's spans are the per-step loop up to the rounding
+        # of their products; the other paths are bitwise
         _force_path(monkeypatch, path)
         problem = make_problem()
-        rows = solver._STEP_BLOCK // (problem.grid.nx + 1)
+        rows = _block_rows(path, problem.grid.nx + 1)
         assert problem.nt > rows and problem.nt % rows  # a last, shorter block
         scheme = wsld_scheme(4, problem.alpha)
         result = cn_solve(problem, scheme)
         u, sup = _cn_per_step(make_problem(), scheme, path)
-        assert result.u.tobytes() == u.tobytes()
-        assert result.sup_norm == sup and result.steps == problem.nt
+        if path == "gemv":
+            assert _relative(result.u, u) <= 1e-12
+            assert abs(result.sup_norm - sup) <= 1e-12 * sup
+        else:
+            assert result.u.tobytes() == u.tobytes()
+            assert result.sup_norm == sup
+        assert result.steps == problem.nt
 
     @pytest.mark.parametrize("path", _PATHS)
     def test_source_sampled_once_per_step_in_order(self, monkeypatch, path):
@@ -975,9 +1016,10 @@ class TestBlockStepping:
     @pytest.mark.filterwarnings("error")
     def test_block_sampler_failure_reports_as_a_plain_source(self, monkeypatch,
                                                               fault, path):
-        # steps bad and bad + 2 fall in the first block of 99 steps; the
-        # block sampler fails there, and the source sampled one step at a
-        # time fails as the plain sources of the two tests above
+        # steps bad and bad + 2 fall in the first sampled block (99 steps,
+        # or the inverse path's span of 100); the block sampler fails there,
+        # and the source sampled one step at a time fails as the plain
+        # sources of the two tests above
         _force_path(monkeypatch, path)
         problem = table2_problem(1.5, nx=40, nt=100)
         tau, bad, blocks = problem.tau, 7, []
@@ -1007,7 +1049,7 @@ class TestBlockStepping:
         expected = KeyError if fault == "raises-alone" else InstabilityError
         with pytest.raises(expected) as info:
             cn_solve(problem, wsld_scheme(4, 1.5))
-        assert blocks == [99]
+        assert blocks == [_sampled_rows(path, 41, 100)]
         if expected is InstabilityError:
             assert info.value.step == bad and info.value.t == bad * tau
             assert not np.isfinite(info.value.sup_norm)
@@ -1028,6 +1070,131 @@ class TestBlockStepping:
         assert calls == [problem.tau / 2]  # the problem's construction check
         cn_solve(problem, wsld_scheme(4, 1.5))
         assert calls == [problem.tau / 2]
+
+
+class _Products(np.ndarray):
+    """An array that counts the matrix products it takes part in."""
+
+    count = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        if ufunc is np.matmul:
+            _Products.count += 1
+        if out is not None:
+            kwargs["out"] = tuple(np.asarray(o) for o in out)
+        return getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kwargs)
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func is np.dot:
+            _Products.count += 1
+        return super().__array_function__(func, types, args, kwargs)
+
+
+def _plain_source(problem):
+    """``problem`` with its forcing behind a plain callable: no ``sample_block``."""
+    forcing = problem.source
+    return replace(problem, source=lambda x, t: forcing(x, t))
+
+
+class TestSpanStepping:
+    """The inverse path's spans against the per-step loop of the same inverse."""
+
+    @pytest.mark.parametrize("make_problem", [
+        lambda: table2_problem(1.5, nx=40),
+        lambda: table2_problem(1.8, nx=160),
+        # shorter than one block: no propagator, one block
+        lambda: table2_problem(1.5, nx=40, nt=solver._SPAN_STEPS - 3),
+        # a full span, then a last span of 2 blocks and 12 steps
+        lambda: table2_problem(1.1, nx=40, nt=300),
+        lambda: replace(table2_problem(1.5, nx=40, nt=300),
+                        initial=expression("one", 1.5)),
+        lambda: _nonzero_boundary_problem(300),
+        lambda: _plain_source(table2_problem(1.5, nx=40, nt=300)),
+    ], ids=["table2-nx40", "table2-nx160", "shorter-than-a-block",
+            "ragged-last-span", "nonzero-boundary", "no-kappa-nonzero-boundary",
+            "plain-source"])
+    def test_matches_the_per_step_loop(self, monkeypatch, make_problem):
+        _force_path(monkeypatch, "gemv")
+        problem = make_problem()
+        scheme = wsld_scheme(4, problem.alpha)
+        result = cn_solve(problem, scheme)
+        u, sup = _cn_per_step(make_problem(), scheme, "gemv")
+        assert _relative(result.u, u) <= 1e-12
+        assert abs(result.sup_norm - sup) <= 1e-12 * sup
+        assert result.steps == problem.nt
+
+    def test_spans_of_one_block_without_a_finite_propagator(self, monkeypatch):
+        # a propagator that overflowed would corrupt every block start, so
+        # the spans fall back to single blocks, the per-step loop
+        _force_path(monkeypatch, "gemv")
+        monkeypatch.setattr(solver, "_block_propagator",
+                            lambda twice_t: np.full(twice_t.shape, np.inf))
+        problem = table2_problem(1.5, nx=40, nt=300)
+        scheme = wsld_scheme(4, 1.5)
+        result = cn_solve(problem, scheme)
+        u, sup = _cn_per_step(table2_problem(1.5, nx=40, nt=300), scheme, "gemv")
+        assert _relative(result.u, u) <= 1e-12
+        assert abs(result.sup_norm - sup) <= 1e-12 * sup
+
+    @pytest.mark.parametrize("bad", [150, 296], ids=["first-span", "second-span"])
+    @pytest.mark.parametrize("fault", ["nan", "inf", "raises", "raises-after-blowup"])
+    @pytest.mark.parametrize("sampler", [True, False], ids=["sampler", "plain"])
+    @pytest.mark.filterwarnings("error")
+    def test_failure_mid_span_reports_as_the_per_step_loop(self, monkeypatch, sampler,
+                                                           fault, bad):
+        # step 150 lies inside block 9 of the first span, 296 in block 2 of
+        # the second; a blow-up corrupts every later block start, and the
+        # fill still reports the first failing step
+        _force_path(monkeypatch, "gemv")
+        problem = table2_problem(1.5, nx=40, nt=300)
+        tau, finite_source = problem.tau, problem.source
+
+        def source(x, t):
+            step = round(t / tau + 0.5)
+            if fault.startswith("raises") and step == bad:
+                raise KeyError(f"source failed at step {step}")
+            f = finite_source(x, t)
+            if fault in ("nan", "inf") and step == bad:
+                f[20] = float(fault)
+            if fault == "raises-after-blowup" and step == bad - 3:
+                f[20] = np.nan
+            return f
+
+        class Source(solver._Table2Source):
+            # a failing block is sampled again one call at a time
+            def __call__(self, x, t):
+                return source(x, t)
+
+            def sample_block(self, x, times, out):
+                for k, t in enumerate(times):
+                    out[k] = source(x, t)
+                return out
+
+        problem.source = Source(1.5) if sampler else source
+        with pytest.raises(Exception) as got:
+            cn_solve(problem, wsld_scheme(4, 1.5))
+        problem.source = source
+        with pytest.raises(Exception) as want:
+            _cn_per_step(problem, wsld_scheme(4, 1.5), "gemv")
+        assert type(got.value) is type(want.value)
+        step = {"nan": bad, "inf": bad, "raises-after-blowup": bad - 3}.get(fault)
+        if step is None:
+            assert type(got.value) is KeyError
+            assert str(got.value) == str(want.value)  # names the step
+        else:
+            assert got.value.step == want.value.step == step
+            assert got.value.t == want.value.t == step * tau
+            assert not np.isfinite(got.value.sup_norm)
+
+    def test_steps_in_products_over_blocks(self, monkeypatch):
+        # a refactor that falls back to one product per step fails here
+        inverse = solver._twice_inverse
+        monkeypatch.setattr(solver, "_twice_inverse",
+                            lambda *args: inverse(*args).view(_Products))
+        monkeypatch.setattr(_Products, "count", 0)
+        problem = table2_problem(1.5, nx=160)
+        cn_solve(problem, wsld_scheme(4, 1.5))
+        assert 0 < _Products.count <= problem.nt // 4
 
 
 class TestMatrixFree:
@@ -1444,17 +1611,21 @@ class TestStabilityProbe:
     @pytest.mark.filterwarnings("error")
     def test_blowup_inside_a_block_matches_the_per_step_loop(self, monkeypatch, path):
         # the steps after the blow-up in its block are taken, quietly, and
-        # change nothing the probe reports
+        # change nothing the probe reports; the inverse path's norm carries
+        # the rounding of its products, which the instability amplifies
         _force_path(monkeypatch, path)
         problem, scheme = table2_problem(1.5, nx=80), wsld_scheme(4, 1.5, shifts=0)
         probe = stability_probe(problem, scheme, tau_over_h=10.0, n_steps=400)
         tau = 10.0 * problem.grid.h
         with pytest.raises(InstabilityError) as info:
             _cn_per_step(replace(problem, horizon=tau * 400, nt=400), scheme, path)
-        assert info.value.step % (solver._STEP_BLOCK // 81)  # not a block's last
+        assert info.value.step % _block_rows(path, 81)  # not a block's last
         assert not probe.bounded
         assert probe.steps_completed == info.value.step
-        assert probe.sup_norm == info.value.sup_norm
+        if path == "gemv":
+            assert abs(probe.sup_norm - info.value.sup_norm) <= 1e-9 * info.value.sup_norm
+        else:
+            assert probe.sup_norm == info.value.sup_norm
 
     def test_unshifted_operator_probe_on_a_large_grid_is_dense(self, monkeypatch):
         # a short probe at N = 2561 takes a dense path for a tuple other than
