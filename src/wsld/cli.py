@@ -132,6 +132,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return CONFIG_ERROR
     try:
+        if not isinstance(cfg, dict):
+            raise TypeError(f"expected a JSON object, got {type(cfg).__name__}")
         kind = cfg.get("problem", "custom")
         alpha = float(cfg["alpha"])
         if kind == "table1":

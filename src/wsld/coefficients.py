@@ -52,7 +52,7 @@ _RESIDUAL_TERMS = 200
 
 
 def _check_nu(nu: int) -> None:
-    if nu not in NU_RANGE:
+    if not _is_integer(nu) or nu not in NU_RANGE:
         raise ValueError(f"nu must be an integer in 1..5, got {nu!r}")
 
 

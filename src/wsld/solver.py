@@ -27,14 +27,9 @@ at the half step, by one of three paths.
 * ``gemv``, the inverse path: ``M-`` is written the same way and inverted
   once by ``numpy.linalg.inv``; the inverse ``G`` is doubled in place
   (exactly) and ``M-`` dropped.  A step is
-  ``U^{n+1} = G (U^n + (tau/2) F) - U^n``, a linear recurrence with a
-  constant matrix, so the path steps spans of up to 16 blocks of 16 steps
-  by three sweeps of matrix products over the blocks' rows: the particular
-  solutions of the blocks from zero, the block starts by the block
-  propagator ``T^16`` (formed once by four squarings), and every state
-  from its block's start (see :class:`_Spans`).  So a step costs two rows
-  of a GEMM where it cost one matrix-vector product, and the steps hold
-  two N x N arrays, ``G`` and ``T^16``.
+  ``U^{n+1} = G (U^n + (tau/2) F) - U^n``, a product with ``G``, and the
+  path holds two N x N arrays, ``G`` and the block propagator ``T^16``
+  (formed once by four squarings).
 * matrix-free: no N x N array is formed.  Each step solves ``M- W = rhs``
   by right-preconditioned GMRES that recycles a store of earlier solves.
   ``M- = B - cF`` splits into the band ``B``, ``|i - j| <= b`` (``b = 32``,
@@ -55,15 +50,18 @@ at the half step, by one of three paths.
 ``nt`` by three constants: the default shift tuple goes matrix-free past
 N = 1281 and for runs of at most ``(N / 162)^2`` steps; up to N = 1281,
 runs of at least 2N steps take the inverse path, and the rest ``getrs``.
-All three paths share one step loop, which advances in blocks of steps so
-that the work around the solve is done once per block: the forcing of a
-block's steps is sampled into one array (by one call, for a source that
-samples blocks, such as the Table 2 forcing), scaled at once and zeroed on
-the boundary at once, and the sup norms of its states are taken at once,
-so the first failing step is found in step order.  A block of the
-``getrs`` and matrix-free paths holds ``max(1, 4096 // N)`` steps, each
-one solve, so from N = 2049 on it is one step; a block of the inverse
-path is one span.
+
+All three paths share one step loop (:class:`_Spans`), which advances in
+spans of steps so that the work around the solve is done once per span:
+the forcing of a span's steps is sampled into one array (by one call, for
+a source that samples blocks, such as the Table 2 forcing), scaled at once
+and zeroed on the boundary at once, and the sup norms of its states are
+taken at once, so the first failing step is found in step order.  A path
+gives the loop its solve and, on the inverse path, ``T^16``, and one block
+rule per path sets the span: up to 16 blocks of 16 steps on the inverse
+path, taken by three sweeps of GEMMs over the blocks' rows, and one block
+of ``max(1, 4096 // N)`` steps on the others (from N = 2049 on, one step),
+whose one sweep is the per-step loop.
 
 With the proven-stable shift tuple the spatial operator is negative definite
 and the stepping is unconditionally stable; with a plain unshifted operator it
@@ -338,11 +336,10 @@ class CnSystem:
 
 #: Columns per block of the ``D- A^T`` term: the temporary holds this many.
 _BLOCK = 64
-#: Entries per array of a block of time steps on the ``getrs`` and
-#: matrix-free paths: :func:`cn_solve` advances them ``max(1, _STEP_BLOCK //
-#: N)`` steps per block, so the two block arrays hold at most
-#: ``_STEP_BLOCK`` doubles each up to N = 2048, and from N = 2049 on a block
-#: is one step.
+#: Entries of the forcing array of a span on the ``getrs`` and matrix-free
+#: paths: :func:`cn_solve` advances them ``max(1, _STEP_BLOCK // N)`` steps
+#: per span, so the array holds at most ``_STEP_BLOCK`` doubles up to
+#: N = 2048, and from N = 2049 on a span is one step.
 _STEP_BLOCK = 4096
 #: Steps per block of the inverse path's spans.  A power of two: the block
 #: propagator ``T^k`` is formed by ``log2 k`` squarings.
@@ -812,8 +809,8 @@ def _step_path(size: int, nt: int, scheme: WsldScheme) -> str:
 
     ``"matrix-free"`` is offered for the default shift tuple only, whose
     operator has every eigenvalue in the left half plane.  Other tuples
-    carry no such bound: with the unshifted operator at N = 2561, GMRES
-    stalls at a residual of 6e-3 of ``||rhs||`` after 200 iterations.
+    carry no such bound, and GMRES can stall on them (the README gives a
+    measured case).
     """
     if scheme.shifts == DEFAULT_SHIFTS and (
             size > _DENSE_MAX_SIZE or nt * _SHORT_RUN_SCALE ** 2 <= size ** 2):
@@ -845,78 +842,6 @@ class InstabilityError(RuntimeError):
         self.sup_norm = sup_norm
 
 
-class _PerStep:
-    """The ``getrs`` and matrix-free steps: one solve per step, in step order.
-
-    A block of ``rows = max(1, _STEP_BLOCK // N)`` steps (at most ``nt``)
-    reads its scaled forcing from the rows of :attr:`forcing` and writes
-    each ``U^{n+1}`` into the next row of a state array, whose row 0 holds
-    the block's ``U^n``.  ``initial`` is also the first GMRES guess of the
-    matrix-free path.
-    """
-
-    def __init__(self, path: str, problem: DiffusionProblem, scheme: WsldScheme,
-                 initial: np.ndarray) -> None:
-        size = problem.grid.nx + 1
-        self.rows = max(1, min(problem.nt, _STEP_BLOCK // size))
-        # each step's right side is built in its row of the forcing
-        self.forcing = np.empty((self.rows, size))
-        self._states = np.empty((self.rows + 1, size))
-        self.state = self._states[0]
-        self.state[...] = initial
-        self._forcing_rows, self._state_rows = list(self.forcing), list(self._states)
-        if path == "getrs":
-            import scipy.linalg as sla
-
-            lu, piv = assemble_cn_system(problem, scheme).lu
-            getrs, = sla.get_lapack_funcs(("getrs",), (lu,))
-
-            def solve(rhs, out, step):
-                w, info = getrs(lu, piv, rhs, overwrite_b=True)
-                if info != 0:
-                    raise ValueError(f"illegal value in argument {-info} of LAPACK getrs")
-                np.multiply(w, 2.0, out=out)
-        else:
-            implicit = _MatrixFree(problem, scheme)
-            w = self.state  # later guesses are projected from the store
-
-            def solve(rhs, out, step):
-                nonlocal w
-                w = implicit.solve(rhs, w, step)
-                np.multiply(w, 2.0, out=out)
-        self._solve = solve
-
-    def advance(self, count: int, done: int):
-        """Take the block's first ``count`` steps, after ``done`` steps.
-
-        Each step writes ``2W``, ``W`` the solution of
-        ``M- W = U^n + (tau/2) F``, and subtracts ``U^n``.  Returns the steps
-        taken and the exception that stopped them, or ``None``.
-        """
-        solve, forcing, states = self._solve, self._forcing_rows, self._state_rows
-        try:
-            for k in range(count):
-                rhs, u, out = forcing[k], states[k], states[k + 1]
-                rhs += u
-                step = done + k + 1
-                if step == 1:
-                    rhs[0], rhs[-1] = 0.5 * u[0], 0.5 * u[-1]
-                solve(rhs, out, step)
-                out -= u
-                out[0] = out[-1] = 0.0
-        except Exception as exc:
-            return k, exc
-        return count, None
-
-    def states(self, count: int) -> np.ndarray:
-        """The block's first ``count`` states, in step order."""
-        return self._states[1: count + 1]
-
-    def settle(self, count: int) -> None:
-        """Make the state after ``count`` steps the next block's ``U^n``."""
-        self.state[...] = self._states[count]
-
-
 def _block_propagator(twice_t: np.ndarray) -> np.ndarray:
     """``(T^T)^k`` for ``T = G - I`` with its Dirichlet rows zeroed, ``k = _SPAN_STEPS``.
 
@@ -938,58 +863,45 @@ def _block_propagator(twice_t: np.ndarray) -> np.ndarray:
     return power
 
 
-def _step(u, forcing, rhs, twice_t, out):
-    """``out = Z ((u + forcing) G^T - u)`` on rows; ``out`` may be ``forcing``."""
-    np.add(u, forcing, out=rhs)
-    np.matmul(rhs, twice_t, out=out)
-    out -= u
-    out[:, :: out.shape[1] - 1] = 0.0
-    return out
-
-
 class _Spans:
-    """The inverse steps: a span of up to ``k B`` steps in ``2k`` products over ``B`` rows.
+    """The Crank-Nicolson steps: a span of up to ``k B`` steps in ``2k`` solves over ``B`` rows.
 
-    With ``G = 2 M-^{-1}`` a step is ``U^{n+1} = Z (G (U^n + f_n) - U^n)``,
-    where ``f_n = (tau/2) F`` and ``Z`` zeroes the Dirichlet entries.  From a
-    state that vanishes on the boundary this is the linear recurrence
-    ``U^{n+1} = T U^n + Z G f_n``, ``T = Z (G - I)``.  Step 1 reads ``U^0/2``
-    on the boundary, where ``U^0`` need not vanish; writing ``U^0/2`` there
-    into ``f_0`` and zero into ``U^0`` gives it the same right side.  So the
-    recurrence splits exactly into a particular part from a zero start and
-    the propagation of a start (Gander & Güttel, SIAM J. Sci. Comput. 35,
-    2013).  A span is cut into blocks of ``k = _SPAN_STEPS`` steps, at most
-    ``B = _SPAN_BLOCKS`` of them, the last padded with zero forcing, and
-    takes three sweeps:
+    A path gives ``solve(rows, out, step)``, which writes ``G`` times each
+    of ``rows`` into ``out``, ``G = 2 M-^{-1}``, and optionally the block
+    propagator ``T^k``.  With ``f_n = (tau/2) F`` a step is
+    ``U^{n+1} = Z (G (U^n + f_n) - U^n)``, where ``Z`` zeroes the Dirichlet
+    entries.  From a state that vanishes on the boundary this is the linear
+    recurrence ``U^{n+1} = T U^n + Z G f_n``, ``T = Z (G - I)``.  Step 1
+    reads ``U^0/2`` on the boundary, where ``U^0`` need not vanish; writing
+    ``U^0/2`` there into ``f_0`` and zero into ``U^0`` gives it the same
+    right side (a -0.0 there reads +0.0).  So the recurrence splits exactly
+    into a particular part from a zero start and the propagation of a start
+    (Gander & Güttel, SIAM J. Sci. Comput. 35, 2013).  A span is cut into
+    blocks of ``k`` steps, at most ``B = _SPAN_BLOCKS`` of them, the last
+    padded with zero forcing, and takes three sweeps:
 
     1. particular: every block but the last takes its ``k`` steps from
        zero, which leaves ``P_b``;
     2. coarse: the block starts follow from ``S_{b+1} = T^k S_b + P_b``,
-       one matrix-vector product per block with ``T^k``
-       (:func:`_block_propagator`, formed once per solve);
+       one matrix-vector product per block with ``T^k``;
     3. fill: every block takes its ``k`` steps from its start, and each
        state overwrites the forcing row it was stepped with.
 
-    The states are held as rows, so a step of a sweep is one product of all
-    its blocks' rows with the C-ordered ``G^T``.  After the fill the
-    forcing array holds the span's states in step order.  They are those of
-    the per-step loop up to the rounding of the products, which ``T^k``
-    carries from block to block.  A run of at most ``k`` steps, or one whose
-    ``T^k`` is not finite, has spans of one block, whose fill is the
-    per-step loop.  The steps hold ``G``, ``T^k`` and ``(k + 4) B`` rows of
-    N doubles.
+    The states are held as rows, so a step of a sweep is one solve of all
+    its blocks' rows.  After the fill the forcing array holds the span's
+    states in step order.  They are those of one solve per step up to the
+    rounding of the solves, which ``T^k`` carries from block to block.
+    Without a propagator a span is one block, of ``k`` steps at most, and
+    takes the fill alone: that sweep is the per-step loop, stepped on
+    vectors, and only there may ``solve`` raise.  The steps hold ``(k + 4)
+    B`` rows of N doubles besides what the path holds.
     """
 
-    def __init__(self, twice: np.ndarray, nt: int, initial: np.ndarray) -> None:
-        size = twice.shape[0]
-        self._twice_t = twice.T
-        power = _block_propagator(self._twice_t) if nt > _SPAN_STEPS else None
-        if power is not None and not np.isfinite(power).all():
-            power = None
-        self._power = power
-        blocks = 1 if power is None else min(_SPAN_BLOCKS, -(-nt // _SPAN_STEPS))
-        self.rows = blocks * _SPAN_STEPS
-        self.forcing = np.empty((self.rows, size))
+    def __init__(self, solve, power, k: int, nt: int, size: int, initial) -> None:
+        self._solve, self._power, self._k = solve, power, k
+        blocks = 1 if power is None else min(_SPAN_BLOCKS, -(-nt // k))
+        self.forcing = np.empty((blocks * k, size))
+        self._forcing_rows = list(self.forcing[:k])  # a one-block span's
         # the block starts, the particular sweep's two states and a right side
         self._starts, self._x, self._y, self._rhs = np.empty((4, blocks, size))
         self.state = self._starts[0]
@@ -998,44 +910,100 @@ class _Spans:
     def advance(self, count: int, done: int):
         """Take the span's first ``count`` steps, after ``done`` steps.
 
-        Returns ``(count, None)``: no step raises.
+        Returns the steps taken and the exception that stopped them, or
+        ``None``.
         """
-        k, forcing, twice_t = _SPAN_STEPS, self.forcing, self._twice_t
+        k, forcing, solve = self._k, self.forcing, self._solve
         size = forcing.shape[1]
-        blocks = -(-count // k)
-        forcing[count: blocks * k] = 0.0
         if done == 0:
             u = self.state
             forcing[0, :: size - 1] = 0.5 * u[:: size - 1]
             u[:: size - 1] = 0.0
-        per_block = forcing[: blocks * k].reshape(blocks, k, size)
-        starts = self._starts[:blocks]
-        if blocks > 1:
+        # the Dirichlet entries of the states: scalars of vectors, columns of rows
+        first, last = 0, -1
+        if count <= k:
+            rows, u, rhs = self._forcing_rows[:count], self.state, self._rhs[0]
+        else:
+            blocks = -(-count // k)
+            forcing[count: blocks * k] = 0.0
+            per_block = forcing[: blocks * k].reshape(blocks, k, size)
             # particular: every block but the last from zero, into x
-            rows = slice(blocks - 1)
-            x, y, rhs = self._x[rows], self._y[rows], self._rhs[rows]
-            np.matmul(per_block[:-1, 0], twice_t, out=x)
+            x, y, rhs = (a[: blocks - 1] for a in (self._x, self._y, self._rhs))
+            solve(per_block[:-1, 0], x, None)
             x[:, :: size - 1] = 0.0
             for j in range(1, k):
-                _step(x, per_block[:-1, j], rhs, twice_t, y)
+                np.add(x, per_block[:-1, j], out=rhs)
+                solve(rhs, y, None)
+                y -= x
+                y[:, :: size - 1] = 0.0
                 x, y = y, x
             # coarse: S_{b+1} = S_b (T^T)^k + P_b
+            starts = self._starts[:blocks]
             for b in range(blocks - 1):
                 np.matmul(starts[b], self._power, out=starts[b + 1])
                 starts[b + 1] += x[b]
-        # fill: each state over the forcing row it is stepped with
-        u, rhs = starts, self._rhs[:blocks]
-        for j in range(k):
-            u = _step(u, per_block[:, j], rhs, twice_t, per_block[:, j])
+            rows, u, rhs = per_block.swapaxes(0, 1), starts, self._rhs[:blocks]
+            first, last = (slice(None), 0), (slice(None), -1)
+        # fill: each state over the forcing row it is stepped with; on one
+        # block this is the per-step loop, whose overhead short runs feel
+        add = np.add
+        try:
+            for step, row in enumerate(rows, done + 1):
+                add(u, row, rhs)
+                solve(rhs, row, step)
+                row -= u
+                row[first] = row[last] = 0.0
+                u = row
+        except Exception as exc:
+            return step - done - 1, exc
         return count, None
 
-    def states(self, count: int) -> np.ndarray:
-        """The span's first ``count`` states, in step order."""
-        return self.forcing[:count]
 
-    def settle(self, count: int) -> None:
-        """Make the state after ``count`` steps the next span's start."""
-        self.state[...] = self.forcing[count - 1]
+def _stepper(path: str, problem: DiffusionProblem, scheme: WsldScheme,
+             initial) -> _Spans:
+    """The steps of ``path`` from ``initial``: its solve, and its block propagator.
+
+    The inverse path solves by one product with the C-ordered ``G^T`` and
+    steps spans of up to ``_SPAN_BLOCKS`` blocks of ``_SPAN_STEPS``, with
+    ``T^k`` as the propagator unless the run is one block or ``T^k`` is not
+    finite.  ``getrs`` and matrix-free solve one step at a time, with no
+    propagator, in spans of one block of ``max(1, _STEP_BLOCK // N)`` steps
+    (at most ``nt``).
+    """
+    size, nt = problem.grid.nx + 1, problem.nt
+    power, k = None, max(1, min(nt, _STEP_BLOCK // size))
+    if path == "gemv":
+        twice_t = _twice_inverse(problem, scheme).T
+        k = _SPAN_STEPS
+        if nt > k:
+            power = _block_propagator(twice_t)
+            if not np.isfinite(power).all():
+                power = None
+
+        def solve(rows, out, step):
+            np.matmul(rows, twice_t, out=out)
+    elif path == "getrs":
+        import scipy.linalg as sla
+
+        lu, piv = assemble_cn_system(problem, scheme).lu
+        getrs, = sla.get_lapack_funcs(("getrs",), (lu,))
+
+        def solve(rhs, out, step):
+            w, info = getrs(lu, piv, rhs, overwrite_b=True)
+            if info != 0:
+                raise ValueError(f"illegal value in argument {-info} of LAPACK getrs")
+            np.multiply(w, 2.0, out=out)
+    else:
+        implicit = _MatrixFree(problem, scheme)
+        # the first guess is the initial data as given, boundary included;
+        # later guesses are projected from the store
+        w = np.array(initial, dtype=float)
+
+        def solve(rhs, out, step):
+            nonlocal w
+            w = implicit.solve(rhs, w, step)
+            np.multiply(w, 2.0, out=out)
+    return _Spans(solve, power, k, nt, size, initial)
 
 
 def _sample_forcing(source, x: np.ndarray, times: list, forcing: np.ndarray):
@@ -1075,53 +1043,51 @@ def cn_solve(problem: DiffusionProblem, scheme: WsldScheme) -> SolveResult:
     exceeds the stopping target plus the mat-vec's rounding floor, raises
     ``RuntimeError`` naming the step, the iterations and the residual.
 
-    The steps advance in blocks: of ``max(1, 4096 // N)`` steps on the
-    ``getrs`` and matrix-free paths, and of one span of up to 256 steps on
-    the inverse path (fewer in the last block).  A block first samples the
-    forcing of each of its steps into one array, at the times
-    ``(n + 1/2) tau``, and scales it by ``tau/2``; then it steps, leaving
-    every ``U^{n+1}`` in a row of an array in step order; then it takes
+    One step loop (:class:`_Spans`) serves every path and advances in
+    spans: of one block of ``max(1, 4096 // N)`` steps on the ``getrs`` and
+    matrix-free paths, and of up to 16 blocks of 16 steps on the inverse
+    path (fewer in the last span).  A span first samples the forcing of
+    each of its steps into one array, at the times ``(n + 1/2) tau``, and
+    scales it by ``tau/2``; then it steps, writing each ``U^{n+1}`` over its
+    forcing row, so the array holds the states in step order; then it takes
     every step's sup norm at once.  A source with a
     ``sample_block(x, times, out)`` method, such as the Table 2 forcing,
-    samples the whole block in one call, whose rows must be bitwise its
-    per-call samples; if that call raises, the block is sampled again one
+    samples the whole span in one call, whose rows must be bitwise its
+    per-call samples; if that call raises, the span is sampled again one
     step at a time.  Any other source is called once per step, in step
     order.  So the source may be called for steps past a failing one, up to
-    the end of its block.  On the ``getrs`` and matrix-free paths the
-    results are bitwise those of checking each step as it is taken.  The
-    inverse path takes its steps from the block starts of its span
-    (:class:`_Spans`), so its states are those of one product per step up
-    to the rounding of the products; every step it reports is still the
-    first failing one in step order.
+    the end of its span.  On the ``getrs`` and matrix-free paths a span is
+    one block, stepped one solve at a time, so the results are bitwise
+    those of checking each step as it is taken.  The inverse path takes its
+    steps from the block starts of its span, so its states are those of one
+    product per step up to the rounding of the products; every step it
+    reports is still the first failing one in step order.
 
     The initial data are copied first, so the array ``problem.initial``
     returns is never written.  The boundary entries of the right-hand side
     are ``U^n/2``, which the identity rows map to ``U^{n+1} = 0`` there; that
     zero is then written exactly.  So from step 2 on ``U^n`` is 0 there, and
-    the block zeroes the boundary entries of its scaled forcing once, which
-    leaves ``U^n + 0 = U^n/2``; step 1 writes ``U^0/2`` itself, since the
-    initial data need not vanish on the boundary.  A forcing value on a
-    boundary node is thus never used, finite or not.  A step whose sup norm
-    exceeds ``BLOWUP_THRESHOLD`` or is not finite, including one whose
-    forcing is not finite at an interior node, aborts with
-    :class:`InstabilityError`, which carries the step, its time and the
-    norm.  The first failure in step order is raised: an exception from
-    the source or the solve at a later step of the same block gives way to
+    the span zeroes the boundary entries of its scaled forcing once, which
+    leaves ``U^n + 0 = U^n/2``.  The initial data need not vanish on the
+    boundary, so step 1 writes ``U^0/2`` into the boundary entries of its
+    forcing and zero into those of ``U^0``, which leaves the same right
+    side (a -0.0 there reads +0.0).  A forcing value on a boundary node is
+    thus never used, finite or not.  A step whose sup norm exceeds
+    ``BLOWUP_THRESHOLD`` or is not finite, including one whose forcing is
+    not finite at an interior node, aborts with :class:`InstabilityError`,
+    which carries the step, its time and the norm.  The first failure in step order is raised: an exception from
+    the source or the solve at a later step of the same span gives way to
     a blow-up before it.
     """
     size, nt, tau = problem.grid.nx + 1, problem.nt, problem.tau
     x, source = problem.grid.nodes(), problem.source
     initial = problem.initial(x)
-    path = _step_path(size, nt, scheme)
-    if path == "gemv":
-        steps = _Spans(_twice_inverse(problem, scheme), nt, initial)
-    else:
-        steps = _PerStep(path, problem, scheme, initial)
+    steps = _stepper(_step_path(size, nt, scheme), problem, scheme, initial)
     forcing = steps.forcing
     sup = float(np.abs(steps.state).max())
     done = 0
     while done < nt:
-        times = [(done + k + 0.5) * tau for k in range(min(steps.rows, nt - done))]
+        times = [(done + k + 0.5) * tau for k in range(min(len(forcing), nt - done))]
         # an exception is raised after the steps before it are checked
         count, failure = _sample_forcing(source, x, times, forcing)
         forcing[:count] *= 0.5 * tau
@@ -1133,7 +1099,7 @@ def cn_solve(problem: DiffusionProblem, scheme: WsldScheme) -> SolveResult:
             stepped, error = steps.advance(count, done)
         if error is not None:
             count, failure = stepped, error
-        states = steps.states(count)
+        states = forcing[:count]
         norms = np.maximum(states.max(axis=1), -states.min(axis=1))
         blown = np.flatnonzero(~(norms <= BLOWUP_THRESHOLD))  # also catches NaN
         if blown.size:
@@ -1142,7 +1108,7 @@ def cn_solve(problem: DiffusionProblem, scheme: WsldScheme) -> SolveResult:
         if failure is not None:
             raise failure
         sup = max(sup, float(norms.max()))
-        steps.settle(count)
+        steps.state[...] = forcing[count - 1]  # the next span's start
         done += count
     return SolveResult(u=steps.state.copy(), steps=nt, sup_norm=sup)
 
@@ -1167,8 +1133,8 @@ def stability_probe(
     Reports the running sup norm; crossing ``BLOWUP_THRESHOLD`` marks the run
     unbounded, with the first step at which it blew up in
     ``steps_completed`` and that step's sup norm.  The run stops at the end
-    of the block of steps holding that step, a span on the inverse path
-    (see :func:`cn_solve`): the steps after it in the block are taken
+    of the span of steps holding that step (see :func:`cn_solve`): the
+    steps after it in the span are taken
     quietly, with no floating-point warning, and change nothing reported.
     On the inverse path the reported norm carries the rounding of the
     span's products, relative to the state, so an unstable run amplifies

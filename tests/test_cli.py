@@ -343,6 +343,15 @@ class TestSolve:
         assert code == 2 and out == ""
         assert "bad config" in err and "must be an integer" in err
 
+    @pytest.mark.parametrize("cfg", [[1, 2], "table2", 3, None],
+                             ids=["list", "string", "number", "null"])
+    def test_config_not_an_object_is_config_error(self, capsys, tmp_path, cfg):
+        config = tmp_path / "problem.json"
+        config.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "solve", "--config", str(config))
+        assert code == 2 and out == ""
+        assert "bad config" in err and "JSON object" in err
+
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--config", "/nonexistent.json")
         assert code == 2

@@ -47,6 +47,18 @@ class TestGeneratingPolynomial:
             with pytest.raises(ValueError):
                 generating_polynomial(nu)
 
+    @pytest.mark.parametrize("nu", [True, 3.0, np.float64(4.0), "3"])
+    def test_non_integer_nu_rejected(self, nu):
+        # a bool is not read as nu = 1, nor a float as its integer
+        with pytest.raises(ValueError, match="nu must be an integer"):
+            generating_polynomial(nu)
+        with pytest.raises(ValueError, match="nu must be an integer"):
+            lubich_coeffs(nu, 0.5, 4)
+
+    def test_numpy_integer_nu_accepted(self):
+        assert lubich_coeffs(np.int64(3), 0.5, 4).tobytes() == \
+            lubich_coeffs(3, 0.5, 4).tobytes()
+
 
 class TestGrunwald:
     # nu = 1: the Grunwald series of (1-z)^alpha, the first stage of every nu

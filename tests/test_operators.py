@@ -156,6 +156,12 @@ class TestScheme:
         with pytest.raises(ValueError, match="alpha must be finite"):
             wsld_scheme(4, alpha)
 
+    @pytest.mark.parametrize("nu", [True, 4.0])
+    def test_non_integer_nu_rejected(self, nu):
+        # a bool is not read as nu = 1, nor a float as its integer
+        with pytest.raises(ValueError, match="nu must be an integer"):
+            wsld_scheme(nu, 0.5, shifts=0)
+
     def test_weighted_orders_need_nu_3_or_4(self):
         with pytest.raises(ValueError):
             wsld_scheme(5, 1.5, shifts=(1, -1))

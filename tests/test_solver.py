@@ -936,8 +936,11 @@ class TestBlockStepping:
         # the block-sampled Table 2 forcing under nonzero initial boundary data
         lambda: replace(table2_problem(1.5, nx=40, nt=137),
                         initial=expression("one", 1.5)),
+        # -0.0 on both boundary nodes, where step 1 reads U^0/2
+        lambda: replace(table2_problem(1.5, nx=40, nt=137),
+                        initial=lambda x: -x * (2.0 - x)),
     ], ids=["table2-nx40", "table2-nx160", "no-kappa-nonzero-boundary",
-            "table2-nonzero-boundary"])
+            "table2-nonzero-boundary", "table2-negative-zero-boundary"])
     @pytest.mark.parametrize("path", _PATHS)
     def test_bitwise_the_per_step_loop(self, monkeypatch, make_problem, path):
         # the inverse path's spans are the per-step loop up to the rounding
