@@ -31,6 +31,7 @@ quartic).  For K <= 64 and ``alpha`` in [-0.5, 1.9] the two agree to
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from fractions import Fraction
@@ -73,12 +74,7 @@ def generating_polynomial(nu: int) -> tuple[Fraction, ...]:
     137/60 for nu = 2..5) and ``z = 1`` is always a root.
     """
     _check_nu(nu)
-    coeffs = [Fraction(0)] * (nu + 1)
-    for i in range(1, nu + 1):
-        lead = Fraction(1, i)
-        for k in range(i + 1):
-            coeffs[k] += lead * math.comb(i, k) * (-1) ** k
-    return tuple(coeffs)
+    return _polynomials(int(nu))[0]
 
 
 def residual_polynomial(nu: int) -> tuple[Fraction, ...]:
@@ -87,14 +83,29 @@ def residual_polynomial(nu: int) -> tuple[Fraction, ...]:
     The quotient evaluates to 1 at ``z = 1``, which normalizes the Fourier
     symbol of the operator (see :mod:`wsld.spectral`).
     """
-    p = generating_polynomial(nu)
+    _check_nu(nu)
+    return _polynomials(int(nu))[1]
+
+
+@functools.cache
+def _polynomials(nu: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """The generating and residual polynomials of a checked ``nu``, once each.
+
+    The check stays outside the cache: ``3.0`` and ``numpy.int64(3)`` are
+    equal keys, so a cached call could not tell them apart.
+    """
+    p = [Fraction(0)] * (nu + 1)
+    for i in range(1, nu + 1):
+        lead = Fraction(1, i)
+        for k in range(i + 1):
+            p[k] += lead * math.comb(i, k) * (-1) ** k
     r = [Fraction(0)] * nu
     r[0] = p[0]
     for k in range(1, nu):
         r[k] = p[k] + r[k - 1]
     if p[nu] != -r[nu - 1]:
         raise AssertionError("(1 - z) does not divide the generating polynomial")
-    return tuple(r)
+    return tuple(p), tuple(r)
 
 
 def _miller(poly: tuple[Fraction, ...], alpha: float, kmax: int) -> np.ndarray:

@@ -59,6 +59,16 @@ class TestGeneratingPolynomial:
         assert lubich_coeffs(np.int64(3), 0.5, 4).tobytes() == \
             lubich_coeffs(3, 0.5, 4).tobytes()
 
+    @pytest.mark.parametrize("good,bad", [(np.int64(3), 3.0), (np.int64(1), True)])
+    def test_cached_polynomials_still_check_nu(self, good, bad):
+        # the polynomials are cached, and 3.0 or True is an equal key to a
+        # numpy integer: a cached entry must not let it through
+        assert generating_polynomial(good) == generating_polynomial(int(good))
+        assert residual_polynomial(good) == residual_polynomial(int(good))
+        for function in (generating_polynomial, residual_polynomial):
+            with pytest.raises(ValueError, match="nu must be an integer"):
+                function(bad)
+
 
 class TestGrunwald:
     # nu = 1: the Grunwald series of (1-z)^alpha, the first stage of every nu

@@ -1,6 +1,7 @@
 """Weights, combined coefficients, matrix assembly, and FFT application."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -97,8 +98,6 @@ class TestWeights:
         DEFAULT_SHIFTS, (1, -1, 1, 3, 1, -1, 1, 2),
     ])
     def test_partition_of_unity_everywhere(self, shifts):
-        import warnings
-
         for nu in (3, 4):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # non-default tuples warn
@@ -347,11 +346,14 @@ class TestApplication:
     @pytest.mark.parametrize("nu", [3, 4])
     def test_matches_direct_convolution(self, nu, side):
         # the direct sum np.convolve computes, against the FFT, on the scale
-        # of the terms it sums: h^-alpha (|phi| * |u|)
+        # of the terms it sums: h^-alpha (|phi| * |u|).  The sizes up to 11
+        # cross from the all-direct sum to the FFT, with phi_{n+m} peeled
+        # off; at 1024, 6144 and 8192 the FFT is 2n long, 3072 -> 2048 at
+        # 1024, and at 4096 and 5000 it is not
         scheme = wsld_scheme(nu, 1.7)
         m = scheme.m
         rng = np.random.default_rng(11)
-        for n in (m, 31, 4096, 5000):
+        for n in (*range(m, 12), 31, 1024, 4096, 5000, 6144, 8192):
             u = rng.standard_normal(n + 1)
             h = 1.0 / n
             phi = scheme.phi(n + m)
@@ -369,6 +371,22 @@ class TestApplication:
         # a negative h would give complex values, and h = 0 a ZeroDivisionError
         with pytest.raises(ValueError, match="finite and positive"):
             apply_operator(np.ones(21), wsld_scheme(4, 1.5), h, side=side)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("h", [True, np.True_])
+    def test_spacing_must_not_be_a_bool(self, h, side):
+        # True passed math.isfinite and read as h = 1
+        with pytest.raises(ValueError, match="finite and positive"):
+            apply_operator(np.ones(21), wsld_scheme(4, 1.5), h, side=side)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_samples_must_be_real(self, side):
+        # a complex u lost its imaginary part with only a ComplexWarning
+        u = np.linspace(0.0, 1.0, 21) * (1.0 + 1.0j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="u must be real"):
+                apply_operator(u, wsld_scheme(4, 1.5), 0.05, side=side)
 
     @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

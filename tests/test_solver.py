@@ -863,6 +863,18 @@ class TestStepLoop:
         assert u[0] == u[-1] == 0.0
         assert np.abs(u - reference).max() <= 1e-12 * np.abs(reference).max()
 
+    def test_table2_forcing_block_is_bitwise_the_calls(self):
+        # the block takes numpy's cos and sin of t + 1, the call math's: the
+        # rows agree bitwise at every Table 2 step time and at 4000 more
+        source = expression("table2_forcing", 1.3)
+        times = [(k + 0.5) * (1.0 / nt) for nt in (100, 400, 1600, 6400)
+                 for k in range(nt)]
+        times += np.random.default_rng(3).uniform(0.0, 10.0, 4000).tolist()
+        x = np.linspace(0.0, 2.0, 9)
+        rows = source.sample_block(x, times, np.empty((len(times), x.size)))
+        calls = np.array([source(x, t) for t in times])
+        assert rows.tobytes() == calls.tobytes()
+
     def test_table2_forcing_cache_follows_the_nodes(self):
         alpha = 1.5
         source = expression("table2_forcing", alpha)
@@ -1261,6 +1273,21 @@ class TestMatrixFree:
         implicit = solver._MatrixFree(problem, scheme)
         w = np.random.default_rng(7).standard_normal(nx + 1)
         expected = assemble_cn_system(problem, scheme).m_lhs @ w
+        np.testing.assert_allclose(implicit.matvec(w), expected, rtol=0,
+                                   atol=1e-13 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("make_problem", [table2_problem, _problem_without_kappa],
+                             ids=["kappa", "no-kappa"])
+    def test_matvec_is_the_dense_product_at_the_shortest_circulant(self, make_problem):
+        # at nx = 1024 the circulant is 2n = 2048 long, not 3072: offsets n
+        # and -n share a slot, which only the zero-weight Dirichlet rows read
+        nx = 1024
+        problem = make_problem(1.5, nx=nx, nt=4)
+        scheme = wsld_scheme(4, 1.5)
+        implicit = solver._MatrixFree(problem, scheme)
+        assert implicit._fft == 2 * nx
+        w = np.random.default_rng(5).standard_normal(nx + 1)
+        expected = solver._cn_matrix(*solver._cn_data(problem, scheme)) @ w
         np.testing.assert_allclose(implicit.matvec(w), expected, rtol=0,
                                    atol=1e-13 * np.abs(expected).max())
 
