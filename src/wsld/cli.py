@@ -135,7 +135,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         if not isinstance(cfg, dict):
             raise TypeError(f"expected a JSON object, got {type(cfg).__name__}")
         kind = cfg.get("problem", "custom")
-        alpha = float(cfg["alpha"])
+        alpha = cfg["alpha"]  # the library checks it, and rejects a bool
         if kind == "table1":
             grid = solver.Grid1D(0.0, 1.0, cfg.get("Nx", 10))
             bc = (0.0, 1.0) if 1.0 < alpha < 2.0 else None
@@ -149,7 +149,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                                             nt=cfg.get("Nt"))
             exact = solver.table2_exact
         elif kind == "custom":
-            grid = solver.Grid1D(float(cfg["xL"]), float(cfg["xR"]), cfg["Nx"])
+            grid = solver.Grid1D(cfg["xL"], cfg["xR"], cfg["Nx"])
             d_plus = solver.expression(cfg["d_plus"], alpha)
             d_minus_cfg = cfg["d_minus"]
             kappa = None
@@ -167,7 +167,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 d_minus=d_minus,
                 source=solver.expression(cfg.get("source", "zero_source"), alpha),
                 initial=solver.expression(cfg.get("initial", "zero"), alpha),
-                horizon=float(cfg.get("T", 1.0)),
+                horizon=cfg.get("T", 1.0),
                 nt=cfg["Nt"],
                 kappa=kappa,
             )

@@ -58,13 +58,18 @@ def _check_nu(nu: int) -> None:
 
 
 def _check_alpha(alpha: float) -> None:
-    if not math.isfinite(alpha):
-        raise ValueError("alpha must be finite")
+    if not (_is_real(alpha) and math.isfinite(alpha)):
+        raise ValueError(f"alpha must be finite and real, got {alpha!r}")
 
 
 def _is_integer(value) -> bool:
     """An integer, numpy's included, but not a bool (JSON ``true`` is no integer)."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A real number, numpy's included, but not a bool (``numpy.bool_`` is no number)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def generating_polynomial(nu: int) -> tuple[Fraction, ...]:

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .coefficients import _check_alpha, _check_nu, _is_integer, lubich_coeffs
+from .coefficients import _check_alpha, _check_nu, _is_integer, _is_real, lubich_coeffs
 
 __all__ = [
     "DEFAULT_SHIFTS",
@@ -230,7 +230,7 @@ def apply_operator(
     When ``n`` is so small that no coefficient is left for the FFT, the
     whole sum is direct.  O(n log n) work.  Matches the product with
     :func:`assemble_left` (or its transpose, for the right side) to
-    round-off.  The spacing ``h`` must be finite and positive, not a bool,
+    round-off.  The spacing ``h`` must be a finite positive real, not a bool,
     and ``u`` real and finite at every node.
     """
     u = np.asarray(u)
@@ -239,7 +239,7 @@ def apply_operator(
     u = u.astype(float, copy=False)
     if u.ndim != 1 or u.size < 2:
         raise ValueError("u must be a 1-D array of at least two node values")
-    if isinstance(h, (bool, np.bool_)) or not (math.isfinite(h) and h > 0):
+    if not (_is_real(h) and math.isfinite(h) and h > 0):
         raise ValueError(f"h must be finite and positive, got {h!r}")
     n = u.size - 1
     m = scheme.m

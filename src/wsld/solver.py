@@ -53,9 +53,9 @@ runs of at least 2N steps take the inverse path, and the rest ``getrs``.
 
 All three paths share one step loop (:class:`_Spans`), which advances in
 spans of steps so that the work around the solve is done once per span:
-the forcing of a span's steps is sampled into one array (by one call, for
-a source that samples blocks, such as the Table 2 forcing), scaled at once
-and zeroed on the boundary at once, and the sup norms of its states are
+the forcing of a span's steps is sampled into one array by one call of the
+source on the column of their times, scaled and zeroed on the boundary at
+once, and the sup norms of its states are
 taken at once, so the first failing step is found in step order.  A path
 gives the loop its solve and, on the inverse path, ``T^16``, and one block
 rule per path sets the span: up to 16 blocks of 16 steps on the inverse
@@ -80,14 +80,13 @@ names up on the module at each call, so a patch takes effect.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .coefficients import _is_integer
+from .coefficients import _is_integer, _is_real
 from .operators import DEFAULT_SHIFTS, WsldScheme, _band, _fft_size, assemble_left
 
 __all__ = [
@@ -167,7 +166,8 @@ class Grid1D:
     nx: int
 
     def __post_init__(self) -> None:
-        if not (self.x_left < self.x_right
+        if not (_is_real(self.x_left) and _is_real(self.x_right)
+                and self.x_left < self.x_right
                 and math.isfinite(self.x_right - self.x_left)):
             raise ValueError("need finite x_left < x_right")
         if not _is_integer(self.nx) or self.nx < 2:
@@ -187,10 +187,16 @@ class DiffusionProblem:
 
     The boundary data are zero.  At the grid nodes the coefficients must be
     finite and nonnegative, and the initial data and the forcing at the first
-    half step ``tau/2`` finite.  ``kappa`` optionally records the constant
-    ratio ``d_minus = kappa*d_plus`` assumed by the unconditional-stability
-    result; when given, it must be a finite real number >= 0 (not a bool),
-    and the sampled coefficients are checked against it exactly.
+    half step ``tau/2`` finite.  ``source`` must broadcast over an array
+    ``t`` as ufuncs do: :func:`cn_solve` calls it once per span with the 1-D
+    nodes and the column of the span's times, and only if that call raises
+    or returns any shape but one row per time, once per step with a float.
+    A source that returns that shape but is not elementwise in ``t`` (one
+    that reduces over ``t``, say) goes undetected.  ``kappa`` optionally
+    records the constant ratio ``d_minus = kappa*d_plus`` assumed by the
+    unconditional-stability result; when given, it must be a finite real
+    number >= 0 (not a bool), and the sampled coefficients are checked
+    against it exactly.
     """
 
     alpha: float
@@ -208,13 +214,12 @@ class DiffusionProblem:
             raise ValueError("diffusion problems need alpha in (1, 2)")
         if not _is_integer(self.nt) or self.nt < 1:
             raise ValueError("nt must be an integer >= 1")
-        if isinstance(self.horizon, bool) or not (
-                self.horizon > 0 and math.isfinite(self.horizon)):
+        if not (_is_real(self.horizon) and self.horizon > 0
+                and math.isfinite(self.horizon)):
             raise ValueError("need a finite horizon > 0")
         kappa = self.kappa
-        if kappa is not None and (isinstance(kappa, bool)
-                                  or not isinstance(kappa, numbers.Real)
-                                  or not (math.isfinite(kappa) and kappa >= 0)):
+        if kappa is not None and not (_is_real(kappa) and math.isfinite(kappa)
+                                      and kappa >= 0):
             raise ValueError(f"kappa must be a finite real number >= 0, got {kappa!r}")
         x = self.grid.nodes()
         dp = np.asarray(self.d_plus(x), dtype=float)
@@ -1009,25 +1014,28 @@ def _stepper(path: str, problem: DiffusionProblem, scheme: WsldScheme,
     return _Spans(solve, power, k, nt, size, initial)
 
 
-def _sample_forcing(source, x: np.ndarray, times: list, forcing: np.ndarray):
-    """Write ``source(x, times[k])`` into ``forcing[k]``, in step order.
+def _sample_forcing(source, x: np.ndarray, times: list, scale: float,
+                    forcing: np.ndarray):
+    """Write ``scale * source(x, times[k])`` into ``forcing[k]``, in step order.
 
-    A source with a ``sample_block`` method (:class:`_Table2Source`) samples
-    the block in one call; if that raises, the block is sampled again one
-    time at a time.  Returns ``(count, failure)``: the rows written before
-    the first exception in step order, and that exception, or
-    ``(len(times), None)``.
+    The source is called once with the column of times; if that raises, or
+    returns anything but one row per time, the times are sampled again one
+    at a time.  Returns ``(count, failure)``: the rows written before the
+    first exception in step order, and that exception, or
+    ``(len(times), None)``.  The product is taken in double precision
+    whatever the samples' dtype.
     """
-    block = getattr(source, "sample_block", None)
-    if block is not None:
-        try:
-            block(x, times, forcing[: len(times)])
+    rows = forcing[: len(times)]
+    try:
+        block = source(x, np.array(times)[:, None])
+        if np.shape(block) == rows.shape:
+            np.multiply(block, scale, out=rows, dtype=float)
             return len(times), None
-        except Exception:
-            pass
+    except Exception:
+        pass
     for k, t in enumerate(times):
         try:
-            np.copyto(forcing[k], source(x, t))
+            np.multiply(source(x, t), scale, out=forcing[k], dtype=float)
         except Exception as exc:
             return k, exc
     return len(times), None
@@ -1053,18 +1061,17 @@ def cn_solve(problem: DiffusionProblem, scheme: WsldScheme) -> SolveResult:
     each of its steps into one array, at the times ``(n + 1/2) tau``, and
     scales it by ``tau/2``; then it steps, writing each ``U^{n+1}`` over its
     forcing row, so the array holds the states in step order; then it takes
-    every step's sup norm at once.  A source with a
-    ``sample_block(x, times, out)`` method, such as the Table 2 forcing,
-    samples the whole span in one call, whose rows must be bitwise its
-    per-call samples; if that call raises, the span is sampled again one
-    step at a time.  Any other source is called once per step, in step
-    order.  So the source may be called for steps past a failing one, up to
-    the end of its span.  On the ``getrs`` and matrix-free paths a span is
-    one block, stepped one solve at a time, so the results are bitwise
-    those of checking each step as it is taken.  The inverse path takes its
-    steps from the block starts of its span, so its states are those of one
-    product per step up to the rounding of the products; every step it
-    reports is still the first failing one in step order.
+    every step's sup norm at once.  The span is sampled by one call of the
+    source on the column of its times (see :class:`DiffusionProblem`); if
+    that call fails, the span is sampled again one step at a time, in step
+    order, so a failure keeps its step.  So the source may be called for
+    steps past a failing one, up to the end of its span.  On the ``getrs``
+    and matrix-free paths a span is one block, stepped one solve at a time,
+    so the results are bitwise those of checking each step as it is taken.
+    The inverse path takes its steps from the block starts of its span, so
+    its states are those of one product per step up to the rounding of the
+    products; every step it reports is still the first failing one in step
+    order.
 
     The initial data are copied first, so the array ``problem.initial``
     returns is never written.  The boundary entries of the right-hand side
@@ -1092,8 +1099,7 @@ def cn_solve(problem: DiffusionProblem, scheme: WsldScheme) -> SolveResult:
     while done < nt:
         times = [(done + k + 0.5) * tau for k in range(min(len(forcing), nt - done))]
         # an exception is raised after the steps before it are checked
-        count, failure = _sample_forcing(source, x, times, forcing)
-        forcing[:count] *= 0.5 * tau
+        count, failure = _sample_forcing(source, x, times, 0.5 * tau, forcing)
         # the right side is U^n/2 on the boundary: U^n is 0 there after step 1
         forcing[:count, 0] = forcing[:count, -1] = 0.0
         # a right side that is not finite makes inf - inf in the products;
@@ -1146,8 +1152,7 @@ def stability_probe(
     diverges within tens of steps.  ``tau_over_h`` must be finite and
     positive, and ``n_steps`` an integer >= 1.
     """
-    if isinstance(tau_over_h, bool) or not (math.isfinite(tau_over_h)
-                                            and tau_over_h > 0):
+    if not (_is_real(tau_over_h) and math.isfinite(tau_over_h) and tau_over_h > 0):
         raise ValueError(f"tau_over_h must be finite and positive, got {tau_over_h!r}")
     if not _is_integer(n_steps) or n_steps < 1:
         raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
@@ -1188,13 +1193,11 @@ class _Table2Source:
     node array, in a one-entry cache keyed by the shape and the bytes of the
     last ``x`` (so ``-0.0`` and ``0.0`` are different keys).  A sample
     multiplies in the order of the unfactored formula,
-    ``(x^4 cos) (2-x)^4 - (x^alpha sin) bracket``, with ``math.cos`` and
-    ``math.sin`` of ``t + 1``, so it is bitwise that formula evaluated in
-    full.  :meth:`sample_block` takes the samples at several times in one
-    pass of 2-D broadcasts, with one ``np.cos`` and one ``np.sin`` over all
-    of its ``t + 1``; each of its rows is bitwise the call's sample where
-    numpy's sine and cosine round as the C library's do, which the test
-    suite checks on 10^4 times.
+    ``(x^4 cos) (2-x)^4 - (x^alpha sin) bracket``, with ``np.cos`` and
+    ``np.sin`` of ``t + 1``.  ``t`` may be a scalar or an array that
+    broadcasts against ``x``, such as a column of times, and each row of a
+    column's sample is bitwise the sample at its time, which the test suite
+    checks on 10^4 times.
     """
 
     def __init__(self, alpha: float) -> None:
@@ -1221,27 +1224,12 @@ class _Table2Source:
             entry = self._cache = (key, x ** 4, y ** 4, x ** alpha, bracket)
         return entry[1:]
 
-    def __call__(self, x: np.ndarray, t: float) -> np.ndarray:
-        return self._sample(x, math.cos(t + 1.0), math.sin(t + 1.0), None)
-
-    def sample_block(self, x: np.ndarray, times, out: np.ndarray) -> np.ndarray:
-        """Write ``f(x, times[k])`` into ``out[k]`` for each ``k``; return ``out``.
-
-        ``out`` has shape ``(len(times),) + x.shape``.  Each row takes the
-        operations of :meth:`__call__` in the same order, with numpy's
-        cosine and sine of ``t + 1`` in place of :mod:`math`'s (see the
-        class docstring).
-        """
-        shifted = (np.asarray(times, dtype=float) + 1.0).reshape(
-            (-1,) + (1,) * np.ndim(x))
-        return self._sample(x, np.cos(shifted), np.sin(shifted), out)
-
-    def _sample(self, x, cos, sin, out):
-        """``(x^4 cos) (2-x)^4 - (x^alpha sin) bracket``, into ``out`` if given."""
+    def __call__(self, x: np.ndarray, t) -> np.ndarray:
         x4, y4, xa, bracket = self._factors(np.asarray(x, dtype=float))
-        out = np.multiply(x4, cos, out=out)
+        shifted = np.asarray(t) + 1.0
+        out = x4 * np.cos(shifted)
         out *= y4
-        part = np.multiply(xa, sin)
+        part = xa * np.sin(shifted)
         part *= bracket
         out -= part
         return out
@@ -1280,7 +1268,7 @@ _EXPRESSIONS: dict[str, Callable[[float], Callable]] = {
     "table1_source": table1_source,
     "table2_forcing": _Table2Source,
     "table2_initial": lambda alpha: (lambda x: table2_exact(x, 0.0)),
-    "zero_source": lambda alpha: (lambda x, t: np.zeros_like(np.asarray(x, dtype=float))),
+    "zero_source": lambda alpha: (lambda x, t: np.zeros(np.broadcast(x, t).shape)),
 }
 
 EXPRESSION_IDS = tuple(sorted(_EXPRESSIONS))

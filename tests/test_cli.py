@@ -286,6 +286,19 @@ class TestSolve:
         assert "bad config" in err and "finite" in err
         assert "infs or NaNs" not in err
 
+    @pytest.mark.parametrize("key", ["alpha", "xL", "xR", "T"])
+    def test_boolean_number_is_config_error(self, capsys, tmp_path, key):
+        # float(false) read xL as 0.0 and float(true) read T as 1.0; the
+        # values now reach the library's checks as JSON gave them
+        cfg = {"problem": "custom", "alpha": 1.5, "xL": 0.0, "xR": 2.0, "Nx": 16,
+               "T": 0.1, "Nt": 10, "d_plus": "one", "d_minus": 1.0,
+               key: key != "xL"}
+        config = tmp_path / "problem.json"
+        config.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "solve", "--config", str(config))
+        assert code == 2 and out == ""
+        assert "bad config" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("cfg,expected", [
         ({"problem": "table2", "alpha": 1.5, "Nx": 20},
          lambda: solver.cn_solve(solver.table2_problem(1.5, nx=20),
@@ -308,7 +321,20 @@ class TestSolve:
              source=solver.expression("table2_forcing", 1.5),
              initial=solver.expression("table2_initial", 1.5),
              horizon=0.1, nt=10), wsld_scheme(4, 1.5)).u),
-    ], ids=["table2", "table1-derivative", "table1-integral", "custom"])
+        # the default zero_source, sampled once per span, against the
+        # per-step zeros it replaced
+        ({"problem": "custom", "alpha": 1.5, "xL": 0.0, "xR": 2.0, "Nx": 16,
+          "T": 0.1, "Nt": 40, "d_plus": "x^alpha", "d_minus": 2.0,
+          "initial": "table2_initial"},
+         lambda: solver.cn_solve(solver.DiffusionProblem(
+             alpha=1.5, grid=solver.Grid1D(0.0, 2.0, 16),
+             d_plus=solver.expression("x^alpha", 1.5),
+             d_minus=lambda x: 2.0 * solver.expression("x^alpha", 1.5)(x),
+             source=lambda x, t: np.zeros_like(x),
+             initial=solver.expression("table2_initial", 1.5),
+             horizon=0.1, nt=40), wsld_scheme(4, 1.5)).u),
+    ], ids=["table2", "table1-derivative", "table1-integral", "custom",
+            "custom-zero-source"])
     def test_u_column_is_the_library_solution(self, capsys, tmp_path, cfg, expected):
         # .16e round-trips a double, so the column parses back bitwise
         config = tmp_path / "problem.json"

@@ -123,6 +123,16 @@ class TestGrunwald:
         with pytest.raises(ValueError, match="alpha must be finite"):
             lubich_coeffs(1, alpha, 4)
 
+    @pytest.mark.parametrize("alpha", [True, np.False_])
+    def test_bool_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite and real"):
+            lubich_coeffs(1, alpha, 4)
+
+    @pytest.mark.parametrize("alpha", [np.float32(0.5), np.int64(2), 1])
+    def test_numpy_and_integer_alpha_accepted(self, alpha):
+        np.testing.assert_array_equal(lubich_coeffs(1, alpha, 4),
+                                      lubich_coeffs(1, float(alpha), 4))
+
 
 class TestMillerRecurrence:
     def test_degenerates_to_polynomial_itself(self):

@@ -155,6 +155,12 @@ class TestScheme:
         with pytest.raises(ValueError, match="alpha must be finite"):
             wsld_scheme(4, alpha)
 
+    @pytest.mark.parametrize("alpha", [True, np.True_, "1.5"])
+    def test_non_real_alpha_rejected(self, alpha):
+        # True passed math.isfinite and ran as alpha = 1
+        with pytest.raises(ValueError, match="alpha must be finite and real"):
+            wsld_scheme(4, alpha)
+
     @pytest.mark.parametrize("nu", [True, 4.0])
     def test_non_integer_nu_rejected(self, nu):
         # a bool is not read as nu = 1, nor a float as its integer

@@ -49,6 +49,13 @@ class TestGrid:
             with pytest.raises(ValueError, match="finite"):
                 Grid1D(x_left, x_right, 4)
 
+    @pytest.mark.parametrize("x_left,x_right", [
+        (False, 2.0), (0.0, True), (np.False_, 2.0), (0.0, np.True_)])
+    def test_bool_ends_rejected(self, x_left, x_right):
+        # False read as 0.0 and True as 1.0
+        with pytest.raises(ValueError, match="finite x_left < x_right"):
+            Grid1D(x_left, x_right, 10)
+
 
 def unshifted(alpha):
     """The unshifted fifth-order rule the steady benchmark solves with."""
@@ -273,7 +280,7 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match=match):
             DiffusionProblem(**data)
 
-    @pytest.mark.parametrize("horizon", [np.nan, np.inf, 0.0, -1.0, True])
+    @pytest.mark.parametrize("horizon", [np.nan, np.inf, 0.0, -1.0, True, np.True_])
     def test_horizon_must_be_finite_and_positive(self, horizon):
         with pytest.raises(ValueError, match="finite horizon"):
             DiffusionProblem(
@@ -536,6 +543,12 @@ def _sampled_rows(path, size, nt):
     """Steps sampled by the first call of a block sampler on ``path``."""
     span = solver._SPAN_STEPS * solver._SPAN_BLOCKS
     return min(nt, span if path == "gemv" else solver._STEP_BLOCK // size)
+
+
+def _span_columns(path, size, nt):
+    """The shapes of the columns of times a broadcasting source is called on."""
+    span = _sampled_rows(path, size, nt)
+    return [(min(span, nt - done), 1) for done in range(0, nt, span)]
 
 
 def _relative(got, want):
@@ -864,15 +877,17 @@ class TestStepLoop:
         assert np.abs(u - reference).max() <= 1e-12 * np.abs(reference).max()
 
     def test_table2_forcing_block_is_bitwise_the_calls(self):
-        # the block takes numpy's cos and sin of t + 1, the call math's: the
-        # rows agree bitwise at every Table 2 step time and at 4000 more
+        # one call on a column of times, as a span samples it, agrees
+        # bitwise with the calls at each time: every Table 2 step time and
+        # 4000 more
         source = expression("table2_forcing", 1.3)
         times = [(k + 0.5) * (1.0 / nt) for nt in (100, 400, 1600, 6400)
                  for k in range(nt)]
         times += np.random.default_rng(3).uniform(0.0, 10.0, 4000).tolist()
         x = np.linspace(0.0, 2.0, 9)
-        rows = source.sample_block(x, times, np.empty((len(times), x.size)))
+        rows = source(x, np.array(times)[:, None])
         calls = np.array([source(x, t) for t in times])
+        assert rows.shape == calls.shape == (len(times), x.size)
         assert rows.tobytes() == calls.tobytes()
 
     def test_table2_forcing_cache_follows_the_nodes(self):
@@ -880,9 +895,11 @@ class TestStepLoop:
         source = expression("table2_forcing", alpha)
 
         def check(x, t):
-            # the block sampler sees each new x first, so it switches the cache
+            # a call on a column of times sees each new x first, so it
+            # switches the cache; the times broadcast against x
             for times in ([t, t + 0.25, 3.0 * t + 0.1], [t]):
-                rows = source.sample_block(x, times, np.empty((len(times),) + x.shape))
+                rows = source(x, np.reshape(times, (-1,) + (1,) * x.ndim))
+                assert rows.shape == (len(times),) + x.shape
                 for row, time in zip(rows, times):
                     assert row.tobytes() == source(x, time).tobytes()
                     assert row.tobytes() == _table2_forcing_unfactored(
@@ -984,8 +1001,67 @@ class TestBlockStepping:
 
         problem.source = source
         cn_solve(problem, wsld_scheme(4, 1.5))
+        # one call per span, on the column of its times
+        assert [np.shape(t) for t in times] == _span_columns(path, 161, 61)
         expected = [(n + 0.5) * problem.tau for n in range(problem.nt)]
-        assert np.array(times).tobytes() == np.array(expected).tobytes()
+        got = np.concatenate([np.ravel(t) for t in times])
+        assert got.tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("path", _PATHS)
+    def test_elementwise_lambda_is_called_once_per_span(self, monkeypatch, path):
+        # a plain numpy lambda broadcasts over a column of times unchanged
+        _force_path(monkeypatch, path)
+        problem = _nonzero_boundary_problem(137)
+        forcing, shapes = problem.source, []
+
+        def source(x, t):
+            shapes.append(np.shape(t))
+            return forcing(x, t)
+
+        problem.source = source
+        cn_solve(problem, wsld_scheme(4, problem.alpha))
+        assert shapes == _span_columns(path, 41, 137)
+
+    def test_single_precision_forcing_is_scaled_in_double(self):
+        # the samples are cast to double before the tau/2 scaling, not after
+        def single(x, t):
+            return np.sin(3 * x * (t + 1)).astype(np.float32)
+
+        problem = replace(_nonzero_boundary_problem(137), source=single)
+        want = replace(problem, source=lambda x, t: single(x, t).astype(float))
+        scheme = wsld_scheme(4, problem.alpha)
+        assert cn_solve(problem, scheme).u.tobytes() == cn_solve(want, scheme).u.tobytes()
+
+    @pytest.mark.parametrize("source,twin", [
+        (lambda x, t: math.cos(t) * x * (2.0 - x),
+         lambda x, t: np.vectorize(math.cos)(t) * x * (2.0 - x)),
+        (lambda x, t: np.zeros_like(x),
+         lambda x, t: np.zeros(np.broadcast(x, t).shape)),
+    ], ids=["not-broadcast-safe", "one-row-per-call"])
+    @pytest.mark.parametrize("path", _PATHS)
+    def test_source_that_does_not_broadcast_is_sampled_per_step(
+            self, monkeypatch, path, source, twin):
+        # math.cos raises on a column of times, and np.zeros_like(x) returns
+        # one row; each span is sampled again one step at a time, and the
+        # run is bitwise that of a twin source that broadcasts
+        _force_path(monkeypatch, path)
+        shapes = []
+
+        def counted(x, t):
+            shapes.append(np.shape(t))
+            return source(x, t)
+
+        problem = replace(table2_problem(1.5, nx=40, nt=137), source=counted)
+        shapes.clear()  # the problem's construction check
+        scheme = wsld_scheme(4, 1.5)
+        result = cn_solve(problem, scheme)
+        expected = []
+        for column in _span_columns(path, 41, 137):
+            expected += [column] + [()] * column[0]
+        assert shapes == expected
+        want = cn_solve(replace(problem, source=twin), scheme)
+        assert result.u.tobytes() == want.u.tobytes()
+        assert result.sup_norm == want.sup_norm
 
     @pytest.mark.parametrize("blown", [True, False], ids=["after-blowup", "alone"])
     @pytest.mark.parametrize("failing", ["source", "gmres"])
@@ -1031,34 +1107,27 @@ class TestBlockStepping:
     @pytest.mark.filterwarnings("error")
     def test_block_sampler_failure_reports_as_a_plain_source(self, monkeypatch,
                                                               fault, path):
-        # steps bad and bad + 2 fall in the first sampled block (99 steps,
-        # or the inverse path's span of 100); the block sampler fails there,
-        # and the source sampled one step at a time fails as the plain
-        # sources of the two tests above
+        # steps bad and bad + 2 fall in the first span (99 steps, or the
+        # inverse path's 100); the call on the span's column of times raises
+        # there, or returns a non-finite row, and the source fails as the
+        # plain sources of the two tests above
         _force_path(monkeypatch, path)
         problem = table2_problem(1.5, nx=40, nt=100)
         tau, bad, blocks = problem.tau, 7, []
 
         class Source(solver._Table2Source):
             def __call__(self, x, t):
-                step = round(t / tau + 0.5)
-                if fault.startswith("raises") and step == bad + 2:
-                    raise KeyError("source failed")
+                steps = np.rint(np.asarray(t) / tau + 0.5)
+                if np.ndim(t):
+                    blocks.append(np.size(t))
+                if fault.startswith("raises") and np.any(steps == bad + 2):
+                    raise (ValueError if np.ndim(t) else KeyError)("source failed")
                 f = super().__call__(x, t)
-                if fault == "raises-after-blowup" and step == bad:
-                    f[20] = np.nan
+                if fault != "raises-alone":
+                    value = np.nan if fault.startswith("raises") else float(fault)
+                    rows = np.reshape(steps == bad, np.shape(f)[:-1])
+                    f[..., 20] = np.where(rows, value, f[..., 20])
                 return f
-
-            def sample_block(self, x, times, out):
-                blocks.append(len(times))
-                for k, t in enumerate(times):
-                    out[k] = super().__call__(x, t)
-                    step = round(t / tau + 0.5)
-                    if fault.startswith("raises") and step == bad + 2:
-                        raise ValueError("block sampler failed")
-                    if step == bad and fault in ("nan", "inf"):
-                        out[k, 20] = float(fault)
-                return out
 
         problem.source = Source(1.5)
         expected = KeyError if fault == "raises-alone" else InstabilityError
@@ -1084,7 +1153,8 @@ class TestBlockStepping:
         problem = table2_problem(1.5, nx=160)
         assert calls == [problem.tau / 2]  # the problem's construction check
         cn_solve(problem, wsld_scheme(4, 1.5))
-        assert calls == [problem.tau / 2]
+        assert [np.shape(t) for t in calls[1:]] == _span_columns("gemv", 161,
+                                                                 problem.nt)
 
 
 class _Products(np.ndarray):
@@ -1106,7 +1176,7 @@ class _Products(np.ndarray):
 
 
 def _plain_source(problem):
-    """``problem`` with its forcing behind a plain callable: no ``sample_block``."""
+    """``problem`` with its forcing behind a plain lambda, not the built-in class."""
     forcing = problem.source
     return replace(problem, source=lambda x, t: forcing(x, t))
 
@@ -1175,17 +1245,14 @@ class TestSpanStepping:
                 f[20] = np.nan
             return f
 
-        class Source(solver._Table2Source):
-            # a failing block is sampled again one call at a time
-            def __call__(self, x, t):
+        def broadcast(x, t):
+            # one row per time; a failing call is sampled again one step at
+            # a time, while `source` fails on any column of times
+            if np.ndim(t) == 0:
                 return source(x, t)
+            return np.array([source(x, time) for time in np.ravel(t)])
 
-            def sample_block(self, x, times, out):
-                for k, t in enumerate(times):
-                    out[k] = source(x, t)
-                return out
-
-        problem.source = Source(1.5) if sampler else source
+        problem.source = broadcast if sampler else source
         with pytest.raises(Exception) as got:
             cn_solve(problem, wsld_scheme(4, 1.5))
         problem.source = source
@@ -1678,7 +1745,7 @@ class TestStabilityProbe:
         assert probe.bounded
         assert probe.sup_norm == 0.0
 
-    @pytest.mark.parametrize("ratio", [math.nan, -1.0, 0.0, math.inf, True])
+    @pytest.mark.parametrize("ratio", [math.nan, -1.0, 0.0, math.inf, True, np.True_])
     def test_ratio_must_be_finite_and_positive(self, ratio):
         # checked before the horizon tau_over_h * h * n_steps is formed
         with pytest.raises(ValueError, match="tau_over_h must be finite and positive"):
@@ -1703,6 +1770,12 @@ class TestExpressionRegistry:
         assert expression("table2_initial", 1.5)(x)[0] == 0.0
         np.testing.assert_allclose(expression("table2_forcing", 1.5)(x, 0.0),
                                    table2_problem(1.5, nx=4).source(x, 0.0))
+
+    def test_zero_source_broadcasts_over_times(self):
+        # one row per time, so a span samples the CLI's default source once
+        x, zero = np.linspace(0.0, 2.0, 5), expression("zero_source", 1.5)
+        assert zero(x, np.arange(3.0)[:, None]).shape == (3, 5)
+        assert zero(x, 0.5).tobytes() == np.zeros(5).tobytes()
 
     def test_unknown_id(self):
         with pytest.raises(KeyError, match="unknown expression"):

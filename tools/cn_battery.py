@@ -1,0 +1,136 @@
+"""Bitwise battery of the Crank-Nicolson solver: one sha256 digest over 864 runs.
+
+Run from a checkout, with one BLAS thread so that the products round the same
+way from run to run:
+
+    OPENBLAS_NUM_THREADS=1 python3 tools/cn_battery.py
+
+It imports ``wsld`` from the checkout's ``src/`` and prints one line, the
+digest.  Two trees whose solver steps every run bitwise alike print the same
+digest, so a refactor of the step loop, the step paths or the forcing
+sampling that claims to change no output is checked by running this script
+on both trees.  ``--verbose`` also prints each case's id, outcome and digest.
+
+The cases are every combination of
+
+* the step path, forced: ``getrs``, ``matrix-free`` and ``gemv``;
+* ``nx`` in {40, 160, 320} and ``nt`` in {5, 10, 61, 137, 270, 300};
+* the default scheme ``wsld_scheme(4, alpha)`` and the unshifted
+  ``wsld_scheme(4, alpha, shifts=0)``;
+* eight problems: Table 2 at alpha = 1.5 and 1.9; the unfactored source
+  ``sin(3x(t+1))`` with ``d+ = x^1.3``, ``d- = 0.5 x^1.3``, alpha = 1.3 and
+  horizon ``0.5 nt / 200``, with and without ``kappa = 0.5``; that problem
+  with initial data 1 (nonzero boundary data under a plain source); Table 2
+  with initial data ``1 + x``; Table 2 and the unfactored problem with
+  initial data ``-x(2-x)``, which is -0.0 on both boundary nodes.
+
+A case's digest is sha256 over the solution's bytes, ``repr`` of its sup
+norm and its step count, or over the exception's type and message; the
+printed digest is sha256 over the 864 case digests in order.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import itertools
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+from wsld import solver  # noqa: E402
+from wsld.operators import wsld_scheme  # noqa: E402
+from wsld.solver import DiffusionProblem, Grid1D, cn_solve, table2_problem  # noqa: E402
+
+PATHS = ("getrs", "matrix-free", "gemv")
+NX = (40, 160, 320)
+NT = (5, 10, 61, 137, 270, 300)
+
+
+def _unfactored(nx: int, nt: int, kappa: float | None) -> DiffusionProblem:
+    # a forcing that does not split into a factor in x times one in t
+    return DiffusionProblem(
+        alpha=1.3, grid=Grid1D(0.0, 2.0, nx),
+        d_plus=lambda x: x ** 1.3, d_minus=lambda x: 0.5 * x ** 1.3,
+        source=lambda x, t: np.sin(3 * x * (t + 1)),
+        initial=lambda x: x * (2.0 - x), horizon=0.5 * nt / 200, nt=nt,
+        kappa=kappa)
+
+
+def _with_initial(problem: DiffusionProblem, initial) -> DiffusionProblem:
+    problem.initial = initial
+    return problem
+
+
+def _negative_bump(x):
+    return -x * (2.0 - x)
+
+
+PROBLEMS = {
+    "table2-1.5": lambda nx, nt: table2_problem(1.5, nx, nt),
+    "table2-1.9": lambda nx, nt: table2_problem(1.9, nx, nt),
+    "unfactored": lambda nx, nt: _unfactored(nx, nt, None),
+    "unfactored-kappa": lambda nx, nt: _unfactored(nx, nt, 0.5),
+    "unfactored-one": lambda nx, nt: _with_initial(
+        _unfactored(nx, nt, 0.5), lambda x: np.ones_like(x)),
+    "table2-one-plus-x": lambda nx, nt: _with_initial(
+        table2_problem(1.5, nx, nt), lambda x: 1.0 + x),
+    "table2-negative-zero": lambda nx, nt: _with_initial(
+        table2_problem(1.5, nx, nt), _negative_bump),
+    "unfactored-negative-zero": lambda nx, nt: _with_initial(
+        _unfactored(nx, nt, 0.5), _negative_bump),
+}
+
+
+def _case_digest(problem: DiffusionProblem, shifts) -> tuple[str, str]:
+    digest = hashlib.sha256()
+    scheme = (wsld_scheme(4, problem.alpha) if shifts is None
+              else wsld_scheme(4, problem.alpha, shifts=shifts))
+    try:
+        result = cn_solve(problem, scheme)
+    except Exception as exc:  # the outcome is data here
+        outcome = type(exc).__name__
+        digest.update(f"{outcome}: {exc}".encode())
+    else:
+        outcome = "ok"
+        digest.update(result.u.tobytes())
+        digest.update(repr(result.sup_norm).encode())
+        digest.update(repr(result.steps).encode())
+    return outcome, digest.hexdigest()
+
+
+def run(verbose: bool = False) -> str:
+    total = hashlib.sha256()
+    outcomes: dict[str, int] = {}
+    original = solver._step_path
+    try:
+        for path, nx, nt, shifts, name in itertools.product(
+                PATHS, NX, NT, (None, 0), PROBLEMS):
+            solver._step_path = lambda size, steps, scheme, path=path: path
+            outcome, case = _case_digest(PROBLEMS[name](nx, nt), shifts)
+            outcomes[outcome] = outcomes.get(outcome, 0) + 1
+            total.update(case.encode())
+            if verbose:
+                scheme = "default" if shifts is None else "unshifted"
+                print(f"{path} nx={nx} nt={nt} {scheme} {name}: {outcome} {case}")
+    finally:
+        solver._step_path = original
+    if verbose:
+        print(", ".join(f"{n} {k}" for k, n in sorted(outcomes.items())))
+    return total.hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--verbose", action="store_true",
+                        help="print each case's outcome and digest")
+    args = parser.parse_args(argv)
+    print(run(args.verbose))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
