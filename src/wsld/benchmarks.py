@@ -78,8 +78,9 @@ class ConvergenceReport:
     def __post_init__(self) -> None:
         if len(self.hs) != len(self.errors):
             raise ValueError("hs and errors must align")
-        if not all(0 < e < math.inf for e in self.errors):  # also catches NaN
-            raise ValueError("errors must be finite and strictly positive")
+        for name, values in (("hs", self.hs), ("errors", self.errors)):
+            if not all(0 < v < math.inf for v in values):  # also catches NaN
+                raise ValueError(f"{name} must be finite and strictly positive")
 
     def rates(self) -> list[float]:
         """Observed order ``log(e0/e1) / log(h0/h1)`` between consecutive rows.

@@ -154,8 +154,8 @@ def wsld_scheme(
     With no ``shifts`` the proven-stable default tuple is used at order 4.
     Any other fourth-order tuple is accepted but triggers an "unverified
     stability" warning: negative definiteness has only been established for
-    the default tuple.  A non-finite ``alpha``, or a shift that is not an
-    integer (a fraction or a bool), raises ``ValueError``.
+    the default tuple.  A non-finite ``alpha``, a ``nu`` or a shift that is
+    not an integer (a fraction or a bool), raises ``ValueError``.
     """
     _check_alpha(alpha)
     if shifts is None:
@@ -163,11 +163,10 @@ def wsld_scheme(
     flat = tuple(shifts) if isinstance(shifts, Iterable) else (shifts,)
     if len(flat) not in (1, 2, 4, 8) or not all(_is_integer(v) for v in flat):
         raise ValueError(f"shifts must be 1, 2, 4 or 8 integers, got {shifts!r}")
+    _check_nu(nu)
     scheme = WsldScheme(nu=nu, alpha=alpha, shifts=tuple(int(v) for v in flat))
     if scheme.order >= 2 and nu not in (3, 4):
         raise ValueError("weighted combinations are defined for nu in {3, 4}")
-    if scheme.order == 1:
-        _check_nu(nu)
     scheme.shift_weights()  # validates pairwise shift constraints
     if scheme.order == 4 and scheme.shifts != DEFAULT_SHIFTS:
         warnings.warn(

@@ -30,21 +30,21 @@ at the half step, by one of three paths.
   ``U^{n+1} = G (U^n + (tau/2) F) - U^n``, a product with ``G``, and the
   path holds two N x N arrays, ``G`` and the block propagator ``T^16``
   (formed once by four squarings).
-* matrix-free: no N x N array is formed.  Each step solves ``M- W = rhs``
-  by right-preconditioned GMRES that recycles a store of earlier solves.
-  ``M- = B - cF`` splits into the band ``B``, ``|i - j| <= b`` (``b = 32``,
-  or the scheme's shift ``m`` if larger), and the far field ``F`` of the
-  Toeplitz operator, applied by FFT.  ``B``, LU-factored once by LAPACK
-  ``gbtrf``, is the preconditioner, so an iteration applies
-  ``M- B^{-1} v = v - cF(B^{-1} v)``: one ``gbtrs`` and one real FFT pair
-  (two inverse transforms when the problem carries no ``kappa``).  The
-  store holds the solutions of up to 20 past steps and of the 8 harmonic
-  Ritz vectors of the run's first GMRES cycle.  A solve starts from the
-  projection of ``rhs`` onto their images, and every GMRES cycle minimises
-  over them as well as its Krylov space, at O(N) dot products per stored
-  pair, so a solve starts no worse than from the last step's ``W`` (the
-  README gives the iterations this saves).  Memory is
-  O(N (b + restart + 28)).
+* matrix-free: no N x N array is formed.  Two parts solve ``M- W = rhs``.
+  The split (:func:`_split`) writes ``M- = B - cF``: the band ``B``,
+  ``|i - j| <= b`` (``b = 32``, or the scheme's shift ``m`` if larger),
+  LU-factored once by LAPACK ``gbtrf``, and the far field ``F`` of the
+  Toeplitz operator, applied by FFT.  It hands GMRES four callables:
+  ``M- B^{-1} v = v - cF(B^{-1} v)`` (one ``gbtrs`` and one real FFT pair,
+  two inverse transforms when the problem carries no ``kappa``), ``B^{-1}``,
+  ``M-`` for the true residual, and a bound on ``||M-||``.  The GMRES
+  (:class:`_Gmres`) knows only those; it recycles a store of the solutions
+  of up to 20 past steps and of the 8 harmonic Ritz vectors of the run's
+  first cycle.  A solve starts from the projection of ``rhs`` onto their
+  images, and every cycle minimises over them as well as its Krylov space,
+  at O(N) dot products per stored pair, so a solve starts no worse than
+  from the last step's ``W`` (the README gives the iterations this saves).
+  Memory is O(N (b + restart + 28)).
 
 :func:`_step_path` picks the path from the run's size ``N`` and step count
 ``nt`` by three constants: the default shift tuple goes matrix-free past
@@ -252,12 +252,12 @@ def solve_steady(
 
     The matrix is LU-factored and the solution takes one refinement sweep,
     which keeps the residual near round-off.  ``bc``, when given, is a pair
-    ``(left, right)``.  For ``alpha in (1, 2)`` the problem carries a second
-    boundary value; the last equation is replaced by the constraint
-    ``u(x_right) = bc[1]``, and the zero extension fixes the left value, so
-    ``bc[0]`` must be 0.  A shifted scheme (``m > 0``) reads
-    ``m`` nodes past ``x_right``, where the zero extension puts 0, so it also
-    needs ``bc[1] = 0``.
+    ``(left, right)`` of finite real numbers, not bools.  For ``alpha in
+    (1, 2)`` the problem carries a second boundary value; the last equation
+    is replaced by the constraint ``u(x_right) = bc[1]``, and the zero
+    extension fixes the left value, so ``bc[0]`` must be 0.  A shifted
+    scheme (``m > 0``) reads ``m`` nodes past ``x_right``, where the zero
+    extension puts 0, so it also needs ``bc[1] = 0``.
 
     Integral orders (``alpha < 0``) and ``alpha in (0, 1)`` need no
     constraint and take no ``bc``: the first equation already pins
@@ -276,6 +276,8 @@ def solve_steady(
     g = grid.h ** alpha * rhs
     if bc is not None and np.shape(bc) != (2,):
         raise ValueError(f"bc must be two boundary values (left, right), got {bc!r}")
+    if bc is not None and not all(_is_real(v) and math.isfinite(v) for v in bc):
+        raise ValueError(f"bc must be finite real numbers (not bools), got {bc!r}")
     if 1.0 < alpha < 2.0:
         # the two-sided boundary data leave one value the one-sided operator
         # cannot see; replace the last equation with the constraint
@@ -468,19 +470,14 @@ def _cn_band(band: np.ndarray, dp: np.ndarray, dm: np.ndarray, c: float,
     return np.asfortranarray(out)
 
 
-class _MatrixFree:
-    """``M- W = rhs`` without an N x N array: band-preconditioned GMRES.
+def _split(problem: DiffusionProblem, scheme: WsldScheme):
+    """The split ``M- = B - cF`` of the matrix-free path, as :class:`_Gmres` takes it.
 
-    ``M- = B - cF`` with ``F = D+ A_far + D- A_far^T``: ``B`` is the band
-    ``|i - j| <= b`` of ``M-`` with its identity Dirichlet rows, and
-    ``A_far`` is the Toeplitz operator whose coefficients ``phi_k``,
-    ``|k - m| <= b``, are set to zero.  Keeping the near coefficients out of
-    the FFT keeps its rounding, relative to the largest coefficients, out of
-    the product.  ``B``, LU-factored once by LAPACK ``gbtrf``, is the right
-    preconditioner, so GMRES runs on ``M- B^{-1} v = v - cF(B^{-1} v)``: one
-    ``gbtrs`` and one ``F`` per iteration, and no product with ``B``.  The
-    full mat-vec, ``B`` by BLAS ``gbmv`` minus ``cF``, serves only the true
-    residual.
+    ``F = D+ A_far + D- A_far^T``: ``B`` is the band ``|i - j| <= b`` of
+    ``M-`` with its identity Dirichlet rows, LU-factored once by LAPACK
+    ``gbtrf``, and ``A_far`` the Toeplitz operator whose coefficients
+    ``phi_k``, ``|k - m| <= b``, are set to zero.  Keeping the near
+    coefficients out of the FFT keeps its rounding out of the product.
 
     ``F`` takes one real FFT of ``w``.  The two-sided sequence
     ``a_d = phi_{d+m}`` of ``A_far`` (``A_far[i, j] = a_{i-j}``) sits in a
@@ -496,14 +493,94 @@ class _MatrixFree:
     with ``c`` and the coefficient samples, zero on the Dirichlet rows,
     folded into their weights.
 
-    Every step solves with the same ``M-``, so the solves share a recycle
-    space (GCRO-DR: Parks, de Sturler, Mackey, Johnson & Maiti, SIAM J. Sci.
-    Comput. 28, 2006).  A store of up to ``_STORE`` pairs ``M- W_k = Y_k``
+    Returns ``operator``, ``M- B^{-1} v = v - cF(B^{-1} v)`` by one ``gbtrs``
+    and one ``F``; ``precondition``, ``B^{-1}`` by ``gbtrs``; ``matvec``,
+    ``M-`` as ``B`` by BLAS ``gbmv`` minus ``cF``; and a bound on ``||M-||_2``.
+    """
+    import scipy.linalg as sla
+
+    n, m = problem.grid.nx, scheme.m
+    band, dp, dm, c = _cn_data(problem, scheme)
+    # the band reaches past the shift m, where gbmv's 2 width < n + 1
+    # allows, so that it holds the largest coefficients phi_0, phi_1, ...
+    width = min(max(_BAND, m), n // 2)
+    near = _cn_band(band, dp, dm, c, width)
+    factor = np.zeros((3 * width + 1, n + 1), order="F")
+    factor[width:] = near
+    gbtrf, gbtrs = sla.get_lapack_funcs(("gbtrf", "gbtrs"), (factor,))
+    lu, piv, info = gbtrf(factor, width, width, overwrite_ab=True)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            "band of the implicit Crank-Nicolson matrix is singular")
+    gbmv, = sla.get_blas_funcs(("gbmv",), (near,))
+    phi = band[n - m:]  # phi_0..phi_{n+m}
+    length = _fft_size(n, m)
+    circulant = np.zeros(length)  # circulant[d mod L] = a_d
+    circulant[: n + 1] = phi[m:]
+    circulant[length - m:] = phi[:m]
+    offsets = np.arange(-width, width + 1)  # the band's d = i - j
+    circulant[offsets[offsets >= -m]] = 0.0
+    spectrum = np.fft.rfft(circulant)
+    weight, weight_t = c * dp, c * dm
+    weight[[0, -1]] = weight_t[[0, -1]] = 0.0
+    # the problem checked the ratio when it was built; its fields may
+    # have been reassigned since, so check it again
+    kappa = None if problem.kappa is None else float(problem.kappa)
+    if kappa is not None and np.array_equal(dm, kappa * dp):
+        spectrum += kappa * spectrum.conj()
+        far = [(weight, spectrum)]
+    else:
+        far = [(weight, spectrum), (weight_t, spectrum.conj())]
+
+    def far_field(w):  # cF w: one forward real FFT and one inverse per spectrum
+        transform = np.fft.rfft(w, length)
+        y = np.zeros(w.size)
+        for weight, kernel in far:
+            y += weight * np.fft.irfft(kernel * transform, length)[: w.size]
+        return y
+
+    def precondition(v):
+        z, info = gbtrs(lu, width, width, v, piv)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK gbtrs")
+        return z
+
+    def matvec(w):
+        y = gbmv(w.size, w.size, width, width, 1.0, near, w)
+        y -= far_field(w)
+        return y
+
+    # ||M-||_1 and ||M-||_inf are at most this, so ||M-||_2 is too
+    norm = 1.0 + c * (dp.max() + dm.max()) * float(np.abs(phi).sum())
+    return (lambda v: v - far_field(precondition(v))), precondition, matvec, norm
+
+
+def _orthogonalise(q: np.ndarray, v: np.ndarray):
+    """Classical Gram-Schmidt run twice on ``v``: ``(r, h)``, ``v = h q + r``, ``q r = 0``."""
+    h = q @ v
+    v = v - h @ q
+    again = q @ v
+    v -= again @ q
+    h += again
+    return v, h
+
+
+class _Gmres:
+    """``M W = rhs`` for a run of right sides: right-preconditioned, recycled GMRES.
+
+    GMRES iterates on ``operator``, ``v -> M P v``; ``precondition`` applies
+    ``P`` (to a vector or an array's columns), ``matvec`` ``M`` for the true
+    residual only, and ``norm`` bounds ``||M||_2``.  Vectors hold ``size``
+    entries.  :func:`_split` gives ``M = M-`` and ``P = B^{-1}``.
+
+    Every solve has the same ``M``, so the solves share a recycle space
+    (GCRO-DR: Parks, de Sturler, Mackey, Johnson & Maiti, SIAM J. Sci.
+    Comput. 28, 2006).  A store of up to ``_STORE`` pairs ``M W_k = Y_k``
     holds the raw solutions ``W`` and an orthonormal basis ``Q`` of the
     images, with the triangle ``R`` of ``Y = QR``; the solution whose image
     is ``Q a`` is ``lift(a) = W R^{-1} a``.  Each pair's own residual is
     that of its solve, but ``R^{-1}`` grows as the images of nearby steps
-    grow alike, so ``M- lift(a) = Q a`` holds only as well as ``R^{-1} a``
+    grow alike, so ``M lift(a) = Q a`` holds only as well as ``R^{-1} a``
     is bounded.  So the projection ``a = Q^T rhs`` of a step's right side
     serves only as a start, and each solve still meets its own residual
     target.  :meth:`solve` starts from ``lift(Q^T rhs)`` (Fischer, CMAME
@@ -511,81 +588,24 @@ class _MatrixFree:
     Krylov space.  The run's first cycle seeds the store with its harmonic
     Ritz pairs (Morgan, SIAM J. Sci. Comput. 24, 2002), the approximate
     eigenvectors of smallest eigenvalue that restarting would otherwise
-    lose.  Memory is O(N (b + restart + store)).
+    lose.  Memory is O(size (restart + store)).
     """
 
-    def __init__(self, problem: DiffusionProblem, scheme: WsldScheme) -> None:
+    def __init__(self, operator, precondition, matvec, norm: float, size: int) -> None:
         import scipy.linalg as sla
 
-        n, m = problem.grid.nx, scheme.m
-        band, dp, dm, c = _cn_data(problem, scheme)
-        # the band reaches past the shift m, where gbmv's 2 width < n + 1
-        # allows, so that it holds the largest coefficients phi_0, phi_1, ...
-        width = self.width = min(max(_BAND, m), n // 2)
-        self.near = _cn_band(band, dp, dm, c, width)
-        factor = np.zeros((3 * width + 1, n + 1), order="F")
-        factor[width:] = self.near
-        gbtrf, self._gbtrs = sla.get_lapack_funcs(("gbtrf", "gbtrs"), (factor,))
-        self._lu, self._piv, info = gbtrf(factor, width, width, overwrite_ab=True)
-        if info != 0:
-            raise np.linalg.LinAlgError(
-                "band of the implicit Crank-Nicolson matrix is singular")
-        self._gbmv, = sla.get_blas_funcs(("gbmv",), (self.near,))
-        phi = band[n - m:]  # phi_0..phi_{n+m}
-        self._fft = _fft_size(n, m)
-        circulant = np.zeros(self._fft)  # circulant[d mod L] = a_d
-        circulant[: n + 1] = phi[m:]
-        circulant[self._fft - m:] = phi[:m]
-        near = np.arange(-width, width + 1)  # the band's d = i - j
-        circulant[near[near >= -m]] = 0.0
-        spectrum = np.fft.rfft(circulant)
-        weight, weight_t = c * dp, c * dm
-        weight[[0, -1]] = weight_t[[0, -1]] = 0.0
-        # the problem checked the ratio when it was built; its fields may
-        # have been reassigned since, so check it again
-        kappa = None if problem.kappa is None else float(problem.kappa)
-        if kappa is not None and np.array_equal(dm, kappa * dp):
-            spectrum += kappa * spectrum.conj()
-            self._far = [(weight, spectrum)]
-        else:
-            self._far = [(weight, spectrum), (weight_t, spectrum.conj())]
-        # ||M-||_1 and ||M-||_inf are at most this, so ||M-||_2 is too
-        self._norm = 1.0 + c * (dp.max() + dm.max()) * float(np.abs(phi).sum())
+        self._operator, self._precondition, self._matvec = operator, precondition, matvec
+        self._norm = norm
         # rows 0.._stored-1 hold Q; a cycle's Krylov basis follows them, so
         # that one product orthogonalises against both
-        self._space = np.empty((_STORE + _RESTART + 1, n + 1))
+        self._space = np.empty((_STORE + _RESTART + 1, size))
         self._images = self._space[:_STORE]
-        self._solutions = np.empty((_STORE, n + 1))  # W
+        self._solutions = np.empty((_STORE, size))  # W
         self._tri = np.zeros((_STORE, _STORE))  # R
         self._trtrs, = sla.get_lapack_funcs(("trtrs",), (self._tri,))
         self._stored = 0
         self._ritz = 0  # the Ritz pairs: rows 0.._ritz-1, kept on restarts
         self._first = True  # no cycle has run yet
-
-    def _far_field(self, w: np.ndarray) -> np.ndarray:
-        """``cF w``: one forward real FFT and one inverse per spectrum."""
-        spectrum = np.fft.rfft(w, self._fft)
-        y = np.zeros(w.size)
-        for weight, kernel in self._far:
-            y += weight * np.fft.irfft(kernel * spectrum, self._fft)[: w.size]
-        return y
-
-    def matvec(self, w: np.ndarray) -> np.ndarray:
-        size, width = w.size, self.width
-        y = self._gbmv(size, size, width, width, 1.0, self.near, w)
-        y -= self._far_field(w)
-        return y
-
-    def _operator(self, v: np.ndarray) -> np.ndarray:
-        """``M- B^{-1} v = v - cF(B^{-1} v)``, the operator GMRES iterates on."""
-        return v - self._far_field(self._precondition(v))
-
-    def _precondition(self, v: np.ndarray) -> np.ndarray:
-        """``B^{-1} v``, for one vector or the columns of an array."""
-        z, info = self._gbtrs(self._lu, self.width, self.width, v, self._piv)
-        if info != 0:
-            raise ValueError(f"illegal value in argument {-info} of LAPACK gbtrs")
-        return z
 
     def _lift(self, coefficients: np.ndarray) -> np.ndarray:
         """``W R^{-1} a``: the combination of stored solutions whose image is ``Q a``."""
@@ -596,7 +616,7 @@ class _MatrixFree:
         return a @ self._solutions[:k]
 
     def solve(self, rhs: np.ndarray, w: np.ndarray, step: int) -> np.ndarray:
-        """``W`` with ``M- W = rhs``, by restarted GMRES from a projected guess.
+        """``W`` with ``M W = rhs``, by restarted GMRES from a projected guess.
 
         The guess is ``lift(Q^T rhs)``: the combination of the stored
         solutions whose image is the orthogonal projection of ``rhs`` onto
@@ -623,7 +643,7 @@ class _MatrixFree:
             w = self._lift(self._images[:k] @ rhs)
         iterations, converged = 0, False
         while True:
-            residual = rhs - self.matvec(w)
+            residual = rhs - self._matvec(w)
             beta = float(np.linalg.norm(residual))
             if not math.isfinite(beta):
                 return w + residual
@@ -649,26 +669,20 @@ class _MatrixFree:
         return w
 
     def _store(self, image: np.ndarray, w: np.ndarray) -> None:
-        """Add the pair ``M- W = image`` to the store.
+        """Add the pair ``M W = image`` to the store.
 
-        The image is orthogonalised against ``Q`` by classical Gram-Schmidt
-        run twice; its coefficients and the norm of what is left make the
-        new column of ``R``, and ``W`` is kept as it is.  An image left zero
-        or negligible next to its norm before orthogonalisation is skipped,
-        since its direction is already stored or lost to rounding.  When the
-        steps' pairs are full, they restart with this pair behind the Ritz
-        pairs.
+        The image is orthogonalised against ``Q`` (:func:`_orthogonalise`);
+        its coefficients and the norm of what is left make the new column of
+        ``R``, and ``W`` is kept as it is.  An image left zero or negligible
+        next to its norm before orthogonalisation is skipped, since its
+        direction is already stored or lost to rounding.  When the steps'
+        pairs are full, they restart with this pair behind the Ritz pairs.
         """
         if self._stored - self._ritz == _STORE - _RITZ:
             self._stored = self._ritz
         k = self._stored
-        q = self._images[:k]
         before = float(np.linalg.norm(image))
-        column = np.zeros(k)
-        for _ in range(2):
-            h = q @ image
-            image = image - h @ q
-            column += h
+        image, column = _orthogonalise(self._images[:k], image)
         norm = float(np.linalg.norm(image))
         if not norm > _NEGLIGIBLE * before:
             return
@@ -682,45 +696,32 @@ class _MatrixFree:
         """One GMRES cycle of at most ``min(_RESTART, budget)`` iterations.
 
         The residual's part in ``span Q`` is taken by the lift of its
-        projection, and Arnoldi on ``M- B^{-1}`` (:meth:`_operator`)
-        orthogonalises each vector against ``Q`` and the Krylov basis, by
-        classical Gram-Schmidt run twice, keeping the coefficients ``C`` on
-        ``Q``.  So ``M- B^{-1} V_k = Q C + V_{k+1} H`` and the least residual
-        over ``span Q`` plus the Krylov space is that of ``H``, reduced by
-        Givens rotations that keep it triangular: ``|g[k]|`` is the residual
-        estimate after ``k`` iterations.  The update is ``B^{-1} V_k y`` plus
-        the lift of the projection less ``C y``.  The run's first cycle, with
-        nothing stored, seeds the store (:meth:`_seed`).  Returns the new
-        iterate, the estimate and ``k``.
+        projection, and Arnoldi on ``M P`` orthogonalises each vector
+        against ``Q`` and the Krylov basis (:func:`_orthogonalise`), keeping
+        the coefficients ``C`` on ``Q``.  So ``M P V_k = Q C + V_{k+1} H``
+        and the least residual over ``span Q`` plus the Krylov space is that
+        of ``H``, reduced by Givens rotations that keep it triangular:
+        ``|g[k]|`` is the residual estimate after ``k`` iterations.  The
+        update is ``P V_k y`` plus the lift of the projection less ``C y``.
+        The run's first cycle, with nothing stored, seeds the store
+        (:meth:`_seed`).  Returns the new iterate, the estimate and ``k``.
         """
         space, stored = self._space, self._stored
         basis = space[stored:]
         limit = min(_RESTART, budget)
         if stored:
-            q = space[:stored]
-            projection = q @ residual
-            residual = residual - projection @ q
-            again = q @ residual
-            residual -= again @ q
-            projection += again
+            residual, projection = _orthogonalise(space[:stored], residual)
             beta = float(np.linalg.norm(residual))
             if not beta > target:
                 return w + self._lift(projection), beta, 0
-        basis[0] = residual
-        basis[0] /= beta
+        np.divide(residual, beta, out=basis[0])
         hessenberg = np.zeros((limit + 1, limit))
         cross = np.empty((stored, limit))  # C
         tri = np.zeros((limit, limit))
         g = [beta] + [0.0] * limit
         cos, sin = [], []
         for j in range(limit):
-            v = self._operator(basis[j])
-            q = space[: stored + j + 1]
-            h = q @ v
-            v -= h @ q
-            again = q @ v
-            v -= again @ q
-            h += again
+            v, h = _orthogonalise(space[: stored + j + 1], self._operator(basis[j]))
             norm = float(np.linalg.norm(v))
             cross[:, j] = h[:stored]
             col = h[stored:].tolist()
@@ -757,12 +758,12 @@ class _MatrixFree:
     def _seed(self, hessenberg: np.ndarray, basis: np.ndarray) -> None:
         """Store the harmonic Ritz pairs of a cycle with nothing stored.
 
-        The harmonic Ritz values ``theta`` of ``M- B^{-1}`` on the Krylov
-        space are the eigenvalues of ``H_k + h_{k+1,k}^2 H_k^{-T} e_k e_k^T``
-        (Morgan 2002).  The first ``_RITZ`` real and imaginary parts ``p``
-        of the eigenvectors, in order of ``|theta|``, give the pairs
-        ``M- (B^{-1} V_k p) = V_{k+1} (H p)``: the images cost no mat-vec,
-        and the solutions one band solve.  A singular ``H_k`` or an
+        The harmonic Ritz values ``theta`` of ``M P`` on the Krylov space are
+        the eigenvalues of ``H_k + h_{k+1,k}^2 H_k^{-T} e_k e_k^T`` (Morgan
+        2002).  The first ``_RITZ`` real and imaginary parts ``p`` of the
+        eigenvectors, in order of ``|theta|``, give the pairs
+        ``M (P V_k p) = V_{k+1} (H p)``: the images cost no mat-vec, and the
+        solutions one application of ``P``.  A singular ``H_k`` or an
         eigensolve that fails leaves the store empty.
         """
         k = hessenberg.shape[1]
@@ -1002,7 +1003,7 @@ def _stepper(path: str, problem: DiffusionProblem, scheme: WsldScheme,
                 raise ValueError(f"illegal value in argument {-info} of LAPACK getrs")
             np.multiply(w, 2.0, out=out)
     else:
-        implicit = _MatrixFree(problem, scheme)
+        implicit = _Gmres(*_split(problem, scheme), size)
         # the first guess is the initial data as given, boundary included;
         # later guesses are projected from the store
         w = np.array(initial, dtype=float)

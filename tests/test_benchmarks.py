@@ -94,6 +94,14 @@ class TestConvergenceReport:
         with pytest.raises(ValueError, match="finite"):
             ConvergenceReport(hs=[0.1, 0.05], errors=[1e-2, bad])
 
+    @pytest.mark.parametrize("hs", [[np.nan, 0.1], [-0.1, 0.1], [0.1, 0.0],
+                                    [np.inf, 0.1]], ids=["nan", "negative", "zero", "inf"])
+    def test_rejects_step_sizes_that_are_not_finite_and_positive(self, hs):
+        # a NaN step size gave the rate [nan], and a negative one raised
+        # "math domain error" from rates()
+        with pytest.raises(ValueError, match="hs must be finite and strictly positive"):
+            ConvergenceReport(hs=hs, errors=[1.0, 0.5])
+
     def test_determinism(self):
         a = "".join(r.to_csv() for r in run_table1(alphas=(-0.5,)))
         b = "".join(r.to_csv() for r in run_table1(alphas=(-0.5,)))

@@ -161,11 +161,14 @@ class TestScheme:
         with pytest.raises(ValueError, match="alpha must be finite and real"):
             wsld_scheme(4, alpha)
 
-    @pytest.mark.parametrize("nu", [True, 4.0])
-    def test_non_integer_nu_rejected(self, nu):
-        # a bool is not read as nu = 1, nor a float as its integer
+    @pytest.mark.parametrize("nu,shifts", [
+        (True, 0), (4.0, 0), (4.0, None), (np.float64(3), None)],
+        ids=["True", "4.0", "4.0-default", "float64-3-default"])
+    def test_non_integer_nu_rejected(self, nu, shifts):
+        # a bool is not read as nu = 1, nor a float as its integer, at
+        # construction whatever the order
         with pytest.raises(ValueError, match="nu must be an integer"):
-            wsld_scheme(nu, 0.5, shifts=0)
+            wsld_scheme(nu, 0.5, shifts=shifts)
 
     def test_weighted_orders_need_nu_3_or_4(self):
         with pytest.raises(ValueError):

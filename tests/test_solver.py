@@ -116,6 +116,25 @@ class TestSteadySolve:
             solve_steady(unshifted(alpha), table1_source(alpha), Grid1D(0.0, 1.0, 10),
                          bc=bc)
 
+    @pytest.mark.parametrize("bc", [(False, True), (0.0, np.True_), (0.0, math.inf),
+                                    (0.0, math.nan), (-math.inf, 0.0), (0.0, 1j),
+                                    (0.0, "1")],
+                             ids=["bools", "numpy-bool", "inf", "nan", "minus-inf",
+                                  "complex", "string"])
+    def test_boundary_values_must_be_finite_real_numbers(self, bc):
+        # (False, True) used to solve with u(x_right) = 1, and inf or nan
+        # surfaced as scipy's complaint about the matrix
+        with pytest.raises(ValueError, match="bc must be finite real numbers"):
+            solve_steady(unshifted(1.5), table1_source(1.5), Grid1D(0.0, 1.0, 10),
+                         bc=bc)
+
+    def test_numpy_boundary_values_are_taken(self):
+        grid = Grid1D(0.0, 1.0, 10)
+        want = solve_steady(unshifted(1.5), table1_source(1.5), grid, bc=(0.0, 1.0))
+        got = solve_steady(unshifted(1.5), table1_source(1.5), grid,
+                           bc=np.array([0.0, 1.0]))
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("alpha", [-0.5, 0.5, 1.8])
     def test_solution_converges_at_high_order(self, alpha):
         errors = []
@@ -506,6 +525,26 @@ def _problem_with_stale_kappa(alpha, nx, nt):
     return problem
 
 
+def _gmres(problem, scheme):
+    """The matrix-free path's solver: :class:`solver._Gmres` on the split of ``M-``."""
+    return solver._Gmres(*solver._split(problem, scheme), problem.grid.nx + 1)
+
+
+def _split_band(monkeypatch, problem, scheme):
+    """The width and the band storage of the band ``B`` that :func:`solver._split` factors."""
+    cn_band, bands = solver._cn_band, []
+
+    def recorded(*args):
+        bands.append((args[-1], cn_band(*args)))
+        return bands[-1][1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_cn_band", recorded)
+        solver._split(problem, scheme)
+    [band] = bands
+    return band
+
+
 def _force_path(monkeypatch, path):
     """Make :func:`cn_solve` take ``path`` whatever the run's shape."""
     if path is not None:
@@ -575,7 +614,7 @@ def _cn_per_step(problem, scheme, path):
         def twice_solution(rhs, step):
             return 2.0 * sla.lu_solve(lu, rhs, check_finite=False)
     else:
-        implicit, w = solver._MatrixFree(problem, scheme), u
+        implicit, w = _gmres(problem, scheme), u
 
         def twice_solution(rhs, step):
             nonlocal w
@@ -600,7 +639,7 @@ def _plain_gmres_cycle(self, w, residual, beta, target, budget):
 
     Arnoldi on ``M- B^{-1}`` with classical Gram-Schmidt run twice, in a
     basis of its own, and Givens rotations, each in the operation order of
-    :meth:`solver._MatrixFree._cycle`.
+    :meth:`solver._Gmres._cycle`.
     """
     limit = min(solver._RESTART, budget)
     basis = np.empty((limit + 1, w.size))
@@ -1082,7 +1121,7 @@ class TestBlockStepping:
                 f[20] = np.nan
             return f
 
-        solve = solver._MatrixFree.solve
+        solve = solver._Gmres.solve
 
         def failing_solve(self, rhs, w, step):
             if step == bad + 2:
@@ -1090,7 +1129,7 @@ class TestBlockStepping:
             return solve(self, rhs, w, step)
 
         problem.source = source
-        monkeypatch.setattr(solver._MatrixFree, "solve", failing_solve)
+        monkeypatch.setattr(solver._Gmres, "solve", failing_solve)
         expected = InstabilityError if blown else (
             KeyError if failing == "source" else RuntimeError)
         with pytest.raises(expected) as info:
@@ -1337,25 +1376,35 @@ class TestMatrixFree:
         # its lower edge (i - j < -b), in the far field
         problem = make_problem(1.5, nx=nx, nt=4)
         scheme = wsld_scheme(3 if shifts else 4, 1.5, shifts=shifts)
-        implicit = solver._MatrixFree(problem, scheme)
+        _, _, matvec, _ = solver._split(problem, scheme)
         w = np.random.default_rng(7).standard_normal(nx + 1)
         expected = assemble_cn_system(problem, scheme).m_lhs @ w
-        np.testing.assert_allclose(implicit.matvec(w), expected, rtol=0,
+        np.testing.assert_allclose(matvec(w), expected, rtol=0,
                                    atol=1e-13 * np.abs(expected).max())
 
     @pytest.mark.parametrize("make_problem", [table2_problem, _problem_without_kappa],
                              ids=["kappa", "no-kappa"])
-    def test_matvec_is_the_dense_product_at_the_shortest_circulant(self, make_problem):
+    def test_matvec_is_the_dense_product_at_the_shortest_circulant(
+            self, monkeypatch, make_problem):
         # at nx = 1024 the circulant is 2n = 2048 long, not 3072: offsets n
         # and -n share a slot, which only the zero-weight Dirichlet rows read
         nx = 1024
         problem = make_problem(1.5, nx=nx, nt=4)
         scheme = wsld_scheme(4, 1.5)
-        implicit = solver._MatrixFree(problem, scheme)
-        assert implicit._fft == 2 * nx
+        rfft, lengths = np.fft.rfft, []
+
+        def recorded(a, n=None):
+            lengths.append(np.shape(a)[-1] if n is None else n)
+            return rfft(a, n)
+
+        monkeypatch.setattr(np.fft, "rfft", recorded)
+        _, _, matvec, _ = solver._split(problem, scheme)
         w = np.random.default_rng(5).standard_normal(nx + 1)
+        got = matvec(w)
+        # the spectrum of the circulant, then the transform of w
+        assert lengths == [2 * nx, 2 * nx]
         expected = solver._cn_matrix(*solver._cn_data(problem, scheme)) @ w
-        np.testing.assert_allclose(implicit.matvec(w), expected, rtol=0,
+        np.testing.assert_allclose(got, expected, rtol=0,
                                    atol=1e-13 * np.abs(expected).max())
 
     @pytest.mark.parametrize("make_problem", [table2_problem, _problem_without_kappa],
@@ -1368,24 +1417,25 @@ class TestMatrixFree:
         # largest sum max_i sum_j |M-[i, j] z_j| of the product's terms
         problem = make_problem(1.5, nx=nx, nt=4)
         scheme = wsld_scheme(3 if shifts else 4, 1.5, shifts=shifts)
-        implicit = solver._MatrixFree(problem, scheme)
+        operator, precondition, _, _ = solver._split(problem, scheme)
         v = np.random.default_rng(11).standard_normal(nx + 1)
-        z = implicit._precondition(v)
+        z = precondition(v)
         m_lhs = assemble_cn_system(problem, scheme).m_lhs
         scale = (np.abs(m_lhs) @ np.abs(z)).max()
-        np.testing.assert_allclose(implicit._operator(v), m_lhs @ z, rtol=0,
+        np.testing.assert_allclose(operator(v), m_lhs @ z, rtol=0,
                                    atol=1e-13 * scale)
 
     @pytest.mark.parametrize("make_problem,inverse_ffts", [
         (table2_problem, 1), (_problem_without_kappa, 2)], ids=["kappa", "no-kappa"])
     def test_one_iteration_is_one_band_solve_and_one_fft_pair(
             self, monkeypatch, make_problem, inverse_ffts):
-        # a cycle of k iterations makes k + 1 gbtrs calls (the last maps the
-        # Krylov combination back to W) and no gbmv; each iteration takes
+        # a cycle of k iterations makes k + 1 gbtrs calls (one per operator
+        # call, and the precondition call that maps the Krylov combination
+        # back to W) and no gbmv, so no matvec call; each iteration takes
         # one rfft, and one irfft per spectrum of the far field
         problem = make_problem(1.5, nx=200, nt=4)
-        implicit = solver._MatrixFree(problem, wsld_scheme(4, 1.5))
-        calls = {"gbtrs": 0, "gbmv": 0, "rfft": 0, "irfft": 0}
+        calls = dict.fromkeys(["gbtrs", "gbmv", "rfft", "irfft", "operator",
+                               "precondition", "matvec"], 0)
 
         def counted(name, function):
             def call(*args, **kwargs):
@@ -1393,8 +1443,17 @@ class TestMatrixFree:
                 return function(*args, **kwargs)
             return call
 
-        implicit._gbtrs = counted("gbtrs", implicit._gbtrs)
-        implicit._gbmv = counted("gbmv", implicit._gbmv)
+        def counting(get_funcs):
+            def get(names, *args, **kwargs):
+                return tuple(counted(name, f) if name in calls else f
+                             for name, f in zip(names, get_funcs(names, *args, **kwargs)))
+            return get
+
+        for getter in ("get_lapack_funcs", "get_blas_funcs"):
+            monkeypatch.setattr(sla, getter, counting(getattr(sla, getter)))
+        split = solver._split(problem, wsld_scheme(4, 1.5))
+        implicit = solver._Gmres(*(counted(name, f) for name, f in zip(
+            ["operator", "precondition", "matvec"], split)), split[3], 201)
         monkeypatch.setattr(np.fft, "rfft", counted("rfft", np.fft.rfft))
         monkeypatch.setattr(np.fft, "irfft", counted("irfft", np.fft.irfft))
         residual = np.random.default_rng(3).standard_normal(201)
@@ -1402,7 +1461,8 @@ class TestMatrixFree:
         _, _, taken = implicit._cycle(np.zeros(201), residual, beta, 0.0, 3)
         assert taken == 3
         assert calls == {"gbtrs": taken + 1, "gbmv": 0, "rfft": taken,
-                         "irfft": inverse_ffts * taken}
+                         "irfft": inverse_ffts * taken, "operator": taken,
+                         "precondition": 1, "matvec": 0}
 
     def test_zero_phase_then_forcing_agrees_with_the_dense_solve(self, monkeypatch):
         # until t = 0.5 every right side and W are zero, so each image is zero
@@ -1424,7 +1484,7 @@ class TestMatrixFree:
 
     def test_only_converged_solves_are_stored(self, monkeypatch):
         problem = table2_problem(1.5, nx=200, nt=4)
-        implicit = solver._MatrixFree(problem, wsld_scheme(4, 1.5))
+        implicit = _gmres(problem, wsld_scheme(4, 1.5))
         rng = np.random.default_rng(5)
         rhs = rng.standard_normal(201)
         w = implicit.solve(rhs, np.zeros(201), 1)
@@ -1449,7 +1509,7 @@ class TestMatrixFree:
         # maps onto it to about eps ||M-|| ||W||, the rounding of a mat-vec;
         # c = tau/(2 h^alpha) = 1.25 keeps that below the target
         problem = table2_problem(1.5, nx=200, nt=400)
-        implicit = solver._MatrixFree(problem, wsld_scheme(4, 1.5))
+        implicit = _gmres(problem, wsld_scheme(4, 1.5))
         rng = np.random.default_rng(13)
         w = np.zeros(201)
         for step in range(1, 4):
@@ -1474,7 +1534,7 @@ class TestMatrixFree:
         # the cycle's projection leaves nothing outside span Q, so it takes
         # no Arnoldi step and returns w plus the lift of the projection
         problem = table2_problem(1.5, nx=200, nt=400)
-        implicit = solver._MatrixFree(problem, wsld_scheme(4, 1.5))
+        implicit = _gmres(problem, wsld_scheme(4, 1.5))
         rng = np.random.default_rng(13)
         w = np.zeros(201)
         for step in range(1, 4):
@@ -1490,15 +1550,17 @@ class TestMatrixFree:
         # last step's W, which cn_solve passes in
         problem = table2_problem(1.5, nx=1280, nt=20)
         scheme = wsld_scheme(4, 1.5)
-        implicit = solver._MatrixFree(problem, scheme)
-        monkeypatch.setattr(solver, "_MatrixFree", lambda *args: implicit)
-        _force_path(monkeypatch, "matrix-free")
-        matvec, solve = implicit.matvec, implicit.solve
+        operator, precondition, matvec, norm = solver._split(problem, scheme)
         products, residuals = [], []
 
         def spy_matvec(w):
             products.append(matvec(w))
             return products[-1]
+
+        implicit = solver._Gmres(operator, precondition, spy_matvec, norm, 1281)
+        monkeypatch.setattr(solver, "_Gmres", lambda *args: implicit)
+        _force_path(monkeypatch, "matrix-free")
+        solve = implicit.solve
 
         def spy_solve(rhs, w, step):
             warm = np.linalg.norm(rhs - matvec(w))
@@ -1507,7 +1569,7 @@ class TestMatrixFree:
             residuals.append((np.linalg.norm(rhs - products[0]), warm))
             return result
 
-        implicit.matvec, implicit.solve = spy_matvec, spy_solve
+        implicit.solve = spy_solve
         cn_solve(problem, scheme)
         assert len(residuals) == 20
         assert residuals[0][0] == residuals[0][1]  # nothing stored yet
@@ -1519,14 +1581,14 @@ class TestMatrixFree:
         # target of 1e-12 ||rhs||, and 470 to the present 1e-13
         _force_path(monkeypatch, "matrix-free")
         taken = []
-        cycle = solver._MatrixFree._cycle
+        cycle = solver._Gmres._cycle
 
         def counted(self, *args):
             result = cycle(self, *args)
             taken.append(result[2])
             return result
 
-        monkeypatch.setattr(solver._MatrixFree, "_cycle", counted)
+        monkeypatch.setattr(solver._Gmres, "_cycle", counted)
         cn_solve(table2_problem(1.5, nx=1280, nt=40), wsld_scheme(4, 1.5))
         assert sum(taken) <= 432 // 2
 
@@ -1535,14 +1597,14 @@ class TestMatrixFree:
         # 86 + 247 + 246 = 579 iterations; recycling the store in every
         # cycle, seeded with harmonic Ritz pairs, takes 60 + 111 + 94 = 265
         taken = []
-        cycle = solver._MatrixFree._cycle
+        cycle = solver._Gmres._cycle
 
         def counted(self, *args):
             result = cycle(self, *args)
             taken.append(result[2])
             return result
 
-        monkeypatch.setattr(solver._MatrixFree, "_cycle", counted)
+        monkeypatch.setattr(solver._Gmres, "_cycle", counted)
         for alpha in (1.1, 1.5, 1.9):
             scheme = wsld_scheme(4, alpha)
             assert solver._step_path(2561, 20, scheme) == "matrix-free"
@@ -1557,16 +1619,17 @@ class TestMatrixFree:
         # below 1e-9 ||r|| (7.5e-10 at alpha = 1.9)
         problem = table2_problem(alpha, nx=2560, nt=20)
         scheme = wsld_scheme(4, alpha)
-        implicit = solver._MatrixFree(problem, scheme)
-        monkeypatch.setattr(solver, "_MatrixFree", lambda *args: implicit)
+        split = solver._split(problem, scheme)
+        implicit = solver._Gmres(*split, 2561)
+        monkeypatch.setattr(solver, "_Gmres", lambda *args: implicit)
         _force_path(monkeypatch, "matrix-free")
-        solve, errors = implicit.solve, []
+        solve, errors, matvec = implicit.solve, [], split[2]
 
         def spy_solve(rhs, w, step):
             k = implicit._stored
             if k:
                 projection = implicit._images[:k] @ rhs
-                image = implicit.matvec(implicit._lift(projection))
+                image = matvec(implicit._lift(projection))
                 errors.append(np.linalg.norm(image - projection @ implicit._images[:k])
                               / np.linalg.norm(rhs))
             return solve(rhs, w, step)
@@ -1583,7 +1646,7 @@ class TestMatrixFree:
         scheme = wsld_scheme(4, 1.5)
         _force_path(monkeypatch, "matrix-free")
         u = cn_solve(problem, scheme).u
-        monkeypatch.setattr(solver._MatrixFree, "_cycle", _plain_gmres_cycle)
+        monkeypatch.setattr(solver._Gmres, "_cycle", _plain_gmres_cycle)
         np.testing.assert_array_equal(u, cn_solve(problem, scheme).u)
 
     @pytest.mark.parametrize("nx,nt,failing,ritz", [
@@ -1598,8 +1661,8 @@ class TestMatrixFree:
         scheme = wsld_scheme(4, 1.5)
         _force_path(monkeypatch, "getrs")
         dense = cn_solve(problem, scheme).u
-        implicit = solver._MatrixFree(problem, scheme)
-        monkeypatch.setattr(solver, "_MatrixFree", lambda *args: implicit)
+        implicit = _gmres(problem, scheme)
+        monkeypatch.setattr(solver, "_Gmres", lambda *args: implicit)
         _force_path(monkeypatch, "matrix-free")
         if failing is not None:
             def fail(*args, **kwargs):
@@ -1611,19 +1674,16 @@ class TestMatrixFree:
         assert np.abs(u - dense).max() <= 1e-10 * np.abs(dense).max()
 
     def test_breakdown_in_the_first_cycle_seeds_nothing(self):
-        # M- acts on the first ten unknowns as a cyclic shift (and B = I), so
+        # M acts on the first ten unknowns as a cyclic shift (and P = I), so
         # from e_0 Arnoldi meets an exact breakdown, h_{11,10} = 0, after 10
         # iterations, more than _RITZ, with the exact solution e_9
-        problem = table2_problem(1.5, nx=200, nt=4)
-        implicit = solver._MatrixFree(problem, wsld_scheme(4, 1.5))
-
         def shift(v):
             out = v.copy()
             out[:10] = np.roll(v[:10], 1)
             return out
 
-        implicit._operator = implicit.matvec = shift
-        implicit._precondition = np.copy
+        # a permutation: ||M||_2 = 1
+        implicit = solver._Gmres(shift, np.copy, shift, 1.0, 201)
         rhs = np.zeros(201)
         rhs[0] = 1.0
         w = implicit.solve(rhs, np.zeros(201), 1)
@@ -1634,7 +1694,7 @@ class TestMatrixFree:
         # m = 40 > 32: the band widens to m, keeping phi_0.. out of the far field
         problem = table2_problem(1.5, nx=200, nt=4)
         scheme = wsld_scheme(3, 1.5, shifts=40)
-        assert solver._MatrixFree(problem, scheme).width == scheme.m
+        assert _split_band(monkeypatch, problem, scheme)[0] == scheme.m
         _force_path(monkeypatch, "getrs")
         dense = cn_solve(problem, scheme).u
         _force_path(monkeypatch, "matrix-free")
@@ -1642,19 +1702,18 @@ class TestMatrixFree:
         assert np.abs(u - dense).max() <= 1e-10 * np.abs(dense).max()
 
     @pytest.mark.parametrize("nx", [40, 200])
-    def test_band_is_bitwise_the_dense_matrix(self, nx):
+    def test_band_is_bitwise_the_dense_matrix(self, monkeypatch, nx):
         problem = DiffusionProblem(
             alpha=1.3, grid=Grid1D(0.0, 2.0, nx),
             d_plus=lambda x: x ** 1.3, d_minus=lambda x: 1.5 + np.cos(3 * x),
             source=lambda x, t: np.zeros_like(x),
             initial=lambda x: x * (2.0 - x), horizon=0.5, nt=20)
         scheme = wsld_scheme(4, 1.3)
-        implicit = solver._MatrixFree(problem, scheme)
+        width, near = _split_band(monkeypatch, problem, scheme)
         m_lhs = assemble_cn_system(problem, scheme).m_lhs
-        width = implicit.width
         assert width == min(max(solver._BAND, scheme.m), nx // 2)
         for offset in range(-width, width + 1):  # offset = i - j
-            stored = implicit.near[width + offset]
+            stored = near[width + offset]
             columns = slice(max(0, -offset), nx + 1 - max(0, offset))
             np.testing.assert_array_equal(stored[columns], np.diagonal(m_lhs, -offset))
             assert not stored[:columns.start].any() and not stored[columns.stop:].any()
@@ -1668,11 +1727,46 @@ class TestMatrixFree:
     def test_true_residual_is_checked(self, monkeypatch):
         # a cycle that claims convergence without moving W fails the check
         _force_path(monkeypatch, "matrix-free")
-        monkeypatch.setattr(solver._MatrixFree, "_cycle",
+        monkeypatch.setattr(solver._Gmres, "_cycle",
                             lambda self, w, *args: (w, 0.0, 1))
         with pytest.raises(RuntimeError, match=r"failed at step 1: after 1 "
                                                r"iterations the true residual"):
             cn_solve(table2_problem(1.5, nx=200, nt=4), wsld_scheme(4, 1.5))
+
+
+class TestGmres:
+    def test_solves_a_dense_run_apart_from_the_split(self):
+        # numpy callables alone: a dense nonsymmetric M (condition number
+        # about 10) under the Jacobi preconditioner; every solve takes one
+        # cycle of 15 iterations, the first of which seeds the Ritz pairs
+        rng = np.random.default_rng(29)
+        size = 200
+        diagonal = rng.uniform(1.0, 10.0, size)
+        matrix = np.diag(diagonal) + 0.5 * rng.standard_normal((size, size)) / np.sqrt(size)
+        assert not np.array_equal(matrix, matrix.T)
+
+        def precondition(v):
+            return (v.T / diagonal).T
+
+        # ||M||_2 <= sqrt(||M||_1 ||M||_inf)
+        norm = max(np.linalg.norm(matrix, 1), np.linalg.norm(matrix, np.inf))
+        implicit = solver._Gmres(lambda v: matrix @ precondition(v), precondition,
+                                 matrix.__matmul__, norm, size)
+        w, stored, ritz = np.zeros(size), [], []
+        for step in range(1, 41):
+            rhs = rng.standard_normal(size)
+            w = implicit.solve(rhs, w, step)
+            exact = np.linalg.solve(matrix, rhs)
+            floor = solver._RESIDUAL_FLOOR * np.finfo(float).eps * norm * np.linalg.norm(w)
+            assert (np.linalg.norm(matrix @ (w - exact))
+                    <= solver._GMRES_TOL * np.linalg.norm(rhs) + floor)
+            stored.append(implicit._stored)
+            ritz.append(implicit._ritz)
+        # the first solve seeds the Ritz pairs and adds its own pair; the
+        # steps' pairs fill the store at step 20 and restart at step 21
+        assert ritz == [solver._RITZ] * 40
+        assert stored[0] == solver._RITZ + 1 and max(stored) == solver._STORE
+        assert stored[19] == solver._STORE and stored[20] == solver._RITZ + 1
 
 
 class TestStabilityProbe:

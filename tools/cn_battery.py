@@ -1,4 +1,4 @@
-"""Bitwise battery of the Crank-Nicolson solver: one sha256 digest over 864 runs.
+"""Bitwise battery of the Crank-Nicolson solver: one sha256 digest over 870 runs.
 
 Run from a checkout, with one BLAS thread so that the products round the same
 way from run to run:
@@ -24,9 +24,13 @@ The cases are every combination of
   with initial data ``1 + x``; Table 2 and the unfactored problem with
   initial data ``-x(2-x)``, which is -0.0 on both boundary nodes.
 
+Six runs at scale follow, on the path the solver's rule picks, which is
+matrix-free for each: Table 2 at alpha = 1.1, 1.5 and 1.9, with 20 steps at
+nx = 2560 and with 5 steps at nx = 10240 (about 1 s in all).
+
 A case's digest is sha256 over the solution's bytes, ``repr`` of its sup
 norm and its step count, or over the exception's type and message; the
-printed digest is sha256 over the 864 case digests in order.
+printed digest is sha256 over the 870 case digests in order.
 """
 
 from __future__ import annotations
@@ -48,6 +52,9 @@ from wsld.solver import DiffusionProblem, Grid1D, cn_solve, table2_problem  # no
 PATHS = ("getrs", "matrix-free", "gemv")
 NX = (40, 160, 320)
 NT = (5, 10, 61, 137, 270, 300)
+#: ``(nx, nt)`` of the runs at scale, each at every alpha of ``SCALE_ALPHAS``.
+SCALE = ((2560, 20), (10240, 5))
+SCALE_ALPHAS = (1.1, 1.5, 1.9)
 
 
 def _unfactored(nx: int, nt: int, kappa: float | None) -> DiffusionProblem:
@@ -118,6 +125,15 @@ def run(verbose: bool = False) -> str:
                 print(f"{path} nx={nx} nt={nt} {scheme} {name}: {outcome} {case}")
     finally:
         solver._step_path = original
+    for (nx, nt), alpha in itertools.product(SCALE, SCALE_ALPHAS):
+        path = solver._step_path(nx + 1, nt, wsld_scheme(4, alpha))
+        if path != "matrix-free":
+            raise SystemExit(f"nx={nx} nt={nt} alpha={alpha} takes {path}, not matrix-free")
+        outcome, case = _case_digest(table2_problem(alpha, nx, nt), None)
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
+        total.update(case.encode())
+        if verbose:
+            print(f"rule nx={nx} nt={nt} alpha={alpha}: {outcome} {case}")
     if verbose:
         print(", ".join(f"{n} {k}" for k, n in sorted(outcomes.items())))
     return total.hexdigest()
