@@ -54,14 +54,17 @@ runs of at least 2N steps take the inverse path, and the rest ``getrs``.
 All three paths share one step loop (:class:`_Spans`), which advances in
 spans of steps so that the work around the solve is done once per span:
 the forcing of a span's steps is sampled into one array by one call of the
-source on the column of their times, scaled and zeroed on the boundary at
+source on the column of their times (the Table 2 forcing holds no other
+array of that size while it samples), scaled and zeroed on the boundary at
 once, and the sup norms of its states are
 taken at once, so the first failing step is found in step order.  A path
 gives the loop its solve and, on the inverse path, ``T^16``, and one block
-rule per path sets the span: up to 16 blocks of 16 steps on the inverse
-path, taken by three sweeps of GEMMs over the blocks' rows, and one block
+rule per path sets the span: up to 20 blocks of 16 steps on the inverse
+path, taken by three sweeps of GEMMs over the blocks' rows (the particular
+sweep over every block's rows, the last block's included), and one block
 of ``max(1, 4096 // N)`` steps on the others (from N = 2049 on, one step),
-whose one sweep is the per-step loop.
+whose one sweep is the per-step loop.  A solve that must call its source
+once per step is logged once, at DEBUG on the ``wsld`` logger.
 
 With the proven-stable shift tuple the spatial operator is negative definite
 and the stepping is unconditionally stable; with a plain unshifted operator it
@@ -352,8 +355,11 @@ _STEP_BLOCK = 4096
 #: propagator ``T^k`` is formed by ``log2 k`` squarings.
 _SPAN_STEPS = 16
 #: Blocks per span of the inverse path: the rows of each product of a
-#: sweep.  A span's arrays hold ``(_SPAN_STEPS + 4) _SPAN_BLOCKS`` rows.
-_SPAN_BLOCKS = 16
+#: sweep.  A span's arrays hold ``(_SPAN_STEPS + 4) _SPAN_BLOCKS`` rows, and
+#: sampling its forcing ``_SPAN_STEPS _SPAN_BLOCKS`` more.  20 and 24 blocks
+#: step ``run_table2`` equally fast, but 24 raise its peak RSS by about
+#: 0.5 MiB (the README gives the runs).
+_SPAN_BLOCKS = 20
 #: Message of the error a singular implicit matrix raises on every dense path.
 _SINGULAR = "implicit Crank-Nicolson matrix is singular"
 
@@ -889,8 +895,9 @@ class _Spans:
     blocks of ``k`` steps, at most ``B = _SPAN_BLOCKS`` of them, the last
     padded with zero forcing, and takes three sweeps:
 
-    1. particular: every block but the last takes its ``k`` steps from
-       zero, which leaves ``P_b``;
+    1. particular: every block takes its ``k`` steps from zero, which
+       leaves ``P_b``; the last block's is unused, but a product over all
+       ``B`` rows is faster than one over ``B - 1``;
     2. coarse: the block starts follow from ``S_{b+1} = T^k S_b + P_b``,
        one matrix-vector product per block with ``T^k``;
     3. fill: every block takes its ``k`` steps from its start, and each
@@ -936,12 +943,13 @@ class _Spans:
             blocks = -(-count // k)
             forcing[count: blocks * k] = 0.0
             per_block = forcing[: blocks * k].reshape(blocks, k, size)
-            # particular: every block but the last from zero, into x
-            x, y, rhs = (a[: blocks - 1] for a in (self._x, self._y, self._rhs))
-            solve(per_block[:-1, 0], x, None)
+            # particular: every block from zero, into x; the last block's
+            # result is unused, but a whole span's rows make a faster GEMM
+            x, y, rhs = (a[:blocks] for a in (self._x, self._y, self._rhs))
+            solve(per_block[:, 0], x, None)
             x[:, :: size - 1] = 0.0
             for j in range(1, k):
-                np.add(x, per_block[:-1, j], out=rhs)
+                np.add(x, per_block[:, j], out=rhs)
                 solve(rhs, y, None)
                 y -= x
                 y[:, :: size - 1] = 0.0
@@ -1015,31 +1023,33 @@ def _stepper(path: str, problem: DiffusionProblem, scheme: WsldScheme,
     return _Spans(solve, power, k, nt, size, initial)
 
 
-def _sample_forcing(source, x: np.ndarray, times: list, scale: float,
+def _sample_forcing(source, x: np.ndarray, times: np.ndarray, scale: float,
                     forcing: np.ndarray):
     """Write ``scale * source(x, times[k])`` into ``forcing[k]``, in step order.
 
     The source is called once with the column of times; if that raises, or
     returns anything but one row per time, the times are sampled again one
-    at a time.  Returns ``(count, failure)``: the rows written before the
-    first exception in step order, and that exception, or
-    ``(len(times), None)``.  The product is taken in double precision
-    whatever the samples' dtype.
+    at a time, each as a Python float.  Returns ``(count, failure,
+    fallback)``: the rows written before the first exception in step order
+    and that exception, or ``len(times)`` and ``None``; and why the span was
+    sampled one step at a time, or ``None``.  The product is taken in double
+    precision whatever the samples' dtype.
     """
-    rows = forcing[: len(times)]
+    rows = forcing[: times.size]
     try:
-        block = source(x, np.array(times)[:, None])
+        block = source(x, times[:, None])
         if np.shape(block) == rows.shape:
             np.multiply(block, scale, out=rows, dtype=float)
-            return len(times), None
-    except Exception:
-        pass
-    for k, t in enumerate(times):
+            return times.size, None, None
+        fallback = f"the call on {times.size} times returned shape {np.shape(block)}"
+    except Exception as exc:
+        fallback = f"the call on {times.size} times raised {type(exc).__name__}"
+    for k, t in enumerate(times.tolist()):
         try:
             np.multiply(source(x, t), scale, out=forcing[k], dtype=float)
         except Exception as exc:
-            return k, exc
-    return len(times), None
+            return k, exc, fallback
+    return times.size, None, fallback
 
 
 def cn_solve(problem: DiffusionProblem, scheme: WsldScheme) -> SolveResult:
@@ -1057,16 +1067,19 @@ def cn_solve(problem: DiffusionProblem, scheme: WsldScheme) -> SolveResult:
 
     One step loop (:class:`_Spans`) serves every path and advances in
     spans: of one block of ``max(1, 4096 // N)`` steps on the ``getrs`` and
-    matrix-free paths, and of up to 16 blocks of 16 steps on the inverse
+    matrix-free paths, and of up to 20 blocks of 16 steps on the inverse
     path (fewer in the last span).  A span first samples the forcing of
     each of its steps into one array, at the times ``(n + 1/2) tau``, and
     scales it by ``tau/2``; then it steps, writing each ``U^{n+1}`` over its
     forcing row, so the array holds the states in step order; then it takes
     every step's sup norm at once.  The span is sampled by one call of the
     source on the column of its times (see :class:`DiffusionProblem`); if
-    that call fails, the span is sampled again one step at a time, in step
-    order, so a failure keeps its step.  So the source may be called for
-    steps past a failing one, up to the end of its span.  On the ``getrs``
+    that call fails, the span is sampled again one step at a time, each
+    time a Python float, in step order, so a failure keeps its step.  The
+    first span of a solve that falls back so is logged at DEBUG on the
+    ``wsld`` logger, with the exception's type or the returned shape.  So
+    the source may be called for steps past a failing one, up to the end of
+    its span.  On the ``getrs``
     and matrix-free paths a span is one block, stepped one solve at a time,
     so the results are bitwise those of checking each step as it is taken.
     The inverse path takes its steps from the block starts of its span, so
@@ -1096,11 +1109,18 @@ def cn_solve(problem: DiffusionProblem, scheme: WsldScheme) -> SolveResult:
     steps = _stepper(_step_path(size, nt, scheme), problem, scheme, initial)
     forcing = steps.forcing
     sup = float(np.abs(steps.state).max())
-    done = 0
+    done, logged = 0, False
     while done < nt:
-        times = [(done + k + 0.5) * tau for k in range(min(len(forcing), nt - done))]
+        times = (np.arange(done, min(done + len(forcing), nt)) + 0.5) * tau
         # an exception is raised after the steps before it are checked
-        count, failure = _sample_forcing(source, x, times, 0.5 * tau, forcing)
+        count, failure, fallback = _sample_forcing(source, x, times, 0.5 * tau,
+                                                   forcing)
+        if fallback is not None and not logged:
+            import logging  # only here: a solve that samples by spans skips it
+
+            logging.getLogger("wsld").debug(
+                "cn_solve samples the forcing one step at a time: %s", fallback)
+            logged = True
         # the right side is U^n/2 on the boundary: U^n is 0 there after step 1
         forcing[:count, 0] = forcing[:count, -1] = 0.0
         # a right side that is not finite makes inf - inf in the products;
@@ -1187,6 +1207,14 @@ def table2_exact(x: np.ndarray, t: float) -> np.ndarray:
     return math.sin(t + 1.0) * x ** 4 * (2.0 - x) ** 4
 
 
+#: Bytes of the chunks of rows in which a Table 2 forcing sample on a column
+#: of times forms its second term.  A numpy ufunc copies each operand it
+#: broadcasts through a buffer of up to 8192 elements, so a chunk costs
+#: about twice its bytes; a 384 x 161 sample peaks at 1.15 times its own
+#: bytes under tracemalloc.
+_SAMPLE_CHUNK = 1 << 15
+
+
 class _Table2Source:
     """Forcing of the Table 2 problem, ``f(x, t)``.
 
@@ -1198,7 +1226,10 @@ class _Table2Source:
     ``np.sin`` of ``t + 1``.  ``t`` may be a scalar or an array that
     broadcasts against ``x``, such as a column of times, and each row of a
     column's sample is bitwise the sample at its time, which the test suite
-    checks on 10^4 times.
+    checks on 10^4 times.  A sample on a column of times is the one array
+    of its size the call holds: the second term is formed in chunks of
+    rows of ``_SAMPLE_CHUNK`` bytes, each subtracted from the first in
+    place.
     """
 
     def __init__(self, alpha: float) -> None:
@@ -1228,11 +1259,31 @@ class _Table2Source:
     def __call__(self, x: np.ndarray, t) -> np.ndarray:
         x4, y4, xa, bracket = self._factors(np.asarray(x, dtype=float))
         shifted = np.asarray(t) + 1.0
-        out = x4 * np.cos(shifted)
+        cos, sin = np.cos(shifted), np.sin(shifted)
+        if shifted.ndim <= np.ndim(x4):
+            out = x4 * cos
+            out *= y4
+            part = xa * sin
+            part *= bracket
+            out -= part
+            return out
+        # t leads with axes of its own, as a column of times does: the
+        # second term is formed in chunks of rows, each subtracted in place,
+        # so that the result is the one array of its size.  Each product
+        # broadcasts one operand, which numpy buffers (see _SAMPLE_CHUNK)
+        out = np.empty(np.broadcast_shapes(np.shape(x4), shifted.shape),
+                       np.result_type(x4, cos))
+        np.copyto(out, x4)
+        out *= cos
         out *= y4
-        part = xa * np.sin(shifted)
-        part *= bracket
-        out -= part
+        rows = max(1, _SAMPLE_CHUNK // out[0].nbytes)
+        part = np.empty_like(out[:rows])
+        for start in range(0, len(out), rows):
+            chunk = part[: len(out) - start]
+            np.copyto(chunk, xa)
+            chunk *= sin[start: start + rows]
+            chunk *= bracket
+            out[start: start + rows] -= chunk
         return out
 
 

@@ -1,5 +1,6 @@
 """Steady solves, Crank-Nicolson stepping, and the stability probe."""
 
+import logging
 import math
 import tracemalloc
 from dataclasses import replace
@@ -929,6 +930,23 @@ class TestStepLoop:
         assert rows.shape == calls.shape == (len(times), x.size)
         assert rows.tobytes() == calls.tobytes()
 
+    def test_table2_forcing_column_holds_one_array(self):
+        # the second term is formed in chunks of rows and subtracted in
+        # place, so sampling an inverse-path span at N = 161 holds little
+        # beside the result
+        source = expression("table2_forcing", 1.5)
+        x = np.linspace(0.0, 2.0, 161)
+        times = ((np.arange(384) + 0.5) / 6400)[:, None]
+        source(x, times[:1])  # the fractional powers, cached per node array
+        tracemalloc.start()
+        try:
+            rows = source(x, times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (384, 161)
+        assert peak <= 1.2 * rows.nbytes
+
     def test_table2_forcing_cache_follows_the_nodes(self):
         alpha = 1.5
         source = expression("table2_forcing", alpha)
@@ -1047,7 +1065,8 @@ class TestBlockStepping:
         assert got.tobytes() == np.array(expected).tobytes()
 
     @pytest.mark.parametrize("path", _PATHS)
-    def test_elementwise_lambda_is_called_once_per_span(self, monkeypatch, path):
+    def test_elementwise_lambda_is_called_once_per_span(self, monkeypatch, caplog,
+                                                         path):
         # a plain numpy lambda broadcasts over a column of times unchanged
         _force_path(monkeypatch, path)
         problem = _nonzero_boundary_problem(137)
@@ -1058,8 +1077,10 @@ class TestBlockStepping:
             return forcing(x, t)
 
         problem.source = source
+        caplog.set_level(logging.DEBUG, logger="wsld")
         cn_solve(problem, wsld_scheme(4, problem.alpha))
         assert shapes == _span_columns(path, 41, 137)
+        assert caplog.records == []  # the fallback's log line
 
     def test_single_precision_forcing_is_scaled_in_double(self):
         # the samples are cast to double before the tau/2 scaling, not after
@@ -1071,36 +1092,49 @@ class TestBlockStepping:
         scheme = wsld_scheme(4, problem.alpha)
         assert cn_solve(problem, scheme).u.tobytes() == cn_solve(want, scheme).u.tobytes()
 
-    @pytest.mark.parametrize("source,twin", [
+    @pytest.mark.parametrize("source,twin,named", [
         (lambda x, t: math.cos(t) * x * (2.0 - x),
-         lambda x, t: np.vectorize(math.cos)(t) * x * (2.0 - x)),
+         lambda x, t: np.vectorize(math.cos)(t) * x * (2.0 - x), "raised TypeError"),
         (lambda x, t: np.zeros_like(x),
-         lambda x, t: np.zeros(np.broadcast(x, t).shape)),
+         lambda x, t: np.zeros(np.broadcast(x, t).shape), "returned shape (41,)"),
     ], ids=["not-broadcast-safe", "one-row-per-call"])
     @pytest.mark.parametrize("path", _PATHS)
     def test_source_that_does_not_broadcast_is_sampled_per_step(
-            self, monkeypatch, path, source, twin):
+            self, monkeypatch, caplog, path, source, twin, named):
         # math.cos raises on a column of times, and np.zeros_like(x) returns
-        # one row; each span is sampled again one step at a time, and the
-        # run is bitwise that of a twin source that broadcasts
+        # one row; each span is sampled again one step at a time, at Python
+        # float times, and the run is bitwise that of a twin source that
+        # broadcasts.  400 steps take two spans or more on every path, and
+        # each solve that falls back logs why once, at DEBUG, through no
+        # handler of its own
         _force_path(monkeypatch, path)
-        shapes = []
+        caplog.set_level(logging.DEBUG, logger="wsld")
+        shapes, times = [], []
 
         def counted(x, t):
             shapes.append(np.shape(t))
+            if not np.ndim(t):
+                times.append(t)
             return source(x, t)
 
-        problem = replace(table2_problem(1.5, nx=40, nt=137), source=counted)
+        problem = replace(table2_problem(1.5, nx=40, nt=400), source=counted)
         shapes.clear()  # the problem's construction check
+        times.clear()
         scheme = wsld_scheme(4, 1.5)
         result = cn_solve(problem, scheme)
         expected = []
-        for column in _span_columns(path, 41, 137):
+        for column in _span_columns(path, 41, 400):
             expected += [column] + [()] * column[0]
         assert shapes == expected
+        assert {type(t) for t in times} == {float}
+        assert times == [(n + 0.5) * problem.tau for n in range(400)]
         want = cn_solve(replace(problem, source=twin), scheme)
         assert result.u.tobytes() == want.u.tobytes()
         assert result.sup_norm == want.sup_norm
+        cn_solve(problem, scheme)
+        assert [r.levelno for r in caplog.records] == [logging.DEBUG] * 2
+        assert all(r.name == "wsld" and named in r.getMessage() for r in caplog.records)
+        assert logging.getLogger("wsld").handlers == []
 
     @pytest.mark.parametrize("blown", [True, False], ids=["after-blowup", "alone"])
     @pytest.mark.parametrize("failing", ["source", "gmres"])
@@ -1220,6 +1254,11 @@ def _plain_source(problem):
     return replace(problem, source=lambda x, t: forcing(x, t))
 
 
+#: Steps of a forced inverse-path run that takes a full span, then a last
+#: span of 2 blocks and 12 steps.
+_RAGGED = solver._SPAN_STEPS * (solver._SPAN_BLOCKS + 2) + 12
+
+
 class TestSpanStepping:
     """The inverse path's spans against the per-step loop of the same inverse."""
 
@@ -1228,12 +1267,11 @@ class TestSpanStepping:
         lambda: table2_problem(1.8, nx=160),
         # shorter than one block: no propagator, one block
         lambda: table2_problem(1.5, nx=40, nt=solver._SPAN_STEPS - 3),
-        # a full span, then a last span of 2 blocks and 12 steps
-        lambda: table2_problem(1.1, nx=40, nt=300),
-        lambda: replace(table2_problem(1.5, nx=40, nt=300),
+        lambda: table2_problem(1.1, nx=40, nt=_RAGGED),
+        lambda: replace(table2_problem(1.5, nx=40, nt=_RAGGED),
                         initial=expression("one", 1.5)),
-        lambda: _nonzero_boundary_problem(300),
-        lambda: _plain_source(table2_problem(1.5, nx=40, nt=300)),
+        lambda: _nonzero_boundary_problem(_RAGGED),
+        lambda: _plain_source(table2_problem(1.5, nx=40, nt=_RAGGED)),
     ], ids=["table2-nx40", "table2-nx160", "shorter-than-a-block",
             "ragged-last-span", "nonzero-boundary", "no-kappa-nonzero-boundary",
             "plain-source"])
@@ -1260,17 +1298,17 @@ class TestSpanStepping:
         assert _relative(result.u, u) <= 1e-12
         assert abs(result.sup_norm - sup) <= 1e-12 * sup
 
-    @pytest.mark.parametrize("bad", [150, 296], ids=["first-span", "second-span"])
+    @pytest.mark.parametrize("bad", [150, _RAGGED - 4], ids=["first-span", "second-span"])
     @pytest.mark.parametrize("fault", ["nan", "inf", "raises", "raises-after-blowup"])
     @pytest.mark.parametrize("sampler", [True, False], ids=["sampler", "plain"])
     @pytest.mark.filterwarnings("error")
     def test_failure_mid_span_reports_as_the_per_step_loop(self, monkeypatch, sampler,
                                                            fault, bad):
-        # step 150 lies inside block 9 of the first span, 296 in block 2 of
-        # the second; a blow-up corrupts every later block start, and the
-        # fill still reports the first failing step
+        # step 150 lies inside block 9 of the first span, _RAGGED - 4 in
+        # block 2 of the second; a blow-up corrupts every later block
+        # start, and the fill still reports the first failing step
         _force_path(monkeypatch, "gemv")
-        problem = table2_problem(1.5, nx=40, nt=300)
+        problem = table2_problem(1.5, nx=40, nt=_RAGGED)
         tau, finite_source = problem.tau, problem.source
 
         def source(x, t):
