@@ -53,18 +53,18 @@ runs of at least 2N steps take the inverse path, and the rest ``getrs``.
 
 All three paths share one step loop (:class:`_Spans`), which advances in
 spans of steps so that the work around the solve is done once per span:
-the forcing of a span's steps is sampled into one array by one call of the
-source on the column of their times (the Table 2 forcing holds no other
-array of that size while it samples), scaled and zeroed on the boundary at
-once, and the sup norms of its states are
-taken at once, so the first failing step is found in step order.  A path
-gives the loop its solve and, on the inverse path, ``T^16``, and one block
-rule per path sets the span: up to 20 blocks of 16 steps on the inverse
-path, taken by three sweeps of GEMMs over the blocks' rows (the particular
-sweep over every block's rows, the last block's included), and one block
-of ``max(1, 4096 // N)`` steps on the others (from N = 2049 on, one step),
-whose one sweep is the per-step loop.  A solve that must call its source
-once per step is logged once, at DEBUG on the ``wsld`` logger.
+the forcing of a span's steps is sampled into one array by calls of the
+source on columns of at most ``_SAMPLE_CHUNK // (8 N)`` consecutive times
+(see ``_SAMPLE_CHUNK``), scaled and zeroed on the boundary at once, and the
+sup norms of its states are taken at once, so the first failing step is
+found in step order.  A path gives the loop its solve and, on the inverse
+path, ``T^16``, and one block rule per path sets the span: up to 20 blocks
+of 16 steps on the inverse path, taken by three sweeps of GEMMs over the
+blocks' rows (the particular sweep over every block's rows, the last
+block's included), and one block of ``max(1, 4096 // N)`` steps on the
+others (from N = 2049 on, one step), whose one sweep is the per-step loop.
+A solve that must call its source one step at a time is logged once, at
+DEBUG on the ``wsld`` logger.
 
 With the proven-stable shift tuple the spatial operator is negative definite
 and the stepping is unconditionally stable; with a plain unshifted operator it
@@ -189,17 +189,18 @@ class DiffusionProblem:
     """Data of one diffusion run: coefficients, forcing and initial data.
 
     The boundary data are zero.  At the grid nodes the coefficients must be
-    finite and nonnegative, and the initial data and the forcing at the first
-    half step ``tau/2`` finite.  ``source`` must broadcast over an array
-    ``t`` as ufuncs do: :func:`cn_solve` calls it once per span with the 1-D
-    nodes and the column of the span's times, and only if that call raises
-    or returns any shape but one row per time, once per step with a float.
-    A source that returns that shape but is not elementwise in ``t`` (one
-    that reduces over ``t``, say) goes undetected.  ``kappa`` optionally
-    records the constant ratio ``d_minus = kappa*d_plus`` assumed by the
-    unconditional-stability result; when given, it must be a finite real
-    number >= 0 (not a bool), and the sampled coefficients are checked
-    against it exactly.
+    real, finite and nonnegative, and the initial data and the forcing at
+    the first half step ``tau/2`` real and finite.  ``source`` must
+    broadcast over an array ``t`` as ufuncs do: :func:`cn_solve` calls it
+    with the 1-D nodes and columns of at most ``_SAMPLE_CHUNK // (8 N)``
+    consecutive step times, and only if such a call raises or returns any
+    shape but one row per time, once per step with a float, from that
+    column's first step to the end of its span.  A source that returns that
+    shape but is not elementwise in ``t`` (one that reduces over ``t``, say)
+    goes undetected.  ``kappa`` optionally records the constant ratio
+    ``d_minus = kappa*d_plus`` assumed by the unconditional-stability
+    result; when given, it must be a finite real number >= 0 (not a bool),
+    and the sampled coefficients are checked against it exactly.
     """
 
     alpha: float
@@ -225,16 +226,10 @@ class DiffusionProblem:
                                       and kappa >= 0):
             raise ValueError(f"kappa must be a finite real number >= 0, got {kappa!r}")
         x = self.grid.nodes()
-        dp = np.asarray(self.d_plus(x), dtype=float)
-        dm = np.asarray(self.d_minus(x), dtype=float)
-        for name, values in (("d_plus", dp), ("d_minus", dm),
-                             ("initial data", self.initial(x)),
-                             ("source at t = tau/2", self.source(x, self.tau / 2))):
-            values = np.asarray(values, dtype=float)
-            if values.shape != x.shape:
-                raise ValueError(f"{name} must have one value per grid node")
-            if not np.all(np.isfinite(values)):
-                raise ValueError(f"{name} must be finite at every grid node")
+        dp, dm, _, _ = (_real_samples(name, values, x) for name, values in (
+            ("d_plus", self.d_plus(x)), ("d_minus", self.d_minus(x)),
+            ("initial data", self.initial(x)),
+            ("source at t = tau/2", self.source(x, self.tau / 2))))
         if np.any(dp < 0) or np.any(dm < 0):
             raise ValueError("diffusion coefficients must be nonnegative")
         if self.kappa is not None and not np.array_equal(dm, self.kappa * dp):
@@ -243,6 +238,19 @@ class DiffusionProblem:
     @property
     def tau(self) -> float:
         return self.horizon / self.nt
+
+
+def _real_samples(name: str, values, x: np.ndarray) -> np.ndarray:
+    """``values`` as doubles, checked to be real and finite, one per node of ``x``."""
+    values = np.asarray(values)
+    if np.iscomplexobj(values):
+        raise ValueError(f"{name} must be real: the solve would drop its imaginary part")
+    values = values.astype(float, copy=False)
+    if values.shape != x.shape:
+        raise ValueError(f"{name} must have one value per grid node")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be finite at every grid node")
+    return values
 
 
 def solve_steady(
@@ -271,12 +279,7 @@ def solve_steady(
     alpha = scheme.alpha
     matrix = assemble_left(scheme, grid.nx)
     x = grid.nodes()
-    rhs = np.asarray(f(x) if callable(f) else f, dtype=float)
-    if rhs.shape != x.shape:
-        raise ValueError("f samples must match the grid nodes")
-    if not np.all(np.isfinite(rhs)):
-        raise ValueError("f must be finite at every grid node")
-    g = grid.h ** alpha * rhs
+    g = grid.h ** alpha * _real_samples("f", f(x) if callable(f) else f, x)
     if bc is not None and np.shape(bc) != (2,):
         raise ValueError(f"bc must be two boundary values (left, right), got {bc!r}")
     if bc is not None and not all(_is_real(v) and math.isfinite(v) for v in bc):
@@ -355,11 +358,24 @@ _STEP_BLOCK = 4096
 #: propagator ``T^k`` is formed by ``log2 k`` squarings.
 _SPAN_STEPS = 16
 #: Blocks per span of the inverse path: the rows of each product of a
-#: sweep.  A span's arrays hold ``(_SPAN_STEPS + 4) _SPAN_BLOCKS`` rows, and
-#: sampling its forcing ``_SPAN_STEPS _SPAN_BLOCKS`` more.  20 and 24 blocks
-#: step ``run_table2`` equally fast, but 24 raise its peak RSS by about
-#: 0.5 MiB (the README gives the runs).
+#: sweep.  A span's arrays hold ``(_SPAN_STEPS + 4) _SPAN_BLOCKS`` rows.  20
+#: and 24 blocks step ``run_table2`` equally fast, but 24 raised its peak
+#: RSS by about 0.5 MiB while a sample held one more array of the span's
+#: size (the README gives the runs).
 _SPAN_BLOCKS = 20
+#: Bytes of forcing per call of the source: :func:`_sample_forcing` calls
+#: it on columns of at most ``max(1, _SAMPLE_CHUNK // (8 N))`` consecutive
+#: step times (50 at N = 161, one past N = 8192), so whatever temporaries a
+#: broadcasting source forms are a few chunks, not a span's size.  Under
+#: tracemalloc, sampling a 384 x 161 span took 0.66 times its bytes for the
+#: Table 2 forcing and for a plain ``cos(t + 1) a - sin(t + 1) b`` lambda,
+#: against 1.15 and 2.27 in one call.  Against 64 KiB, ``run_table2`` ran
+#: 2-5% slower at 32 KiB (13 calls per 320-step span at N = 161), 1-2%
+#: faster at 128 KiB, which doubles that memory, and 10-14% slower in one
+#: call per span, from page faults (min of 7, 3 processes).  A span of
+#: ``_STEP_BLOCK`` doubles is one chunk, so the ``getrs`` and matrix-free
+#: paths call once per span.
+_SAMPLE_CHUNK = 1 << 16
 #: Message of the error a singular implicit matrix raises on every dense path.
 _SINGULAR = "implicit Crank-Nicolson matrix is singular"
 
@@ -1027,29 +1043,34 @@ def _sample_forcing(source, x: np.ndarray, times: np.ndarray, scale: float,
                     forcing: np.ndarray):
     """Write ``scale * source(x, times[k])`` into ``forcing[k]``, in step order.
 
-    The source is called once with the column of times; if that raises, or
-    returns anything but one row per time, the times are sampled again one
-    at a time, each as a Python float.  Returns ``(count, failure,
-    fallback)``: the rows written before the first exception in step order
-    and that exception, or ``len(times)`` and ``None``; and why the span was
-    sampled one step at a time, or ``None``.  The product is taken in double
-    precision whatever the samples' dtype.
+    The source is called on consecutive columns of at most
+    ``max(1, _SAMPLE_CHUNK // (8 N))`` times.  If a call raises, or returns
+    anything but one row per time, the times from that column's first on
+    are sampled again one at a time, each as a Python float.  Returns
+    ``(count, failure, fallback)``: the rows written before the first
+    exception in step order and that exception, or ``len(times)`` and
+    ``None``; and why the rest was sampled one step at a time, or ``None``.
+    The product is taken in double precision whatever the samples' dtype.
     """
-    rows = forcing[: times.size]
-    try:
-        block = source(x, times[:, None])
-        if np.shape(block) == rows.shape:
-            np.multiply(block, scale, out=rows, dtype=float)
-            return times.size, None, None
-        fallback = f"the call on {times.size} times returned shape {np.shape(block)}"
-    except Exception as exc:
-        fallback = f"the call on {times.size} times raised {type(exc).__name__}"
-    for k, t in enumerate(times.tolist()):
+    chunk = max(1, _SAMPLE_CHUNK // forcing[0].nbytes)
+    for start in range(0, times.size, chunk):
+        column = times[start: start + chunk, None]
+        rows = forcing[start: start + len(column)]
         try:
-            np.multiply(source(x, t), scale, out=forcing[k], dtype=float)
+            block = source(x, column)
+            if np.shape(block) == rows.shape:
+                np.multiply(block, scale, out=rows, dtype=float)
+                continue
+            fallback = f"the call on {len(rows)} times returned shape {np.shape(block)}"
         except Exception as exc:
-            return k, exc, fallback
-    return times.size, None, fallback
+            fallback = f"the call on {len(rows)} times raised {type(exc).__name__}"
+        for k, t in enumerate(times[start:].tolist(), start):
+            try:
+                np.multiply(source(x, t), scale, out=forcing[k], dtype=float)
+            except Exception as exc:
+                return k, exc, fallback
+        return times.size, None, fallback
+    return times.size, None, None
 
 
 def cn_solve(problem: DiffusionProblem, scheme: WsldScheme) -> SolveResult:
@@ -1072,16 +1093,17 @@ def cn_solve(problem: DiffusionProblem, scheme: WsldScheme) -> SolveResult:
     each of its steps into one array, at the times ``(n + 1/2) tau``, and
     scales it by ``tau/2``; then it steps, writing each ``U^{n+1}`` over its
     forcing row, so the array holds the states in step order; then it takes
-    every step's sup norm at once.  The span is sampled by one call of the
-    source on the column of its times (see :class:`DiffusionProblem`); if
-    that call fails, the span is sampled again one step at a time, each
-    time a Python float, in step order, so a failure keeps its step.  The
-    first span of a solve that falls back so is logged at DEBUG on the
-    ``wsld`` logger, with the exception's type or the returned shape.  So
-    the source may be called for steps past a failing one, up to the end of
-    its span.  On the ``getrs``
-    and matrix-free paths a span is one block, stepped one solve at a time,
-    so the results are bitwise those of checking each step as it is taken.
+    every step's sup norm at once.  The span is sampled by calls of the
+    source on columns of at most ``_SAMPLE_CHUNK // (8 N)`` of its
+    consecutive times (see :func:`_sample_forcing`); if a call fails, the
+    span is sampled again from that column's first step on one step at a
+    time, each time a Python float, in step order, so a failure keeps its
+    step.  The first span of a solve that falls back so is logged at DEBUG
+    on the ``wsld`` logger, with the exception's type or the returned
+    shape.  So the source may be called for steps past a failing one, up to
+    the end of its column.  On the ``getrs`` and matrix-free paths a span is
+    one block, stepped one solve at a time, so the results are bitwise those
+    of checking each step as it is taken.
     The inverse path takes its steps from the block starts of its span, so
     its states are those of one product per step up to the rounding of the
     products; every step it reports is still the first failing one in step
@@ -1207,14 +1229,6 @@ def table2_exact(x: np.ndarray, t: float) -> np.ndarray:
     return math.sin(t + 1.0) * x ** 4 * (2.0 - x) ** 4
 
 
-#: Bytes of the chunks of rows in which a Table 2 forcing sample on a column
-#: of times forms its second term.  A numpy ufunc copies each operand it
-#: broadcasts through a buffer of up to 8192 elements, so a chunk costs
-#: about twice its bytes; a 384 x 161 sample peaks at 1.15 times its own
-#: bytes under tracemalloc.
-_SAMPLE_CHUNK = 1 << 15
-
-
 class _Table2Source:
     """Forcing of the Table 2 problem, ``f(x, t)``.
 
@@ -1226,10 +1240,8 @@ class _Table2Source:
     ``np.sin`` of ``t + 1``.  ``t`` may be a scalar or an array that
     broadcasts against ``x``, such as a column of times, and each row of a
     column's sample is bitwise the sample at its time, which the test suite
-    checks on 10^4 times.  A sample on a column of times is the one array
-    of its size the call holds: the second term is formed in chunks of
-    rows of ``_SAMPLE_CHUNK`` bytes, each subtracted from the first in
-    place.
+    checks on 10^4 times.  A call holds two arrays of its result's size;
+    :func:`_sample_forcing` bounds that size (see ``_SAMPLE_CHUNK``).
     """
 
     def __init__(self, alpha: float) -> None:
@@ -1259,31 +1271,11 @@ class _Table2Source:
     def __call__(self, x: np.ndarray, t) -> np.ndarray:
         x4, y4, xa, bracket = self._factors(np.asarray(x, dtype=float))
         shifted = np.asarray(t) + 1.0
-        cos, sin = np.cos(shifted), np.sin(shifted)
-        if shifted.ndim <= np.ndim(x4):
-            out = x4 * cos
-            out *= y4
-            part = xa * sin
-            part *= bracket
-            out -= part
-            return out
-        # t leads with axes of its own, as a column of times does: the
-        # second term is formed in chunks of rows, each subtracted in place,
-        # so that the result is the one array of its size.  Each product
-        # broadcasts one operand, which numpy buffers (see _SAMPLE_CHUNK)
-        out = np.empty(np.broadcast_shapes(np.shape(x4), shifted.shape),
-                       np.result_type(x4, cos))
-        np.copyto(out, x4)
-        out *= cos
+        out = x4 * np.cos(shifted)
         out *= y4
-        rows = max(1, _SAMPLE_CHUNK // out[0].nbytes)
-        part = np.empty_like(out[:rows])
-        for start in range(0, len(out), rows):
-            chunk = part[: len(out) - start]
-            np.copyto(chunk, xa)
-            chunk *= sin[start: start + rows]
-            chunk *= bracket
-            out[start: start + rows] -= chunk
+        part = xa * np.sin(shifted)
+        part *= bracket
+        out -= part
         return out
 
 

@@ -300,6 +300,29 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match=match):
             DiffusionProblem(**data)
 
+    @pytest.mark.parametrize("field,name", [
+        ("d_plus", "d_plus"), ("d_minus", "d_minus"), ("initial", "initial data"),
+        ("source", "source at t = tau/2"), ("f", "f"),
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_complex_data_rejected(self, field, name):
+        # a complex coefficient or initial sample was cast to its real part
+        # with a ComplexWarning, a complex source failed inside cn_solve, and
+        # solve_steady dropped the imaginary part of f
+        def bad(x, t=None):
+            return (1.0 + 0.5j) * np.ones_like(x)
+
+        grid = Grid1D(0.0, 1.0, 8)
+        with pytest.raises(ValueError, match=f"^{name} must be real"):
+            if field == "f":
+                solve_steady(unshifted(-0.5), bad, grid)
+            else:
+                data = dict(alpha=1.5, grid=grid, d_plus=np.ones_like,
+                            d_minus=np.ones_like, source=lambda x, t: np.zeros_like(x),
+                            initial=np.zeros_like, horizon=1.0, nt=4)
+                data[field] = bad
+                DiffusionProblem(**data)
+
     @pytest.mark.parametrize("horizon", [np.nan, np.inf, 0.0, -1.0, True, np.True_])
     def test_horizon_must_be_finite_and_positive(self, horizon):
         with pytest.raises(ValueError, match="finite horizon"):
@@ -579,16 +602,30 @@ def _block_rows(path, size):
     return solver._SPAN_STEPS if path == "gemv" else solver._STEP_BLOCK // size
 
 
-def _sampled_rows(path, size, nt):
-    """Steps sampled by the first call of a block sampler on ``path``."""
+def _span_rows(path, size, nt):
+    """Steps of every span but the last of ``path``."""
     span = solver._SPAN_STEPS * solver._SPAN_BLOCKS
     return min(nt, span if path == "gemv" else solver._STEP_BLOCK // size)
 
 
+def _sampled_rows(path, size, nt):
+    """Steps sampled by the first call of the span sampler on ``path``."""
+    chunk = max(1, solver._SAMPLE_CHUNK // (8 * size))
+    return min(chunk, _span_rows(path, size, nt))
+
+
+def _span_counts(path, size, nt):
+    """Steps of each span of ``path``, in step order."""
+    span = _span_rows(path, size, nt)
+    return [min(span, nt - done) for done in range(0, nt, span)]
+
+
 def _span_columns(path, size, nt):
-    """The shapes of the columns of times a broadcasting source is called on."""
-    span = _sampled_rows(path, size, nt)
-    return [(min(span, nt - done), 1) for done in range(0, nt, span)]
+    """The shapes of the columns of times a broadcasting source is called on:
+    each span's times in chunks of ``_SAMPLE_CHUNK`` bytes of forcing rows."""
+    chunk = _sampled_rows(path, size, nt)
+    return [(min(chunk, count - start), 1) for count in _span_counts(path, size, nt)
+            for start in range(0, count, chunk)]
 
 
 def _relative(got, want):
@@ -930,22 +967,29 @@ class TestStepLoop:
         assert rows.shape == calls.shape == (len(times), x.size)
         assert rows.tobytes() == calls.tobytes()
 
-    def test_table2_forcing_column_holds_one_array(self):
-        # the second term is formed in chunks of rows and subtracted in
-        # place, so sampling an inverse-path span at N = 161 holds little
-        # beside the result
-        source = expression("table2_forcing", 1.5)
+    @pytest.mark.parametrize("plain", [False, True], ids=["table2-forcing", "lambda"])
+    def test_span_sampling_holds_a_few_chunks(self, plain):
+        # the source is called on chunks of rows, so sampling an inverse-path
+        # span at N = 161 holds a few chunks beside the forcing array,
+        # whatever temporaries the source forms: a sample of the whole span
+        # held 2.27 times the span's bytes for the lambda
         x = np.linspace(0.0, 2.0, 161)
-        times = ((np.arange(384) + 0.5) / 6400)[:, None]
-        source(x, times[:1])  # the fractional powers, cached per node array
+        source = expression("table2_forcing", 1.5)
+        if plain:
+            a, b = x ** 4 * (2.0 - x) ** 4, x ** 1.5
+            source = lambda x, t: np.cos(t + 1.0) * a - np.sin(t + 1.0) * b  # noqa: E731
+        times = (np.arange(384) + 0.5) / 6400
+        forcing = np.empty((384, 161))
+        source(x, times[:1, None])  # the fractional powers, cached per node array
         tracemalloc.start()
         try:
-            rows = source(x, times)
+            sampled = solver._sample_forcing(source, x, times, 0.5 / 6400, forcing)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert rows.shape == (384, 161)
-        assert peak <= 1.2 * rows.nbytes
+        assert sampled == (384, None, None)
+        assert forcing.tobytes() == (0.5 / 6400 * source(x, times[:, None])).tobytes()
+        assert peak <= 6 * solver._SAMPLE_CHUNK
 
     def test_table2_forcing_cache_follows_the_nodes(self):
         alpha = 1.5
@@ -1122,9 +1166,9 @@ class TestBlockStepping:
         times.clear()
         scheme = wsld_scheme(4, 1.5)
         result = cn_solve(problem, scheme)
-        expected = []
-        for column in _span_columns(path, 41, 400):
-            expected += [column] + [()] * column[0]
+        expected, chunk = [], _sampled_rows(path, 41, 400)
+        for count in _span_counts(path, 41, 400):
+            expected += [(min(chunk, count), 1)] + [()] * count
         assert shapes == expected
         assert {type(t) for t in times} == {float}
         assert times == [(n + 0.5) * problem.tau for n in range(400)]
@@ -1135,6 +1179,58 @@ class TestBlockStepping:
         assert [r.levelno for r in caplog.records] == [logging.DEBUG] * 2
         assert all(r.name == "wsld" and named in r.getMessage() for r in caplog.records)
         assert logging.getLogger("wsld").handlers == []
+
+    def test_failing_chunk_is_sampled_per_step_from_its_first_step(
+            self, monkeypatch, caplog):
+        # the source broadcasts, but raises on any column holding step bad,
+        # in the second chunk of the first inverse-path span, and on step
+        # bad as a float: the first chunk stays one call, the span is
+        # sampled again from the second chunk's first step, one float time
+        # at a time, and the error is that of step bad's own call
+        _force_path(monkeypatch, "gemv")
+        caplog.set_level(logging.DEBUG, logger="wsld")
+        chunk = _sampled_rows("gemv", 161, 400)
+        bad = chunk + 25
+        assert 2 * chunk < _span_rows("gemv", 161, 400)
+        problem = table2_problem(1.5, nx=160, nt=400)
+        tau, forcing = problem.tau, problem.source
+
+        def failing(per_step, calls):
+            def source(x, t):
+                calls.append(t if np.ndim(t) == 0 else np.shape(t))
+                steps = np.rint(np.asarray(t) / tau + 0.5)
+                if np.ndim(t) == 0 and steps == bad:
+                    raise KeyError(f"step {int(steps)}")
+                if np.ndim(t) and (per_step or np.any(steps == bad)):
+                    raise ValueError("a column of times")
+                return forcing(x, t)
+            return source
+
+        advance, states = solver._Spans.advance, []
+
+        def recorded(self, count, done):
+            taken, error = advance(self, count, done)
+            states.append(self.forcing[:taken].copy())
+            return taken, error
+
+        monkeypatch.setattr(solver._Spans, "advance", recorded)
+        runs = {}
+        for per_step in (False, True):
+            calls = []
+            chunked = replace(problem, source=failing(per_step, calls))
+            calls.clear()  # the problem's construction check
+            states.clear()
+            with pytest.raises(KeyError, match=f"step {bad}"):
+                cn_solve(chunked, wsld_scheme(4, 1.5))
+            runs[per_step] = calls, np.concatenate(states)
+        calls, got = runs[False]
+        assert calls[:2] == [(chunk, 1)] * 2
+        assert {type(t) for t in calls[2:]} == {float}
+        assert calls[2:] == [(n + 0.5) * tau for n in range(chunk, bad)]
+        assert got.shape == (bad - 1, 161)
+        assert got.tobytes() == runs[True][1].tobytes()
+        assert [r.getMessage() for r in caplog.records][0].endswith(
+            f"the call on {chunk} times raised ValueError")
 
     @pytest.mark.parametrize("blown", [True, False], ids=["after-blowup", "alone"])
     @pytest.mark.parametrize("failing", ["source", "gmres"])

@@ -1,4 +1,4 @@
-"""Bitwise battery of the Crank-Nicolson solver: one sha256 digest over 870 runs.
+"""Bitwise battery of the Crank-Nicolson solver: one sha256 digest over 1014 runs.
 
 Run from a checkout, with one BLAS thread so that the products round the same
 way from run to run:
@@ -29,7 +29,9 @@ any does.  Both also print the digest.
 The cases are every combination of
 
 * the step path, forced: ``getrs``, ``matrix-free`` and ``gemv``;
-* ``nx`` in {40, 160, 320} and ``nt`` in {5, 10, 61, 137, 270, 300};
+* ``nx`` in {40, 160, 320} and ``nt`` in {5, 10, 61, 137, 270, 300, 700};
+  700 steps take two full spans of the inverse path and a 60-step tail, so
+  the state handed from span to span is checked;
 * the default scheme ``wsld_scheme(4, alpha)`` and the unshifted
   ``wsld_scheme(4, alpha, shifts=0)``;
 * eight problems: Table 2 at alpha = 1.5 and 1.9; the unfactored source
@@ -45,7 +47,7 @@ nx = 2560 and with 5 steps at nx = 10240 (about 1 s in all).
 
 A case's digest is sha256 over the solution's bytes, ``repr`` of its sup
 norm and its step count, or over the exception's type and message; the
-printed digest is sha256 over the 870 case digests in order.
+printed digest is sha256 over the 1014 case digests in order.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from wsld.solver import DiffusionProblem, Grid1D, cn_solve, table2_problem  # no
 
 PATHS = ("getrs", "matrix-free", "gemv")
 NX = (40, 160, 320)
-NT = (5, 10, 61, 137, 270, 300)
+NT = (5, 10, 61, 137, 270, 300, 700)
 #: ``(nx, nt)`` of the runs at scale, each at every alpha of ``SCALE_ALPHAS``.
 SCALE = ((2560, 20), (10240, 5))
 SCALE_ALPHAS = (1.1, 1.5, 1.9)
